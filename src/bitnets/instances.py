@@ -326,6 +326,10 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         flag = _get(sdoc, "flag", path, int)
         if flag not in (0, 1):
             raise SchemaError(f"{path}.flag", f"flag must be 0 or 1, got {flag}")
+        if flag == 0 and not isinstance(label, dict):
+            raise SchemaError(
+                f"{path}.y", "auxiliary (flag 0) samples need a sparse-vector label"
+            )
         count = _get(sdoc, "count", path, int)
         if count < 1:
             raise SchemaError(f"{path}.count", f"count must be >= 1, got {count}")

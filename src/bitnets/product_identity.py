@@ -69,9 +69,6 @@ class RationalPoly:
             tuple(k * c for k, c in enumerate(self.coefficients) if k > 0)
         )
 
-    def shift(self, j: int) -> "RationalPoly":
-        return shift_expand(self, j)
-
     def scaled(self, factor: Fraction) -> "RationalPoly":
         return RationalPoly(tuple(factor * c for c in self.coefficients))
 

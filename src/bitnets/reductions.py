@@ -13,12 +13,25 @@ value reflects a bit (or the sign) of the program's output.
 Three instance families are emitted: bit-query ERM instances, gradient
 (backprop sign / bit) instances with a single free distinguished edge,
 and hinge-loss sign instances for the derived value 2*n_P - 1.
+
+Auxiliary samples are checked by a local-equation certificate rather
+than one forward pass each.  A sample reproduces its label vector y iff
+every vertex satisfies ``act_v(x_v + sum of (w * y_u + b)) == y_v`` with
+the tails' labels substituted.  The first auxiliary sample gets a full
+forward pass; every other one differs from it at a few vertices, and
+only those and their heads are checked, so the exact arithmetic of
+checking (and compiling) all of them is O(|E|·mu) rather than
+O(|samples|·|E|).  A sample that fails its local check gets a full
+forward pass, which keeps verdicts and bit-budget errors exactly those
+of the full passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, Mapping
+
 from .network import (
     Edge,
     IdentityActivation,
@@ -33,10 +46,10 @@ from .network import (
     Vertex,
     forward,
     grad_coordinate,
-    loss_total,
+    sample_loss,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
-from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
+from .rationals import DEFAULT_MAX_BITS, bit_length, check_bits, format_rational
 from .slp import Gate, NormalizedSlp, Slp, normalize_bn
 
 _IDENTITY = IdentityActivation()
@@ -153,6 +166,22 @@ def _sparse(vec: dict[str, Fraction]) -> dict[str, Fraction]:
     return {k: v for k, v in vec.items() if v != 0}
 
 
+def _put(vec: dict[str, Fraction], vid: str, value: Fraction) -> None:
+    """Set one coordinate of a sparse vector, dropping it when it is zero."""
+    if value != 0:
+        vec[vid] = value
+    else:
+        vec.pop(vid, None)
+
+
+def _heads(net: Network) -> dict[str, set[str]]:
+    """The out-neighbours of every vertex."""
+    heads: dict[str, set[str]] = {v.id: set() for v in net.vertices}
+    for e in net.edges:
+        heads[e.tail].add(e.head)
+    return heads
+
+
 def _aux_samples(
     net: Network,
     theta_star: Theta,
@@ -162,10 +191,17 @@ def _aux_samples(
 ) -> list[Sample]:
     """The forcing samples: baseline, one per identity-head edge, and one
     per sigma-edge and shift value.  Each appears ``replication`` times
-    (encoded as the sample count)."""
+    (encoded as the sample count).
+
+    A sample with labels y and preactivations pre gets the input
+    ``x_v = pre_v - sum over in-edges (u,v) of (w * y_u + b)``.  Every
+    sample after the baseline changes y and pre at one edge's tail and
+    head only, so its x differs from the baseline's at those two
+    vertices and their heads, and only those are recomputed."""
     mu = sigma.degree
     sigma_zero = sigma.evaluate(Fraction(0))
     sigma_alpha1 = sigma.evaluate(Fraction(alpha1))
+    heads = _heads(net)
 
     def is_sigma(vid: str) -> bool:
         return isinstance(net.vertex_map[vid].activation, PolyActivation)
@@ -173,41 +209,45 @@ def _aux_samples(
     base_y = {
         v.id: sigma_zero if is_sigma(v.id) else Fraction(0) for v in net.vertices
     }
-    base_pre = {v.id: Fraction(0) for v in net.vertices}
 
-    def make(y, pre, note) -> Sample:
-        x = {}
-        for v in net.vertices:
-            acc = pre[v.id]
-            for e in net.in_edges[v.id]:
-                w, b = theta_star.params[e.id]
-                acc -= w * y[e.tail] + b
-            x[v.id] = acc
-        return Sample(_sparse(x), _sparse(y), flag=0, count=replication, note=note)
+    def x_at(vid: str, y: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
+        acc = pre.get(vid, Fraction(0))
+        for e in net.in_edges[vid]:
+            w, b = theta_star.params[e.id]
+            acc -= w * y.get(e.tail, base_y[e.tail]) + b
+        return acc
 
-    samples = [make(base_y, base_pre, "baseline")]
+    base_x = _sparse({v.id: x_at(v.id, {}, {}) for v in net.vertices})
+    base_label = _sparse(base_y)
+
+    def make(y: dict[str, Fraction], pre: dict[str, Fraction], note: str) -> Sample:
+        """The baseline with labels ``y`` and preactivations ``pre`` at
+        the vertices they name (the same two vertices in both)."""
+        x, label = dict(base_x), dict(base_label)
+        for vid in set(y).union(*(heads[u] for u in y)):
+            _put(x, vid, x_at(vid, y, pre))
+        for vid, value in y.items():
+            _put(label, vid, value)
+        return Sample(x, label, flag=0, count=replication, note=note)
+
+    samples = [make({}, {}, "baseline")]
     for e in net.edges:
         if is_sigma(e.head):
             # sigma-edge: pin sigma(w z + b) == sigma(z) at mu+1 points
             for tau in range(mu + 1):
-                y = dict(base_y)
-                y[e.tail] = Fraction(tau)
-                y[e.head] = sigma.evaluate(Fraction(tau))
-                pre = dict(base_pre)
-                pre[e.tail] = Fraction(tau)
-                pre[e.head] = Fraction(tau)
+                y = {e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
+                pre = {e.tail: Fraction(tau), e.head: Fraction(tau)}
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
             # identity-head edge: pin the edge weight (and bias sums)
-            y = dict(base_y)
             bump = sigma_alpha1 if is_sigma(e.tail) else Fraction(1)
-            y[e.tail] = bump
-            y[e.head] = theta_star.weight(e.id) * (bump - base_y[e.tail])
+            y = {
+                e.tail: bump,
+                e.head: theta_star.weight(e.id) * (bump - base_y[e.tail]),
+            }
             pre = {
-                v.id: (Fraction(alpha1) if v.id == e.tail else Fraction(0))
-                if is_sigma(v.id)
-                else y[v.id]
-                for v in net.vertices
+                e.tail: Fraction(alpha1) if is_sigma(e.tail) else bump,
+                e.head: y[e.head],
             }
             samples.append(make(y, pre, f"id-edge {e.id}"))
     return samples
@@ -274,29 +314,110 @@ def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs, alpha1: int | No
     return prov
 
 
+def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]:
+    """Coordinates where two sparse vectors differ."""
+    return {k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)}
+
+
+def _full_loss(inst: ErmInstance, theta: Theta, sample: Sample, max_bits: int) -> Fraction:
+    """One copy's loss from a full forward pass."""
+    trace = forward(inst.network, theta, sample.x, max_bits)
+    return sample_loss(inst.network, inst.loss, trace.values, sample)
+
+
+def _aux_verdicts(
+    inst: ErmInstance, theta: Theta, max_bits: int
+) -> Iterator[tuple[Sample, bool | None]]:
+    """Yield every sample in dataset order with whether it reproduces its
+    label vector under theta; main samples yield None and are not evaluated.
+
+    A sample reproduces its labels y iff every vertex v satisfies its
+    local equation ``act_v(x_v + sum over in-edges (u,v) of (w * y_u + b))
+    == y_v`` (``x_v == y_v`` at a source), by induction over the
+    topological order.  Until an auxiliary sample passes a full forward
+    pass, each one gets one; the first that passes is the reference.
+    Every later sample shares the reference's local equation at each
+    vertex where neither x, y nor a tail's y differs, so only the
+    remaining vertices are checked, in topological order, with the same
+    bit checks as a forward pass.  A sample whose local check fails, or
+    whose label is not a vector, gets a full forward pass of its own, so
+    verdicts and errors (bit budget, location) are those of a full pass.
+    """
+    net = inst.network
+    heads = _heads(net)
+    position = {vid: i for i, vid in enumerate(net.topo_order)}
+    ref: Sample | None = None
+
+    def passes_local(sample: Sample) -> bool:
+        x, y = sample.x, sample.label
+        relabelled = _differing(y, ref.label)
+        stale = _differing(x, ref.x) | relabelled
+        stale = stale.union(*(heads[u] for u in relabelled if u in heads))
+        for vid in sorted((v for v in stale if v in position), key=position.__getitem__):
+            vertex = net.vertex_map[vid]
+            z = Fraction(x.get(vid, 0))
+            if vertex.role == ROLE_SOURCE:
+                value = z
+            else:
+                for e in net.in_edges[vid]:
+                    w, b = theta.params[e.id]
+                    z += w * Fraction(y.get(e.tail, 0)) + b
+                check_bits(z, max_bits, f"preactivation {vid}")
+                value = vertex.activation.eval(z)
+            check_bits(value, max_bits, f"vertex {vid}")
+            if value != Fraction(y.get(vid, 0)):
+                return False
+        return True
+
+    for sample in inst.dataset:
+        if sample.flag != 0:
+            yield sample, None
+        elif ref is not None and isinstance(sample.label, Mapping) and passes_local(sample):
+            yield sample, True
+        else:
+            ok = _full_loss(inst, theta, sample, max_bits) == 0
+            if ok and ref is None:
+                ref = sample
+            yield sample, ok
+
+
 def check_zero_aux_loss(
     inst: ErmInstance, theta: Theta, max_bits: int = DEFAULT_MAX_BITS
 ) -> tuple[bool, Sample | None]:
     """True iff every auxiliary sample reproduces its label exactly under theta.
 
     On failure, the first violated sample (with its identifying note) is
-    returned alongside False.
+    returned alongside False.  The first auxiliary sample gets a full
+    forward pass; once it passes, every other one is checked by its
+    local equations at the vertices where it differs from the first, and
+    a local failure is confirmed by a full pass of that sample.  On a
+    compiled instance that is O(|E|·mu) exact arithmetic in all, plus a
+    comparison of each sample's sparse input with the first's.  Verdicts,
+    returned samples and bit-budget errors are those of one full forward
+    pass per auxiliary sample in dataset order.
     """
     theta.check_against(inst.network)
-    for sample in inst.dataset:
-        if sample.flag != 0:
-            continue
-        trace = forward(inst.network, theta, sample.x, max_bits)
-        for v in inst.network.vertices:
-            if trace.values[v.id] != Fraction(sample.label.get(v.id, 0)):
-                return False, sample
+    for sample, ok in _aux_verdicts(inst, theta, max_bits):
+        if ok is False:
+            return False, sample
     return True, None
 
 
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-    """Evaluate the total loss at theta*; YES (True) iff it is at most gap[0]."""
-    value = loss_total(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
-    return value <= inst.gap[0]
+    """Evaluate the total loss at theta*; YES (True) iff it is at most gap[0].
+
+    Summed in dataset order: ``count`` for each auxiliary sample that
+    fails, decided by the certificate of :func:`check_zero_aux_loss`,
+    and ``count`` times the loss of a full forward pass for each main
+    sample.  The total equals ``loss_total`` at theta*.
+    """
+    total = Fraction(0)
+    for sample, ok in _aux_verdicts(inst, inst.theta_star, max_bits):
+        if ok is None:
+            total += sample.count * _full_loss(inst, inst.theta_star, sample, max_bits)
+        elif not ok:
+            total += sample.count
+    return total <= inst.gap[0]
 
 
 def compile_backprop(

@@ -1,0 +1,294 @@
+"""The auxiliary-sample certificate against one full forward pass per sample.
+
+``check_zero_aux_loss``, ``decide_at_theta_star`` and the compiler's
+auxiliary samples are computed sparsely in the library.  The reference
+below is the dense form: a full forward pass per sample, ``loss_total``,
+and a sweep over every vertex for every sample's input.
+"""
+
+import dataclasses
+import json
+import random
+from fractions import Fraction
+from typing import Mapping
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bitnets.cli import main
+from bitnets.instances import SchemaError, parse_instance, serialize_instance
+from bitnets.network import (
+    Edge,
+    IdentityActivation,
+    LossSpec,
+    Network,
+    NetworkError,
+    PolyActivation,
+    Sample,
+    Theta,
+    Vertex,
+    forward,
+    loss_total,
+)
+from bitnets.product_identity import RationalPoly, monomial
+from bitnets.rationals import BitBudgetError
+from bitnets.reductions import (
+    ErmInstance,
+    check_zero_aux_loss,
+    compile_erm,
+    compile_hinge_posslp,
+    decide_at_theta_star,
+)
+from bitnets.slp import Gate, Slp, parse_slp
+
+from test_slp import random_slp
+
+SIGMAS = [
+    monomial(2),
+    monomial(3),
+    RationalPoly((Fraction(1, 3), Fraction(-2), Fraction(5, 7), Fraction(0), Fraction(2))),
+]
+DELTAS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# reference: one full forward pass per sample
+
+
+def ref_reproduces(inst, theta, sample, max_bits):
+    values = forward(inst.network, theta, sample.x, max_bits).values
+    if not isinstance(sample.label, Mapping):
+        raise NetworkError("equality-checked sample needs a vector label")
+    return all(
+        values[v.id] == Fraction(sample.label.get(v.id, 0)) for v in inst.network.vertices
+    )
+
+
+def ref_check(inst, theta, max_bits=1 << 20):
+    theta.check_against(inst.network)
+    for sample in inst.dataset:
+        if sample.flag == 0 and not ref_reproduces(inst, theta, sample, max_bits):
+            return False, sample
+    return True, None
+
+
+def ref_decide(inst, max_bits=1 << 20):
+    total = loss_total(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
+    return total <= inst.gap[0]
+
+
+def ref_aux_samples(inst):
+    """The compiler's auxiliary samples, each input computed over every vertex."""
+    net, theta = inst.network, inst.theta_star
+    sigma = RationalPoly.from_text(inst.provenance["sigma"])
+    alpha1 = inst.provenance["alpha1"]
+    is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
+    base_y = {v: sigma.evaluate(Fraction(0)) if s else Fraction(0) for v, s in is_sigma.items()}
+
+    def make(y, pre, note):
+        x = {}
+        for v in net.vertices:
+            x[v.id] = pre.get(v.id, Fraction(0)) - sum(
+                theta.weight(e.id) * y[e.tail] + theta.bias(e.id) for e in net.in_edges[v.id]
+            )
+        nz = lambda vec: {k: q for k, q in vec.items() if q != 0}  # noqa: E731
+        return Sample(nz(x), nz(y), flag=0, count=inst.gap[1] + 1, note=note)
+
+    samples = [make(base_y, {}, "baseline")]
+    for e in net.edges:
+        if is_sigma[e.head]:
+            for tau in range(sigma.degree + 1):
+                y = {**base_y, e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
+                pre = {e.tail: Fraction(tau), e.head: Fraction(tau)}
+                samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
+        else:
+            bump = sigma.evaluate(Fraction(alpha1)) if is_sigma[e.tail] else Fraction(1)
+            y = {**base_y, e.tail: bump, e.head: theta.weight(e.id) * (bump - base_y[e.tail])}
+            pre = {v: y[v] for v in net.vertex_map if not is_sigma[v]}
+            pre[e.tail] = Fraction(alpha1) if is_sigma[e.tail] else bump
+            samples.append(make(y, pre, f"id-edge {e.id}"))
+    return samples
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def outcome(fn, *args):
+    """A call's result, or the identifying fields of the error it raised."""
+    try:
+        return ("ok", fn(*args))
+    except BitBudgetError as exc:
+        return ("bits", exc.bits, exc.cap, exc.where)
+    except NetworkError as exc:
+        return ("network", str(exc))
+
+
+def assert_same(inst, theta, max_bits=1 << 20):
+    assert outcome(check_zero_aux_loss, inst, theta, max_bits) == outcome(
+        ref_check, inst, theta, max_bits
+    )
+    at_theta = dataclasses.replace(inst, theta_star=theta)
+    assert outcome(decide_at_theta_star, at_theta, max_bits) == outcome(
+        ref_decide, at_theta, max_bits
+    )
+
+
+def shifted(theta, eid, coord, delta):
+    w, b = theta.params[eid]
+    return theta.with_param(eid, **{coord: (b if coord == "bias" else w) + delta})
+
+
+def compiled(rng, n_max=4):
+    p = random_slp(rng, rng.randint(1, n_max))
+    sigma = rng.choice(SIGMAS[:2])
+    gap = rng.choice([(0, 1), (1, 3), (0, 2)])
+    if rng.random() < 0.3:
+        return compile_hinge_posslp(p, sigma, copies=gap[1], low=gap[0])
+    return compile_erm(p, sigma, rng.randint(0, 4), gap)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestCompiledSamples:
+    def test_bytes_match_dense_loop(self):
+        rng = random.Random(60)
+        for trial in range(24):
+            p = random_slp(rng, rng.randint(1, 5))
+            sigma = SIGMAS[trial % 3]
+            gap = (0, rng.randint(1, 3))
+            for inst in (compile_erm(p, sigma, 1, gap), compile_hinge_posslp(p, sigma, gap[1])):
+                main = tuple(s for s in inst.dataset if s.flag == 1)
+                dense = dataclasses.replace(inst, dataset=tuple(ref_aux_samples(inst)) + main)
+                assert serialize_instance(inst) == serialize_instance(dense)
+                assert inst.dataset == dense.dataset
+
+
+class TestVerdicts:
+    def test_theta_star_and_single_coordinate_shifts(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            inst = compiled(rng)
+            assert_same(inst, inst.theta_star)
+            for eid in rng.sample([e.id for e in inst.network.edges], 4):
+                for coord in ("weight", "bias"):
+                    assert_same(inst, shifted(inst.theta_star, eid, coord, rng.choice(DELTAS)))
+
+    def test_bit_budget_errors_at_small_caps(self):
+        rng = random.Random(62)
+        for _ in range(8):
+            inst = compiled(rng, n_max=5)
+            edges = [e.id for e in inst.network.edges]
+            thetas = [inst.theta_star] + [
+                shifted(inst.theta_star, rng.choice(edges), coord, rng.choice(DELTAS))
+                for coord in ("weight", "bias")
+            ]
+            for theta in thetas:
+                for cap in (2, 3, 5, 16):
+                    assert_same(inst, theta, cap)
+
+    def test_reordered_aux_samples(self):
+        rng = random.Random(63)
+        for _ in range(6):
+            inst = compiled(rng)
+            aux = [s for s in inst.dataset if s.flag == 0]
+            rng.shuffle(aux)
+            main = [s for s in inst.dataset if s.flag == 1]
+            dataset = main + aux if rng.random() < 0.5 else aux + main
+            shuffled = dataclasses.replace(inst, dataset=tuple(dataset))
+            assert_same(shuffled, shuffled.theta_star)
+            for eid in rng.sample([e.id for e in inst.network.edges], 3):
+                assert_same(shuffled, shifted(inst.theta_star, eid, "weight", Fraction(1, 2)))
+                assert_same(shuffled, shifted(inst.theta_star, eid, "bias", Fraction(-1)), 16)
+
+    def test_first_aux_sample_fails(self):
+        # s -> h (w = 2, identity); the first auxiliary label is wrong, so
+        # no reference exists until the second one passes a full pass
+        s, h = Vertex("s", "source"), Vertex("h", "target", IdentityActivation())
+        net = Network([s, h], [Edge("s->h", "s", "h")])
+        theta = Theta({"s->h": (Fraction(2), Fraction(1))})
+        dataset = (
+            Sample({"s": Fraction(1)}, {"s": Fraction(1), "h": Fraction(4)}, 0, 2, "wrong"),
+            Sample({"s": Fraction(1)}, {"s": Fraction(1), "h": Fraction(3)}, 0, 3, "right"),
+            Sample({"s": Fraction(2)}, {"s": Fraction(2), "h": Fraction(5)}, 0, 5, "right 2"),
+            Sample({"s": Fraction(2)}, {"s": Fraction(2), "h": Fraction(6)}, 0, 7, "wrong 2"),
+            Sample({"s": Fraction(1), "h": Fraction(1)}, Fraction(4), 1, 1, "main"),
+        )
+        inst = ErmInstance(net, theta, dataset, LossSpec("square", target="h"), (9, 10), {})
+        ok, violated = check_zero_aux_loss(inst, theta)
+        assert not ok and violated.note == "wrong"
+        assert_same(inst, theta)
+        assert_same(inst, theta.with_param("s->h", bias=Fraction(2)))
+        # loss: 2 + 7 for the wrong samples, (4 - 4)^2 / 2 for the main one
+        assert decide_at_theta_star(inst) is True
+        assert decide_at_theta_star(dataclasses.replace(inst, gap=(8, 9))) is False
+
+    def test_budget_error_at_first_vertex_in_topological_order(self):
+        # ids sort as a < s < z, evaluation order is s, z, a; the second
+        # sample differs from the first at z and a, and both overflow
+        s, z = Vertex("s", "source"), Vertex("z", "hidden", IdentityActivation())
+        a = Vertex("a", "target", IdentityActivation())
+        net = Network([s, z, a], [Edge("s->z", "s", "z"), Edge("z->a", "z", "a")])
+        theta = Theta({"s->z": (Fraction(1), Fraction(0)), "z->a": (Fraction(1), Fraction(0))})
+        big = Fraction(100)
+        dataset = (
+            Sample({}, {}, 0, 1, "zero"),
+            Sample({"z": big}, {"z": big, "a": big}, 0, 1, "big"),
+        )
+        inst = ErmInstance(net, theta, dataset, LossSpec("square", target="a"), (0, 1), {})
+        assert outcome(check_zero_aux_loss, inst, theta, 5) == ("bits", 8, 5, "preactivation z")
+        assert_same(inst, theta, 5)
+
+
+class TestScalarAuxLabel:
+    @pytest.fixture
+    def inst(self):
+        inst = compile_erm(parse_slp("const 1\nadd 0 0\n"), SIGMAS[0], 0)
+        data = list(inst.dataset)
+        data[1] = dataclasses.replace(data[1], label=Fraction(0))
+        return dataclasses.replace(inst, dataset=tuple(data))
+
+    def test_library_instance_raises_network_error(self, inst):
+        expected = ("network", "equality-checked sample needs a vector label")
+        assert outcome(check_zero_aux_loss, inst, inst.theta_star) == expected
+        assert outcome(decide_at_theta_star, inst) == expected
+        assert outcome(ref_decide, inst) == expected
+
+    def test_parse_rejects_with_path(self, inst):
+        with pytest.raises(SchemaError) as err:
+            parse_instance(serialize_instance(inst))
+        assert err.value.path == "$.dataset[1].y"
+
+    def test_cli_message_is_located(self, inst, tmp_path, capsys):
+        inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+        inst_path.write_bytes(serialize_instance(inst))
+        theta_path.write_text(json.dumps({}))
+        assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0", "--enc-bound", "1", "1"]) == 2
+        assert "$.dataset[1].y" in capsys.readouterr().err
+
+
+@st.composite
+def program_and_shift(draw):
+    n = draw(st.integers(1, 3))
+    gates = tuple(
+        Gate(draw(st.sampled_from(("add", "sub", "mul"))), draw(st.integers(0, i - 1)),
+             draw(st.integers(0, i - 1)))
+        for i in range(1, n + 1)
+    )
+    sigma = draw(st.sampled_from(SIGMAS[:2]))
+    inst = compile_erm(Slp(Fraction(1), gates), sigma, 0)
+    eid = draw(st.sampled_from([e.id for e in inst.network.edges]))
+    coord = draw(st.sampled_from(("weight", "bias")))
+    delta = draw(st.sampled_from(DELTAS + (Fraction(3), Fraction(-1, 3))))
+    return inst, shifted(inst.theta_star, eid, coord, delta)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(program_and_shift())
+def test_single_shift_verdict_matches_reference(case):
+    inst, theta = case
+    assert check_zero_aux_loss(inst, theta) == ref_check(inst, theta)
