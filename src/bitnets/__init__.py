@@ -51,8 +51,6 @@ from .pwl import (
     WitnessVerdict,
     gd_step,
     leaky_relu,
-    pwl_derivative,
-    pwl_eval,
     relu,
     verify_witness,
 )

@@ -341,6 +341,14 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
     if target is not None and target not in vertex_ids:
         raise SchemaError("$.loss.target", f"unknown vertex {target!r}")
     loss = LossSpec(loss_kind, target=target, bit_index=loss_doc.get("j"))
+    for i, sample in enumerate(samples):
+        vector = isinstance(sample.label, dict)
+        if sample.flag == 1 and loss_kind == "vector-equality" and not vector:
+            raise SchemaError(
+                f"$.dataset[{i}].y", "vector-equality samples need a sparse-vector label"
+            )
+        if sample.flag == 1 and loss_kind in ("square", "hinge") and vector:
+            raise SchemaError(f"$.dataset[{i}].y", f"{loss_kind} loss needs a rational label")
 
     provenance = doc.get("provenance", {})
     if kind == "erm":

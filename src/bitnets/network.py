@@ -11,6 +11,21 @@ All arithmetic is exact over rationals, every pass records bit-lengths,
 and reverse-mode differentiation returns exact partial derivatives.
 Evaluation order is the cached topological order (ties broken by vertex
 id) so traces are bit-for-bit reproducible.
+
+One engine does all of it.  Each call lowers ``(network, theta)`` once
+into a private plan: the vertices in topological order, each with its
+in-edges as (tail, edge id, weight), the *sum* of its in-edge biases
+and its activation.  ``forward``, ``loss_total`` and ``gradients`` run
+every sample on that plan, and the auxiliary-sample certificate and
+compiler of :mod:`bitnets.reductions` use its local equation
+``act_v(x_v + b_v + sum of w * y_u)`` and its inverse.  Inside the
+engine a scalar is an ``int`` while it is integral and a ``Fraction``
+only once a denominator appears; results leave it as ``Fraction``.
+Bits are checked with :func:`bitnets.rationals.check_bits` on each
+vertex's reduced preactivation and value, on every backpropagated
+adjoint, and on the gradient accumulators after the last sample.  A
+plan never outlives the call that made it.  Activations take an
+``int`` or a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -18,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .product_identity import RationalPoly
-from .rationals import DEFAULT_MAX_BITS, bit_extract, bit_length, check_bits
+from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits
 
 ROLE_SOURCE = "source"
 ROLE_HIDDEN = "hidden"
@@ -295,6 +310,110 @@ class EvalTrace:
     ops: int
 
 
+def _int_first(q) -> int | Fraction:
+    """``q`` as an ``int`` when it is integral, else as a reduced ``Fraction``."""
+    if type(q) is not int:
+        if type(q) is not Fraction:
+            q = Fraction(q)
+        if q.denominator == 1:
+            return q.numerator
+    return q
+
+
+def _as_fraction(q: int | Fraction) -> Fraction:
+    return q if type(q) is Fraction else Fraction(q)
+
+
+def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
+    acc = 0
+    for c in coeffs:
+        acc = acc * z + c
+    return _int_first(acc)
+
+
+def _lower_activation(act) -> tuple[Callable | None, Callable | None]:
+    """Int-first (eval, derivative) of an activation; identity is (None, None)."""
+    if isinstance(act, IdentityActivation):
+        return None, None
+    if isinstance(act, PolyActivation):
+        values = tuple(_int_first(c) for c in reversed(act.poly.coefficients))
+        slopes = tuple(_int_first(c) for c in reversed(act._deriv.coefficients))
+        return (lambda z: _horner(values, z)), (lambda z: _horner(slopes, z))
+    return (lambda z: _int_first(act.eval(z))), (lambda z: _int_first(act.derivative(z)))
+
+
+class _Plan:
+    """``(net, theta)`` lowered for one call of the exact engine.
+
+    ``node[vid]`` is ``(ins, bias, act, slope, pre_where, where)``: the
+    in-edges as (tail, edge id, weight), the sum of their biases, the
+    activation and its derivative (None for identity), and the bit-check
+    locations.  A source has no in-edges and no ``pre_where``.  ``ops``
+    is the operation count of one forward pass.
+    """
+
+    def __init__(self, net: Network, theta: Theta) -> None:
+        self.order = net.topo_order
+        self.node: dict[str, tuple] = {}
+        self.ops = 0
+        lowered: dict[int, tuple] = {}
+        for vid in self.order:
+            vertex = net.vertex_map[vid]
+            if vertex.activation is None:
+                self.node[vid] = ((), 0, None, None, None, f"vertex {vid}")
+                continue
+            ins, bias = [], 0
+            for e in net.in_edges[vid]:
+                w, b = theta.params[e.id]
+                ins.append((e.tail, e.id, _int_first(w)))
+                if b:
+                    bias += b
+            key = id(vertex.activation)
+            if key not in lowered:
+                lowered[key] = _lower_activation(vertex.activation)
+            act, slope = lowered[key]
+            self.node[vid] = (
+                tuple(ins), _int_first(bias), act, slope, f"preactivation {vid}", f"vertex {vid}"
+            )
+            self.ops += 3 * len(ins) + 1
+
+    def inflow(self, vid: str, y: Mapping) -> int | Fraction:
+        """``b_v + sum of w * y_u`` over v's in-edges, the tails read from ``y``
+        (missing means 0).  ``x_v = pre_v - inflow`` inverts the local equation."""
+        ins, z = self.node[vid][:2]
+        for tail, _, w in ins:
+            q = y.get(tail, 0)
+            if type(q) is Fraction and q.denominator == 1:
+                q = q.numerator
+            z += w * q
+        return z if type(z) is int else _int_first(z)
+
+    def settle(self, vid: str, x_v, y: Mapping, max_bits: int) -> tuple:
+        """(preactivation, value, value bits) of v's local equation
+        ``act_v(x_v + inflow)`` with the tails at ``y``; a source is ``x_v``."""
+        ins, _, act, _, pre_where, where = self.node[vid]
+        z = x_v if type(x_v) is int else _int_first(x_v)
+        if pre_where is None:
+            return z, z, check_bits(z, max_bits, where)
+        z += self.inflow(vid, y)
+        if type(z) is not int:
+            z = _int_first(z)
+        check_bits(z, max_bits, pre_where)
+        value = z if act is None else act(z)
+        return z, value, check_bits(value, max_bits, where)
+
+    def run(self, x: Mapping, max_bits: int) -> tuple[dict, dict, dict]:
+        """One forward pass: values, preactivations and value bits by vertex,
+        in topological order."""
+        values: dict = {}
+        pre: dict = {}
+        bits: dict = {}
+        settle = self.settle
+        for vid in self.order:
+            pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+        return values, pre, bits
+
+
 def forward(
     net: Network,
     theta: Theta,
@@ -302,36 +421,22 @@ def forward(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> EvalTrace:
     """Exact forward evaluation in topological order."""
-    values: dict[str, Fraction] = {}
-    pre: dict[str, Fraction] = {}
-    bits: dict[str, int] = {}
-    ops = 0
-    for vid in net.topo_order:
-        vertex = net.vertex_map[vid]
-        xv = Fraction(x.get(vid, 0))
-        if vertex.role == ROLE_SOURCE:
-            z = xv
-            val = xv
-        else:
-            z = xv
-            for e in net.in_edges[vid]:
-                w, b = theta.params[e.id]
-                z += w * values[e.tail] + b
-                ops += 3
-            check_bits(z, max_bits, f"preactivation {vid}")
-            val = vertex.activation.eval(z)
-            ops += 1
-        values[vid] = val
-        pre[vid] = z
-        bits[vid] = check_bits(val, max_bits, f"vertex {vid}")
-    return EvalTrace(values, pre, bits, max(bits.values(), default=1), ops)
+    plan = _Plan(net, theta)
+    values, pre, bits = plan.run(x, max_bits)
+    return EvalTrace(
+        {vid: _as_fraction(q) for vid, q in values.items()},
+        {vid: _as_fraction(q) for vid, q in pre.items()},
+        bits,
+        max(bits.values(), default=1),
+        plan.ops,
+    )
 
 
 def _vector_matches(
     net: Network, values: Mapping[str, Fraction], label: Mapping[str, Fraction]
 ) -> bool:
     for v in net.vertices:
-        if values[v.id] != Fraction(label.get(v.id, 0)):
+        if values[v.id] != label.get(v.id, 0):
             return False
     return True
 
@@ -368,10 +473,11 @@ def loss_total(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> Fraction:
     """Exact empirical loss, summed in dataset order."""
+    plan = _Plan(net, theta)
     total = Fraction(0)
     for sample in dataset:
-        trace = forward(net, theta, sample.x, max_bits)
-        total += sample.count * sample_loss(net, spec, trace.values, sample)
+        values = plan.run(sample.x, max_bits)[0]
+        total += sample.count * sample_loss(net, spec, values, sample)
     return total
 
 
@@ -401,13 +507,16 @@ def gradients(
 
     Only square and hinge losses are differentiable in the prediction;
     bit01 / vector-equality specs and auxiliary (flag 0) samples are
-    rejected.  Adjoints propagate in reverse topological order;
-    accumulation order is fixed for reproducibility.
+    rejected.  Adjoints propagate in reverse topological order.  After
+    the last sample every accumulator is checked against ``max_bits``
+    (weight then bias, edge by edge); the reported ``max_bits`` is the
+    peak over vertex values, adjoints and weight gradients.
     """
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
-    wgrad = {e.id: Fraction(0) for e in net.edges}
-    bgrad = {e.id: Fraction(0) for e in net.edges}
+    plan = _Plan(net, theta)
+    wgrad = {e.id: 0 for e in net.edges}
+    bgrad = {e.id: 0 for e in net.edges}
     kinks = 0
     peak = 1
     ops = 0
@@ -416,13 +525,13 @@ def gradients(
             raise NonDifferentiableLoss(
                 "auxiliary (flag 0) samples use the equality loss and have no gradient"
             )
-        trace = forward(net, theta, sample.x, max_bits)
-        ops += trace.ops
-        peak = max(peak, trace.max_bits)
+        values, pre, bits = plan.run(sample.x, max_bits)
+        ops += plan.ops
+        peak = max(peak, max(bits.values(), default=1))
 
         target = spec.target
-        pred = trace.values[target]
-        y = Fraction(sample.label)
+        pred = values[target]
+        y = _int_first(sample.label)
         if spec.kind == "square":
             seed = pred - y
             ops += 1
@@ -434,30 +543,37 @@ def gradients(
             else:
                 if margin == 0:
                     kinks += 1
-                seed = Fraction(0)
+                seed = 0
 
-        scale = Fraction(sample.count)
-        adjoint: dict[str, Fraction] = {vid: Fraction(0) for vid in net.topo_order}
-        adjoint[target] = seed
-        for vid in reversed(net.topo_order):
+        scale = sample.count
+        adjoint = dict.fromkeys(plan.order, 0)
+        adjoint[target] = _int_first(seed)
+        for vid in reversed(plan.order):
             a = adjoint[vid]
             if a == 0:
                 continue
-            vertex = net.vertex_map[vid]
-            if vertex.role == ROLE_SOURCE:
+            ins, _, _, slope, pre_where, _ = plan.node[vid]
+            if pre_where is None:
                 continue
-            delta = a * vertex.activation.derivative(trace.preactivations[vid])
+            delta = a if slope is None else _int_first(a * slope(pre[vid]))
             ops += 2
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
-            for e in net.in_edges[vid]:
-                w = theta.params[e.id][0]
-                wgrad[e.id] += scale * delta * trace.values[e.tail]
-                bgrad[e.id] += scale * delta
-                adjoint[e.tail] += delta * w
+            scaled = scale * delta
+            for tail, eid, w in ins:
+                wgrad[eid] += scaled * values[tail]
+                bgrad[eid] += scaled
+                adjoint[tail] += delta * w
                 ops += 6
-    for g in wgrad.values():
-        peak = max(peak, bit_length(g))
-    return GradientReport(wgrad, bgrad, kinks, peak, ops)
+    for eid in wgrad:
+        peak = max(peak, check_bits(wgrad[eid], max_bits, f"weight gradient {eid}"))
+        check_bits(bgrad[eid], max_bits, f"bias gradient {eid}")
+    return GradientReport(
+        {eid: _as_fraction(g) for eid, g in wgrad.items()},
+        {eid: _as_fraction(g) for eid, g in bgrad.items()},
+        kinks,
+        peak,
+        ops,
+    )
 
 
 @dataclass(frozen=True)

@@ -83,15 +83,15 @@ class PwlActivation:
                 return False
         return True
 
-    def piece_index(self, z: Fraction) -> int:
+    def piece_index(self, z: int | Fraction) -> int:
         """Index of the piece supplying the value at z (right-closed rule)."""
         return bisect_right(self.breakpoints, z)
 
-    def eval(self, z: Fraction) -> Fraction:
+    def eval(self, z: int | Fraction) -> Fraction:
         a, c = self.pieces[self.piece_index(z)]
         return a * z + c
 
-    def derivative(self, z: Fraction) -> Fraction:
+    def derivative(self, z: int | Fraction) -> Fraction:
         idx = self.piece_index(z)
         if self.kink_slope == "left" and idx > 0 and self.breakpoints[idx - 1] == z:
             idx -= 1
@@ -107,14 +107,6 @@ def leaky_relu(negative_slope: Fraction) -> PwlActivation:
         (Fraction(0),),
         ((Fraction(negative_slope), Fraction(0)), (Fraction(1), Fraction(0))),
     )
-
-
-def pwl_eval(act: PwlActivation, z: Fraction) -> Fraction:
-    return act.eval(Fraction(z))
-
-
-def pwl_derivative(act: PwlActivation, z: Fraction) -> Fraction:
-    return act.derivative(Fraction(z))
 
 
 @dataclass(frozen=True)

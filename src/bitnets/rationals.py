@@ -80,13 +80,16 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def bit_length(q: Fraction) -> int:
+def bit_length(q: int | Fraction) -> int:
     """Size of a reduced rational: numerator plus denominator bit-length.
 
     The sign is excluded.  ``bit_length(Fraction(0)) == 1`` by
-    convention, so products of bit-lengths never collapse to zero.
+    convention, so products of bit-lengths never collapse to zero.  An
+    ``int`` or a ``Fraction`` is measured as it is, without a copy; an
+    ``int`` n measures ``|n|.bit_length() + 1``, exactly like ``Fraction(n)``.
     """
-    q = Fraction(q)
+    if not isinstance(q, (int, Fraction)):
+        q = Fraction(q)
     return abs(q.numerator).bit_length() + q.denominator.bit_length()
 
 
@@ -118,7 +121,7 @@ def round_to_dyadic(q: Fraction, k: int) -> Fraction:
     return Fraction(math.floor(Fraction(q) * scale), scale)
 
 
-def check_bits(q: Fraction, cap: int, where: str = "") -> int:
+def check_bits(q: int | Fraction, cap: int, where: str = "") -> int:
     """Return ``bit_length(q)``, raising :class:`BitBudgetError` above ``cap``."""
     bits = bit_length(q)
     if bits > cap:

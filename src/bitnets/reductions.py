@@ -23,7 +23,9 @@ only those and their heads are checked, so the exact arithmetic of
 checking (and compiling) all of them is O(|E|·mu) rather than
 O(|samples|·|E|).  A sample that fails its local check gets a full
 forward pass, which keeps verdicts and bit-budget errors exactly those
-of the full passes.
+of the full passes.  The certificate, its full passes and the inputs of
+the compiled auxiliary samples all run on one lowered plan of the
+network engine per call.
 """
 
 from __future__ import annotations
@@ -44,12 +46,13 @@ from .network import (
     Sample,
     Theta,
     Vertex,
-    forward,
+    _as_fraction,
+    _Plan,
     grad_coordinate,
     sample_loss,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
-from .rationals import DEFAULT_MAX_BITS, bit_length, check_bits, format_rational
+from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
 from .slp import Gate, NormalizedSlp, Slp, normalize_bn
 
 _IDENTITY = IdentityActivation()
@@ -209,23 +212,21 @@ def _aux_samples(
     base_y = {
         v.id: sigma_zero if is_sigma(v.id) else Fraction(0) for v in net.vertices
     }
-
-    def x_at(vid: str, y: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
-        acc = pre.get(vid, Fraction(0))
-        for e in net.in_edges[vid]:
-            w, b = theta_star.params[e.id]
-            acc -= w * y.get(e.tail, base_y[e.tail]) + b
-        return acc
-
-    base_x = _sparse({v.id: x_at(v.id, {}, {}) for v in net.vertices})
     base_label = _sparse(base_y)
+    plan = _Plan(net, theta_star)
+
+    def x_at(vid: str, labels: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
+        return _as_fraction(pre.get(vid, 0) - plan.inflow(vid, labels))
+
+    base_x = _sparse({v.id: x_at(v.id, base_label, {}) for v in net.vertices})
 
     def make(y: dict[str, Fraction], pre: dict[str, Fraction], note: str) -> Sample:
         """The baseline with labels ``y`` and preactivations ``pre`` at
         the vertices they name (the same two vertices in both)."""
         x, label = dict(base_x), dict(base_label)
+        labels = {**base_label, **y}
         for vid in set(y).union(*(heads[u] for u in y)):
-            _put(x, vid, x_at(vid, y, pre))
+            _put(x, vid, x_at(vid, labels, pre))
         for vid, value in y.items():
             _put(label, vid, value)
         return Sample(x, label, flag=0, count=replication, note=note)
@@ -236,7 +237,7 @@ def _aux_samples(
             # sigma-edge: pin sigma(w z + b) == sigma(z) at mu+1 points
             for tau in range(mu + 1):
                 y = {e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
-                pre = {e.tail: Fraction(tau), e.head: Fraction(tau)}
+                pre = {e.tail: tau, e.head: tau}
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
             # identity-head edge: pin the edge weight (and bias sums)
@@ -315,21 +316,28 @@ def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs, alpha1: int | No
 
 
 def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]:
-    """Coordinates where two sparse vectors differ."""
-    return {k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)}
+    """Coordinates where two sparse vectors differ.  Compiled samples share
+    their unchanged entries with the baseline, so identity settles most."""
+    out = set()
+    for k in a.keys() | b.keys():
+        p, q = a.get(k, 0), b.get(k, 0)
+        if p is not q and p != q:
+            out.add(k)
+    return out
 
 
-def _full_loss(inst: ErmInstance, theta: Theta, sample: Sample, max_bits: int) -> Fraction:
+def _full_loss(inst: ErmInstance, plan: _Plan, sample: Sample, max_bits: int) -> Fraction:
     """One copy's loss from a full forward pass."""
-    trace = forward(inst.network, theta, sample.x, max_bits)
-    return sample_loss(inst.network, inst.loss, trace.values, sample)
+    values = plan.run(sample.x, max_bits)[0]
+    return sample_loss(inst.network, inst.loss, values, sample)
 
 
 def _aux_verdicts(
-    inst: ErmInstance, theta: Theta, max_bits: int
+    inst: ErmInstance, plan: _Plan, max_bits: int
 ) -> Iterator[tuple[Sample, bool | None]]:
     """Yield every sample in dataset order with whether it reproduces its
-    label vector under theta; main samples yield None and are not evaluated.
+    label vector under the plan's theta; main samples yield None and are
+    not evaluated.
 
     A sample reproduces its labels y iff every vertex v satisfies its
     local equation ``act_v(x_v + sum over in-edges (u,v) of (w * y_u + b))
@@ -354,18 +362,7 @@ def _aux_verdicts(
         stale = _differing(x, ref.x) | relabelled
         stale = stale.union(*(heads[u] for u in relabelled if u in heads))
         for vid in sorted((v for v in stale if v in position), key=position.__getitem__):
-            vertex = net.vertex_map[vid]
-            z = Fraction(x.get(vid, 0))
-            if vertex.role == ROLE_SOURCE:
-                value = z
-            else:
-                for e in net.in_edges[vid]:
-                    w, b = theta.params[e.id]
-                    z += w * Fraction(y.get(e.tail, 0)) + b
-                check_bits(z, max_bits, f"preactivation {vid}")
-                value = vertex.activation.eval(z)
-            check_bits(value, max_bits, f"vertex {vid}")
-            if value != Fraction(y.get(vid, 0)):
+            if plan.settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
                 return False
         return True
 
@@ -375,7 +372,7 @@ def _aux_verdicts(
         elif ref is not None and isinstance(sample.label, Mapping) and passes_local(sample):
             yield sample, True
         else:
-            ok = _full_loss(inst, theta, sample, max_bits) == 0
+            ok = _full_loss(inst, plan, sample, max_bits) == 0
             if ok and ref is None:
                 ref = sample
             yield sample, ok
@@ -397,7 +394,7 @@ def check_zero_aux_loss(
     pass per auxiliary sample in dataset order.
     """
     theta.check_against(inst.network)
-    for sample, ok in _aux_verdicts(inst, theta, max_bits):
+    for sample, ok in _aux_verdicts(inst, _Plan(inst.network, theta), max_bits):
         if ok is False:
             return False, sample
     return True, None
@@ -411,10 +408,11 @@ def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) ->
     and ``count`` times the loss of a full forward pass for each main
     sample.  The total equals ``loss_total`` at theta*.
     """
+    plan = _Plan(inst.network, inst.theta_star)
     total = Fraction(0)
-    for sample, ok in _aux_verdicts(inst, inst.theta_star, max_bits):
+    for sample, ok in _aux_verdicts(inst, plan, max_bits):
         if ok is None:
-            total += sample.count * _full_loss(inst, inst.theta_star, sample, max_bits)
+            total += sample.count * _full_loss(inst, plan, sample, max_bits)
         elif not ok:
             total += sample.count
     return total <= inst.gap[0]

@@ -250,3 +250,46 @@ class TestMoreSchemaErrors:
         with pytest.raises(SchemaError) as err:
             parse_instance(canonical_bytes(doc))
         assert "edge_star" in str(err.value)
+
+
+class TestMainLabelShape:
+    """A main (flag 1) sample's label must fit the loss kind."""
+
+    def doc_with_main_label(self, loss, y):
+        inst = compile_hinge_posslp(parse_slp("const 1\nadd 0 0\n"), SQUARE)
+        doc = instance_to_doc(inst)
+        doc["loss"] = loss
+        i = next(i for i, s in enumerate(doc["dataset"]) if s["flag"] == 1)
+        doc["dataset"][i]["y"] = y
+        return doc, f"$.dataset[{i}].y"
+
+    CASES = [
+        ({"kind": "vector-equality"}, "0"),
+        ({"kind": "square", "target": "v3"}, {}),
+        ({"kind": "hinge", "target": "v3"}, {"v3": "1"}),
+    ]
+
+    @pytest.mark.parametrize("loss, y", CASES)
+    def test_parse_rejects_with_path(self, loss, y):
+        doc, path = self.doc_with_main_label(loss, y)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("loss, y", CASES)
+    def test_cli_message_is_located(self, loss, y, tmp_path, capsys):
+        from bitnets.cli import main
+
+        doc, path = self.doc_with_main_label(loss, y)
+        inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+        inst_path.write_bytes(canonical_bytes(doc))
+        theta_path.write_text(json.dumps({}))
+        assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0", "--enc-bound", "1", "1"]) == 2
+        assert path in capsys.readouterr().err
+
+    def test_fitting_labels_still_parse(self):
+        doc, _ = self.doc_with_main_label({"kind": "vector-equality"}, {"v3": "1"})
+        parse_instance(canonical_bytes(doc))
+        doc, _ = self.doc_with_main_label({"kind": "square", "target": "v3"}, "1")
+        parse_instance(canonical_bytes(doc))

@@ -28,8 +28,6 @@ from bitnets.pwl import (
     PwlActivation,
     gd_step,
     leaky_relu,
-    pwl_derivative,
-    pwl_eval,
     relu,
     verify_witness,
 )
@@ -39,24 +37,30 @@ from bitnets.reductions import ErmInstance
 class TestPwlEval:
     def test_relu(self):
         act = relu()
-        assert pwl_eval(act, Fraction(-3)) == 0
-        assert pwl_eval(act, Fraction(7, 2)) == Fraction(7, 2)
+        assert act.eval(Fraction(-3)) == 0
+        assert act.eval(Fraction(7, 2)) == Fraction(7, 2)
 
     def test_leaky(self):
         act = leaky_relu(Fraction(1, 100))
-        assert pwl_eval(act, Fraction(-2)) == Fraction(-1, 50)
+        assert act.eval(Fraction(-2)) == Fraction(-1, 50)
 
     def test_breakpoint_takes_right_piece(self):
-        assert pwl_eval(relu(), Fraction(0)) == 0
+        assert relu().eval(Fraction(0)) == 0
         step = PwlActivation((Fraction(0),), ((Fraction(0), Fraction(-1)), (Fraction(0), Fraction(1))))
         assert step.eval(Fraction(0)) == 1  # right piece wins at the breakpoint
 
     def test_derivatives(self):
         act = relu()
-        assert pwl_derivative(act, Fraction(5)) == 1
-        assert pwl_derivative(act, Fraction(-5)) == 0
-        assert pwl_derivative(act, Fraction(0)) == 1  # right-slope convention
-        assert pwl_derivative(leaky_relu(Fraction(1, 100)), Fraction(-1)) == Fraction(1, 100)
+        assert act.derivative(Fraction(5)) == 1
+        assert act.derivative(Fraction(-5)) == 0
+        assert act.derivative(Fraction(0)) == 1  # right-slope convention
+        assert leaky_relu(Fraction(1, 100)).derivative(Fraction(-1)) == Fraction(1, 100)
+
+    def test_int_arguments(self):
+        act = leaky_relu(Fraction(1, 100))
+        for z in (-7, -1, 0, 3):
+            assert act.eval(z) == act.eval(Fraction(z))
+            assert act.derivative(z) == act.derivative(Fraction(z))
 
     def test_left_slope_convention(self):
         act = PwlActivation(

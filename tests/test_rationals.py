@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bitnets.rationals import (
     BitBudgetError,
@@ -114,6 +116,15 @@ class TestBitLength:
             a = rng.randint(-10**6, 10**6)
             b = rng.randint(1, 10**6)
             assert Fraction(2 * a, 2 * b) == Fraction(a, b)
+
+    @given(st.integers(-(1 << 200), 1 << 200))
+    def test_int_measures_like_its_fraction(self, n):
+        assert bit_length(n) == bit_length(Fraction(n)) == abs(n).bit_length() + 1
+        assert check_bits(n, 1 << 20) == bit_length(n)
+
+    @given(st.fractions())
+    def test_fraction_measures_like_its_copy(self, q):
+        assert bit_length(q) == bit_length(Fraction(q))
 
     def test_budget_enforcement(self):
         check_bits(Fraction(1000), 20)
