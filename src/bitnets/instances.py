@@ -5,8 +5,17 @@ keys sorted, no insignificant whitespace, vertices and edges sorted by
 id, every rational rendered as a reduced ``p`` / ``p/q`` string.  The
 instance size |I| used by encoding-length bounds is the byte length of
 this serialization.  Parsing validates the schema and reports the JSON
-path of the first violation; non-reduced rationals and dangling edge
-endpoints are rejected.
+path of the first violation; non-reduced rationals are rejected, and so
+are the graph faults ``Network`` finds (duplicate ids, dangling
+endpoints, edges into sources, cycles), at the offending field.
+
+A compiled instance repeats a handful of values across thousands of
+entries.  Each ``parse_instance``/``parse_theta`` call therefore keeps
+one table from literal text to its validated ``Fraction``: a text is
+checked on its first occurrence only and every later one gets the same
+object, so equal parsed literals are shared, as in compiled instances,
+and comparisons between them settle by identity.  The table lives for
+the call only.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ from .network import (
     IdentityActivation,
     LossSpec,
     Network,
+    NetworkError,
     PolyActivation,
     ROLE_SOURCE,
     ROLES,
@@ -29,7 +39,7 @@ from .network import (
 )
 from .product_identity import RationalPoly
 from .pwl import BitBoundedActivation, PwlActivation
-from .rationals import format_rational, parse_rational
+from .rationals import format_length, format_rational, parse_rational
 from .reductions import BackpropInstance, ErmInstance
 
 
@@ -78,7 +88,7 @@ def activation_to_doc(act) -> dict:
     raise SchemaError("activation", f"unserializable activation {act!r}")
 
 
-def activation_from_doc(doc: Any, path: str):
+def activation_from_doc(doc: Any, path: str, literals: dict[str, Fraction]):
     kind = _get(doc, "kind", path, str)
     if kind == "identity":
         return IdentityActivation()
@@ -87,7 +97,8 @@ def activation_from_doc(doc: Any, path: str):
         return PolyActivation(
             RationalPoly(
                 tuple(
-                    _rational(c, f"{path}.coeffs[{i}]") for i, c in enumerate(coeffs)
+                    _rational(c, f"{path}.coeffs[{i}]", literals)
+                    for i, c in enumerate(coeffs)
                 )
             )
         )
@@ -100,12 +111,14 @@ def activation_from_doc(doc: Any, path: str):
                 raise SchemaError(f"{path}.pieces[{i}]", "expected [slope, intercept]")
             parsed_pieces.append(
                 (
-                    _rational(pair[0], f"{path}.pieces[{i}][0]"),
-                    _rational(pair[1], f"{path}.pieces[{i}][1]"),
+                    _rational(pair[0], f"{path}.pieces[{i}][0]", literals),
+                    _rational(pair[1], f"{path}.pieces[{i}][1]", literals),
                 )
             )
         return PwlActivation(
-            tuple(_rational(b, f"{path}.breakpoints[{i}]") for i, b in enumerate(bps)),
+            tuple(
+                _rational(b, f"{path}.breakpoints[{i}]", literals) for i, b in enumerate(bps)
+            ),
             tuple(parsed_pieces),
             doc.get("kink_slope", "right"),
         )
@@ -116,11 +129,11 @@ def activation_from_doc(doc: Any, path: str):
             if not (isinstance(clip, list) and len(clip) == 2):
                 raise SchemaError(f"{path}.clip", "expected [lo, hi]")
             parsed_clip = (
-                _rational(clip[0], f"{path}.clip[0]"),
-                _rational(clip[1], f"{path}.clip[1]"),
+                _rational(clip[0], f"{path}.clip[0]", literals),
+                _rational(clip[1], f"{path}.clip[1]", literals),
             )
         return BitBoundedActivation(
-            base=activation_from_doc(_get(doc, "base", path, dict), f"{path}.base"),
+            base=activation_from_doc(_get(doc, "base", path, dict), f"{path}.base", literals),
             bits=_get(doc, "bits", path, int),
             clip=parsed_clip,
         )
@@ -146,23 +159,32 @@ def _get(doc: Any, key: str, path: str, expected: type) -> Any:
     return value
 
 
-def _rational(value: Any, path: str) -> Fraction:
+def _rational(value: Any, path: str, literals: dict[str, Fraction]) -> Fraction:
+    """The value of a literal; ``literals`` holds the call's valid texts so far."""
     if not isinstance(value, str):
         raise SchemaError(path, "rationals are encoded as strings")
-    try:
-        return parse_rational(value)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from None
+    q = literals.get(value)
+    if q is None:
+        try:
+            q = literals[value] = parse_rational(value)
+        except ValueError as exc:
+            raise SchemaError(path, str(exc)) from None
+    return q
 
 
-def _sparse_vector(doc: Any, path: str, known: set[str]) -> dict[str, Fraction]:
+def _sparse_vector(
+    doc: Any, path: str, known: Mapping[str, Any], literals: dict[str, Fraction]
+) -> dict[str, Fraction]:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object mapping vertex ids to rationals")
     out = {}
     for vid in sorted(doc):
         if vid not in known:
             raise SchemaError(f"{path}.{vid}", f"unknown vertex {vid!r}")
-        out[vid] = _rational(doc[vid], f"{path}.{vid}")
+        text = doc[vid]
+        # a text parsed before needs no path string
+        q = literals.get(text) if isinstance(text, str) else None
+        out[vid] = q if q is not None else _rational(text, f"{path}.{vid}", literals)
     return out
 
 
@@ -177,15 +199,16 @@ def theta_to_doc(theta: Theta) -> dict:
     }
 
 
-def theta_from_doc(doc: Any, path: str = "theta") -> Theta:
+def theta_from_doc(doc: Any, path: str, literals: dict[str, Fraction]) -> Theta:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object keyed by edge id")
     params = {}
     for eid in sorted(doc):
         entry = doc[eid]
+        where = f"{path}.{eid}"
         params[eid] = (
-            _rational(_get(entry, "w", f"{path}.{eid}", str), f"{path}.{eid}.w"),
-            _rational(_get(entry, "b", f"{path}.{eid}", str), f"{path}.{eid}.b"),
+            _rational(_get(entry, "w", where, str), f"{where}.w", literals),
+            _rational(_get(entry, "b", where, str), f"{where}.b", literals),
         )
     return Theta(params)
 
@@ -194,8 +217,18 @@ def serialize_theta(theta: Theta) -> bytes:
     return canonical_bytes(theta_to_doc(theta))
 
 
+def theta_size(theta: Theta) -> int:
+    """|enc(theta)|: the byte length of ``serialize_theta(theta)``, counted
+    without rendering a rational.  The skeleton holds every edge id, JSON
+    escaped exactly as in the file; the rationals add their text lengths."""
+    skeleton = canonical_bytes({eid: {"w": "", "b": ""} for eid in theta.params})
+    return len(skeleton) + sum(
+        format_length(w) + format_length(b) for w, b in theta.params.values()
+    )
+
+
 def parse_theta(data: bytes | str) -> Theta:
-    return theta_from_doc(_load(data))
+    return theta_from_doc(_load(data), "theta", {})
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +295,8 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
     if kind not in ("erm", "backprop"):
         raise SchemaError("$.kind", f"unknown instance kind {kind!r}")
 
+    literals: dict[str, Fraction] = {}
     vertices = []
-    vertex_ids: set[str] = set()
     for i, vdoc in enumerate(_get(doc, "vertices", "$", list)):
         path = f"$.vertices[{i}]"
         vid = _get(vdoc, "id", path, str)
@@ -278,34 +311,24 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         else:
             if act_doc is None:
                 raise SchemaError(f"{path}.activation", "missing activation")
-            act = activation_from_doc(act_doc, f"{path}.activation")
-        if vid in vertex_ids:
-            raise SchemaError(f"{path}.id", f"duplicate vertex id {vid!r}")
-        vertex_ids.add(vid)
+            act = activation_from_doc(act_doc, f"{path}.activation", literals)
         vertices.append(Vertex(vid, role, act))
 
     edges = []
-    edge_ids: set[str] = set()
     for i, edoc in enumerate(_get(doc, "edges", "$", list)):
         path = f"$.edges[{i}]"
-        eid = _get(edoc, "id", path, str)
-        tail = _get(edoc, "u", path, str)
-        head = _get(edoc, "v", path, str)
-        for endpoint, key in ((tail, "u"), (head, "v")):
-            if endpoint not in vertex_ids:
-                raise SchemaError(
-                    f"{path}.{key}", f"edge {eid!r} references unknown vertex {endpoint!r}"
-                )
-        if eid in edge_ids:
-            raise SchemaError(f"{path}.id", f"duplicate edge id {eid!r}")
-        edge_ids.add(eid)
-        edges.append(Edge(eid, tail, head))
+        edges.append(Edge(*(_get(edoc, key, path, str) for key in ("id", "u", "v"))))
 
-    net = Network(vertices, edges)
+    try:
+        net = Network(vertices, edges)
+    except NetworkError as exc:
+        # the file names an edge's tail and head u and v
+        where = exc.where.replace(".tail", ".u").replace(".head", ".v")
+        raise SchemaError(f"$.{where}", str(exc)) from None
 
-    theta = theta_from_doc(_get(doc, "theta", "$", dict), "$.theta")
-    missing = sorted(edge_ids - set(theta.params))
-    extra = sorted(set(theta.params) - edge_ids)
+    theta = theta_from_doc(_get(doc, "theta", "$", dict), "$.theta", literals)
+    missing = sorted(net.edge_map.keys() - theta.params.keys())
+    extra = sorted(theta.params.keys() - net.edge_map.keys())
     if missing:
         raise SchemaError("$.theta", f"missing parameters for edges {missing}")
     if extra:
@@ -314,13 +337,13 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
     samples = []
     for i, sdoc in enumerate(_get(doc, "dataset", "$", list)):
         path = f"$.dataset[{i}]"
-        x = _sparse_vector(_get(sdoc, "x", path, dict), f"{path}.x", vertex_ids)
+        x = _sparse_vector(_get(sdoc, "x", path, dict), f"{path}.x", net.vertex_map, literals)
         ydoc = sdoc.get("y")
         label: Fraction | dict[str, Fraction]
         if isinstance(ydoc, dict):
-            label = _sparse_vector(ydoc, f"{path}.y", vertex_ids)
+            label = _sparse_vector(ydoc, f"{path}.y", net.vertex_map, literals)
         elif isinstance(ydoc, str):
-            label = _rational(ydoc, f"{path}.y")
+            label = _rational(ydoc, f"{path}.y", literals)
         else:
             raise SchemaError(f"{path}.y", "label must be a rational or a sparse vector")
         flag = _get(sdoc, "flag", path, int)
@@ -338,7 +361,7 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
     loss_doc = _get(doc, "loss", "$", dict)
     loss_kind = _get(loss_doc, "kind", "$.loss", str)
     target = loss_doc.get("target")
-    if target is not None and target not in vertex_ids:
+    if target is not None and target not in net.vertex_map:
         raise SchemaError("$.loss.target", f"unknown vertex {target!r}")
     loss = LossSpec(loss_kind, target=target, bit_index=loss_doc.get("j"))
     for i, sample in enumerate(samples):
@@ -363,7 +386,7 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         return ErmInstance(net, theta, tuple(samples), loss, (a, b), provenance)
 
     edge_star = _get(doc, "edge_star", "$", str)
-    if edge_star not in edge_ids:
+    if edge_star not in net.edge_map:
         raise SchemaError("$.edge_star", f"unknown edge {edge_star!r}")
     variant = _get(doc, "variant", "$", str)
     if variant not in ("sign", "bit"):

@@ -47,7 +47,15 @@ LOSS_KINDS = ("square", "hinge", "bit01", "vector-equality")
 
 
 class NetworkError(ValueError):
-    """Structurally invalid network, parameters or dataset."""
+    """Structurally invalid network, parameters or dataset.
+
+    ``where`` locates a fault of the ``Network`` arguments, such as
+    ``edges[3].head`` or ``edges`` for a cycle; it is empty otherwise.
+    """
+
+    def __init__(self, message: str, where: str = "") -> None:
+        super().__init__(message)
+        self.where = where
 
 
 class NonDifferentiableLoss(NetworkError):
@@ -111,9 +119,9 @@ class Network:
 
     def __init__(self, vertices: Sequence[Vertex], edges: Sequence[Edge]) -> None:
         by_id = {}
-        for v in vertices:
+        for i, v in enumerate(vertices):
             if v.id in by_id:
-                raise NetworkError(f"duplicate vertex id {v.id!r}")
+                raise NetworkError(f"duplicate vertex id {v.id!r}", f"vertices[{i}].id")
             by_id[v.id] = v
         self.vertices: tuple[Vertex, ...] = tuple(
             sorted(by_id.values(), key=lambda v: v.id)
@@ -121,17 +129,19 @@ class Network:
         self.vertex_map: dict[str, Vertex] = {v.id: v for v in self.vertices}
 
         edge_ids = set()
-        for e in edges:
+        for i, e in enumerate(edges):
             if e.id in edge_ids:
-                raise NetworkError(f"duplicate edge id {e.id!r}")
+                raise NetworkError(f"duplicate edge id {e.id!r}", f"edges[{i}].id")
             edge_ids.add(e.id)
-            for endpoint in (e.tail, e.head):
-                if endpoint not in by_id:
+            for end, vid in (("tail", e.tail), ("head", e.head)):
+                if vid not in by_id:
                     raise NetworkError(
-                        f"edge {e.id!r} references unknown vertex {endpoint!r}"
+                        f"edge {e.id!r} references unknown vertex {vid!r}", f"edges[{i}].{end}"
                     )
             if by_id[e.head].role == ROLE_SOURCE:
-                raise NetworkError(f"edge {e.id!r} points into source {e.head!r}")
+                raise NetworkError(
+                    f"edge {e.id!r} points into source {e.head!r}", f"edges[{i}].head"
+                )
         self.edges: tuple[Edge, ...] = tuple(sorted(edges, key=lambda e: e.id))
         self.edge_map: dict[str, Edge] = {e.id: e for e in self.edges}
 
@@ -169,7 +179,7 @@ class Network:
             if changed:
                 ready.sort()
         if len(order) != len(self.vertices):
-            raise NetworkError("network graph contains a cycle")
+            raise NetworkError("network graph contains a cycle", "edges")
         return tuple(order)
 
     @property

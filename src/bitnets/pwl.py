@@ -239,15 +239,16 @@ def verify_witness(
     """Check a candidate parameter vector against an instance.
 
     The witness encoding length is the byte length of the canonical
-    serialized theta; it must not exceed C1 * |I|**C2 where |I| is the
-    canonical instance byte length.  Within the bound, the exact total
-    loss is compared against gamma.  Always returns a three-way verdict.
+    serialized theta, counted from digit counts without rendering it; it
+    must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
+    length.  Within the bound, the exact total loss is compared against
+    gamma.  Always returns a three-way verdict.
     """
-    from .instances import instance_size, serialize_theta
+    from .instances import instance_size, theta_size
 
     c1, c2 = enc_bound
     cap = c1 * instance_size(inst) ** c2
-    enc_len = len(serialize_theta(theta))
+    enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
     theta.check_against(inst.network)

@@ -5,9 +5,15 @@ Every quantity in this package is a ``fractions.Fraction``: a reduced
 arbitrary-precision pair (numerator, denominator) with positive
 denominator.  This module adds the handful of operations on top of that
 representation that the rest of the package needs and that must agree
-bit-for-bit everywhere: the ``p`` / ``p/q`` text encoding, the size
-measure ``bit_length``, integer-exact bit extraction, and floor-style
-dyadic rounding.
+bit-for-bit everywhere: the ``p`` / ``p/q`` text encoding and its exact
+length, the size measure ``bit_length``, integer-exact bit extraction,
+and floor-style dyadic rounding.
+
+Text conversion never touches interpreter state.  CPython refuses to
+convert integers of more than ``sys.get_int_max_str_digits()`` decimal
+digits to or from text; values beyond the limit in force are converted
+in pieces below it (recursive ``divmod`` by powers of ten to print,
+split-and-combine to read), down to the limit's 640-digit minimum.
 """
 
 from __future__ import annotations
@@ -38,16 +44,77 @@ class BitBudgetError(ArithmeticError):
         super().__init__(f"bit budget exceeded{at}: {bits} bits > cap {cap}")
 
 
-def _ensure_str_digits(n_digits: int) -> None:
-    """Lift CPython's int<->str conversion guard when a value needs it.
+#: Integers of at most this many bits have at most 603 decimal digits,
+#: fewer than any int<->str limit CPython accepts (640 and up).
+_SHORT_BITS = 2000
 
-    The guard exists to protect servers parsing untrusted input; here
-    the whole point is exact arithmetic on numbers with exponentially
-    many digits, so the limit is raised just far enough on demand.
-    """
-    if hasattr(sys, "get_int_max_str_digits"):
-        if sys.get_int_max_str_digits() < n_digits + 16:
-            sys.set_int_max_str_digits(n_digits + 16)
+#: floor(log10(2) * 2**64): log10(2) lies in [L, L + 1) / 2**64.
+_LOG10_2 = 5553023288523357132
+
+#: CPython's int<->str digit limit in force; 0 means none, as before 3.10.7.
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _int_to_text(n: int) -> str:
+    """``str(n)``, printed in pieces below the digit limit when it exceeds it."""
+    limit = _digit_limit()
+    # bits <= 3 * limit means at most 0.91 * limit + 1 digits
+    if not limit or n.bit_length() <= 3 * limit:
+        return str(n)
+    if n < 0:
+        return "-" + _int_to_text(-n)
+    powers = [10**limit]  # powers[i] = 10 ** (limit * 2**i), for this call only
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def digits(m: int, i: int) -> str:
+        # 0 <= m < powers[i + 1]; the low half is padded to its full width
+        if i < 0:
+            return str(m)
+        if m < powers[i]:
+            return digits(m, i - 1)
+        hi, lo = divmod(m, powers[i])
+        return digits(hi, i - 1) + digits(lo, i - 1).zfill(limit << i)
+
+    return digits(n, len(powers) - 2)
+
+
+def _text_to_int(text: str) -> int:
+    """``int(text)`` for ``-?digits``, read in pieces below the digit limit."""
+    limit = _digit_limit()
+    if not limit or len(text) <= limit:
+        return int(text)
+    if text[0] == "-":
+        return -_text_to_int(text[1:])
+    powers: dict[int, int] = {}  # 10 ** k by k, for this call only
+
+    def join(s: str) -> int:
+        if len(s) <= limit:
+            return int(s)
+        k = limit  # the low part is limit * 2**j digits, at least half of s
+        while 2 * k < len(s):
+            k *= 2
+        if k not in powers:
+            powers[k] = 10**k
+        return join(s[:-k]) * powers[k] + join(s[-k:])
+
+    return join(text)
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of ``|n|`` (1 for 0), from its bit length and at most
+    one comparison with a power of ten."""
+    n = abs(n)
+    bits = n.bit_length()
+    if bits <= 1:
+        return 1
+    # 2**(bits-1) <= n < 2**bits.  Every power of ten below (bits-1)*log10(2)
+    # is <= n and every one above bits*log10(2) is > n; m is the only
+    # exponent that can lie between, if any does.
+    m = -((-(bits - 1) * _LOG10_2) >> 64)
+    if m << 64 < bits * (_LOG10_2 + 1):
+        return m + 1 if n >= 10**m else m
+    return m
 
 
 def parse_rational(text: str) -> Fraction:
@@ -59,12 +126,11 @@ def parse_rational(text: str) -> Fraction:
     is required to be reduced.
     """
     s = text.strip().replace("−", "-")
-    _ensure_str_digits(len(s))
     m = _RATIONAL_RE.match(s)
     if not m:
         raise ValueError(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = _text_to_int(m.group(1))
+    den = _text_to_int(m.group(2)) if m.group(2) else 1
     if den != 1 and math.gcd(abs(num), den) != 1:
         raise ValueError(f"rational literal not reduced: {text!r}")
     return Fraction(num, den)
@@ -72,12 +138,18 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Render ``q`` canonically: ``p`` when the denominator is 1, else ``p/q``."""
-    q = Fraction(q)
-    # bits/3 over-estimates the decimal digit count (log10(2) < 1/3)
-    _ensure_str_digits(max(abs(q.numerator).bit_length(), q.denominator.bit_length()) // 3)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    n, d = q.numerator, q.denominator
+    if n.bit_length() > _SHORT_BITS or d.bit_length() > _SHORT_BITS:
+        text = _int_to_text(n)
+        return text if d == 1 else f"{text}/{_int_to_text(d)}"
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def format_length(q: Fraction) -> int:
+    """``len(format_rational(q))``, counted without rendering a digit."""
+    n, d = q.numerator, q.denominator
+    size = (n < 0) + _digit_count(n)
+    return size if d == 1 else size + 1 + _digit_count(d)
 
 
 def bit_length(q: int | Fraction) -> int:

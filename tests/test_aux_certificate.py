@@ -177,6 +177,28 @@ class TestVerdicts:
                 for coord in ("weight", "bias"):
                     assert_same(inst, shifted(inst.theta_star, eid, coord, rng.choice(DELTAS)))
 
+    def test_parsed_copy_agrees_with_compiled(self):
+        """A file round trip shares equal values by identity instead of by
+        the compiler's baseline; verdicts, samples and errors stay the same."""
+        rng = random.Random(64)
+        for _ in range(10):
+            inst = compiled(rng)
+            parsed = parse_instance(serialize_instance(inst))
+            copies = [(inst, inst.theta_star), (parsed, parsed.theta_star)]
+            for eid in rng.sample([e.id for e in inst.network.edges], 4):
+                delta = rng.choice(DELTAS)
+                copies += [(c, shifted(c.theta_star, eid, "weight", delta)) for c in (inst, parsed)]
+            for (a, theta_a), (b, theta_b) in zip(copies[::2], copies[1::2]):
+                for cap in (5, 1 << 20):
+                    assert outcome(check_zero_aux_loss, a, theta_a, cap) == outcome(
+                        check_zero_aux_loss, b, theta_b, cap
+                    )
+                    assert outcome(
+                        decide_at_theta_star, dataclasses.replace(a, theta_star=theta_a), cap
+                    ) == outcome(
+                        decide_at_theta_star, dataclasses.replace(b, theta_star=theta_b), cap
+                    )
+
     def test_bit_budget_errors_at_small_caps(self):
         rng = random.Random(62)
         for _ in range(8):

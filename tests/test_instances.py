@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bitnets.instances import (
     SchemaError,
@@ -14,6 +16,7 @@ from bitnets.instances import (
     parse_theta,
     serialize_instance,
     serialize_theta,
+    theta_size,
 )
 from bitnets.network import Theta
 from bitnets.product_identity import monomial
@@ -23,8 +26,9 @@ from bitnets.reductions import (
     compile_erm,
     compile_hinge_posslp,
 )
-from bitnets.slp import parse_slp
+from bitnets.slp import Gate, Slp, parse_slp
 
+from test_rationals import near_powers_of_ten
 from test_slp import squaring_chain
 
 SQUARE = monomial(2)
@@ -293,3 +297,154 @@ class TestMainLabelShape:
         parse_instance(canonical_bytes(doc))
         doc, _ = self.doc_with_main_label({"kind": "square", "target": "v3"}, "1")
         parse_instance(canonical_bytes(doc))
+
+
+@st.composite
+def compiled_instances(draw):
+    n = draw(st.integers(1, 4))
+    gates = tuple(
+        Gate(draw(st.sampled_from(("add", "sub", "mul"))), draw(st.integers(0, i - 1)),
+             draw(st.integers(0, i - 1)))
+        for i in range(1, n + 1)
+    )
+    program = Slp(Fraction(1), gates)
+    sigma = monomial(draw(st.sampled_from((2, 3))))
+    if draw(st.booleans()):
+        return compile_hinge_posslp(program, sigma, copies=draw(st.integers(1, 3)))
+    return compile_erm(program, sigma, draw(st.integers(0, 4)), (0, draw(st.integers(1, 3))))
+
+
+edge_ids = st.one_of(
+    st.text(min_size=1, max_size=8),
+    st.sampled_from(['e"1', "e\\2", "é→ü", "\u0007", "\\\"", "辺"]),
+)
+theta_entries = st.one_of(
+    st.integers(-(10**6), 10**6).map(Fraction),
+    st.fractions(max_denominator=1000),
+    near_powers_of_ten(40).map(Fraction),
+    st.builds(lambda n, d: Fraction(-n, d), near_powers_of_ten(40), st.integers(2, 10**30)),
+)
+long_entries = st.integers(4301, 6000).map(lambda k: Fraction(10**k + 3, 7))
+thetas = st.dictionaries(
+    edge_ids, st.tuples(theta_entries, st.one_of(theta_entries, long_entries)), max_size=6
+).map(Theta)
+
+
+class TestCodecProperties:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(compiled_instances())
+    def test_instance_round_trip(self, inst):
+        data = serialize_instance(inst)
+        again = parse_instance(data)
+        assert again == inst
+        assert serialize_instance(again) == data
+
+    @settings(deadline=None)
+    @given(thetas)
+    def test_theta_round_trip(self, theta):
+        data = serialize_theta(theta)
+        assert parse_theta(data) == theta
+        assert serialize_theta(parse_theta(data)) == data
+
+    @settings(deadline=None)
+    @given(thetas)
+    def test_theta_size_is_byte_length(self, theta):
+        assert theta_size(theta) == len(serialize_theta(theta))
+
+    def test_witness_length_is_byte_length(self):
+        from bitnets.pwl import verify_witness
+
+        inst = erm_instance()
+        theta = Theta({
+            eid: (w * (10**5000 + 1), b - Fraction(1, 10**9))
+            for eid, (w, b) in inst.theta_star.params.items()
+        })
+        verdict = verify_witness(inst, theta, Fraction(0), enc_bound=(1, 1))
+        assert verdict.encoding_length == len(serialize_theta(theta))
+
+
+class TestSharedLiterals:
+    """One parse call turns equal literal texts into one object."""
+
+    def test_one_object_per_distinct_literal(self):
+        inst = parse_instance(serialize_instance(erm_instance()))
+        by_text: dict[str, Fraction] = {}
+        entries = 0
+        for sample in inst.dataset:
+            for vector in (sample.x, sample.label):
+                for value in vector.values():
+                    by_text.setdefault(str(value), value)
+                    assert value is by_text[str(value)]
+                    entries += 1
+        assert entries > 10 * len(by_text)
+        for w, b in inst.theta_star.params.values():
+            for value in (w, b):
+                if str(value) in by_text:
+                    assert value is by_text[str(value)]
+
+    def test_first_invalid_literal_reported_at_first_position(self):
+        doc = instance_to_doc(erm_instance())
+        doc["dataset"][2]["x"] = {vid: "6/4" for vid in doc["dataset"][2]["x"]}
+        doc["dataset"][3]["y"] = {vid: "6/4" for vid in doc["dataset"][3]["y"]}
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        assert err.value.path == f"$.dataset[2].x.{min(doc['dataset'][2]['x'])}"
+        assert "not reduced" in str(err.value)
+
+
+class TestGraphFaults:
+    """``Network``'s own checks, reported at the offending field."""
+
+    def faulty(self, mutate):
+        doc = instance_to_doc(erm_instance())
+        mutate(doc)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        return err.value
+
+    @staticmethod
+    def into_source(doc):
+        source = next(v["id"] for v in doc["vertices"] if v["role"] == "source")
+        doc["edges"][2]["v"] = source
+
+    @staticmethod
+    def cycle(doc):
+        last = doc["edges"][-1]
+        doc["edges"].append({"id": "zz-back", "u": last["v"], "v": last["u"]})
+        doc["theta"]["zz-back"] = {"w": "1", "b": "0"}
+
+    def test_edge_into_source(self):
+        err = self.faulty(self.into_source)
+        assert err.path == "$.edges[2].v" and "points into source" in str(err)
+
+    def test_cycle(self):
+        err = self.faulty(self.cycle)
+        assert err.path == "$.edges" and "cycle" in str(err)
+
+    def test_dangling_tail(self):
+        err = self.faulty(lambda doc: doc["edges"][1].update(u="nowhere"))
+        assert err.path == "$.edges[1].u" and "nowhere" in str(err)
+
+    def test_duplicates_named_at_second_occurrence(self):
+        def dup_vertex(doc):
+            doc["vertices"].insert(1, dict(doc["vertices"][4]))
+
+        def dup_edge(doc):
+            doc["edges"].insert(3, dict(doc["edges"][0]))
+
+        assert self.faulty(dup_vertex).path == "$.vertices[5].id"
+        assert self.faulty(dup_edge).path == "$.edges[3].id"
+
+    @pytest.mark.parametrize("fault, path", [("into_source", "$.edges[2].v"),
+                                             ("cycle", "$.edges")])
+    def test_cli_exits_2_with_path(self, fault, path, tmp_path, capsys):
+        from bitnets.cli import main
+
+        doc = instance_to_doc(erm_instance())
+        getattr(self, fault)(doc)
+        inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+        inst_path.write_bytes(canonical_bytes(doc))
+        theta_path.write_bytes(serialize_theta(erm_instance().theta_star))
+        assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0"]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Exact scalar operations: encoding, bit extraction, dyadic rounding."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from bitnets.rationals import (
     bit_extract,
     bit_length,
     check_bits,
+    format_length,
     format_rational,
     parse_rational,
     round_to_dyadic,
@@ -38,6 +40,78 @@ class TestTextEncoding:
 
     def test_unicode_minus_accepted(self):
         assert parse_rational("−1/3") == Fraction(-1, 3)
+
+
+def near_powers_of_ten(max_k):
+    """10**k - 1, 10**k and 10**k + 1, where the digit count changes."""
+    return st.integers(1, max_k).flatmap(
+        lambda k: st.sampled_from((10**k - 1, 10**k, 10**k + 1))
+    )
+
+
+rationals = st.one_of(
+    st.fractions(),
+    st.builds(Fraction, near_powers_of_ten(700), st.integers(1, 1 << 64)),
+    st.builds(Fraction, st.integers(-(1 << 3000), 1 << 3000), near_powers_of_ten(700)),
+).map(lambda q: q * (-1) ** int(q.numerator % 3 == 0))
+
+
+class TestTextLength:
+    """``format_length`` counts digits from bit lengths instead of printing."""
+
+    @given(rationals)
+    def test_equals_rendered_length(self, q):
+        assert format_length(q) == len(format_rational(q))
+
+    def test_every_digit_boundary(self):
+        for k in range(1, 1300):
+            for n in (10**k - 1, 10**k, 10**k + 1, (1 << k) - 1, 1 << k, (1 << k) + 1):
+                assert format_length(Fraction(n)) == len(format_rational(Fraction(n)))
+                assert format_length(Fraction(-n, 7)) == len(format_rational(Fraction(-n, 7)))
+
+
+@pytest.fixture
+def digit_limit_640():
+    """CPython's smallest int<->str limit, restored after the test."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestLongText:
+    """Values beyond the interpreter's int<->str limit convert in pieces."""
+
+    def test_round_trip_under_smallest_limit(self, digit_limit_640):
+        rng = random.Random(5)
+        num = -rng.randrange(10**19_999, 10**20_000)
+        den = rng.randrange(10**19_999, 10**20_000) | 1
+        while Fraction(num, den).denominator != den:
+            den += 2
+        q = Fraction(num, den)
+        with pytest.raises(ValueError):
+            str(num)  # the limit is in force
+        text = format_rational(q)
+        assert len(text) == format_length(q) == 20_000 + 1 + 20_000 + 1
+        assert parse_rational(text) == q
+        assert format_rational(parse_rational(text)) == text
+
+    def test_pieces_keep_inner_zeros(self, digit_limit_640):
+        values = (10**640, 10**641 - 1, 7 * 10**1280 + 3, 10**5000, 10**5000 + 1)
+        texts = [format_rational(Fraction(n)) for n in values]
+        for n, text in zip(values, texts):
+            assert parse_rational(text) == n
+            assert parse_rational("-000" + text) == -n
+        sys.set_int_max_str_digits(0)
+        assert texts == [str(n) for n in values]
+
+    @given(st.integers(1, 30_000).map(lambda k: 10**k + 7 * k))
+    def test_round_trip_at_default_limit(self, n):
+        text = format_rational(Fraction(-n, 3))
+        assert parse_rational(text) == Fraction(-n, 3)
+        assert len(text) == format_length(Fraction(-n, 3))
 
 
 class TestBitExtract:
