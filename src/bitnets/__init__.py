@@ -57,7 +57,6 @@ from .pwl import (
 from .rationals import (
     BitBudgetError,
     DEFAULT_MAX_BITS,
-    Rational,
     bit_extract,
     bit_length,
     format_rational,

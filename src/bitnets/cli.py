@@ -171,12 +171,14 @@ def cmd_compile_backprop(args) -> int:
 # net
 
 
-def _parse_inputs(pairs) -> dict[str, Fraction]:
+def _parse_inputs(pairs, vertices) -> dict[str, Fraction]:
     x = {}
     for item in pairs or ():
         if "=" not in item:
             raise UsageError(f"--input expects name=value, got {item!r}")
         name, _, value = item.partition("=")
+        if name not in vertices:
+            raise UsageError(f"--input names unknown vertex {name!r}")
         x[name] = parse_rational(value)
     return x
 
@@ -184,7 +186,7 @@ def _parse_inputs(pairs) -> dict[str, Fraction]:
 def cmd_net_eval(args) -> int:
     inst = parse_instance(_read(args.instance))
     if args.input:
-        x = _parse_inputs(args.input)
+        x = _parse_inputs(args.input, inst.network.vertex_map)
     elif inst.dataset:
         x = inst.dataset[0].x
     else:

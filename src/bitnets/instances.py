@@ -4,10 +4,15 @@ The canonical form fixes everything a byte-level size measure needs:
 keys sorted, no insignificant whitespace, vertices and edges sorted by
 id, every rational rendered as a reduced ``p`` / ``p/q`` string.  The
 instance size |I| used by encoding-length bounds is the byte length of
-this serialization.  Parsing validates the schema and reports the JSON
-path of the first violation; non-reduced rationals are rejected, and so
-are the graph faults ``Network`` finds (duplicate ids, dangling
-endpoints, edges into sources, cycles), at the offending field.
+this serialization.  Parsing reports the JSON path of the first
+violation.
+
+The parser holds no rules of its own for what the library checks.  It
+checks the JSON shape and the rational literals, builds each object
+with the library code that owns its rules (``Vertex``, ``Network``,
+``Network.single_target``, ``Theta.check_against``, ``LossSpec``, the
+activation constructors, ``check_label``) and turns the ``NetworkError``
+they raise into a ``SchemaError`` at the field it names.
 
 A compiled instance repeats a handful of values across thousands of
 entries.  Each ``parse_instance``/``parse_theta`` call therefore keeps
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from .network import (
     Edge,
@@ -31,11 +36,10 @@ from .network import (
     Network,
     NetworkError,
     PolyActivation,
-    ROLE_SOURCE,
-    ROLES,
     Sample,
     Theta,
     Vertex,
+    check_label,
 )
 from .product_identity import RationalPoly
 from .pwl import BitBoundedActivation, PwlActivation
@@ -115,7 +119,9 @@ def activation_from_doc(doc: Any, path: str, literals: dict[str, Fraction]):
                     _rational(pair[1], f"{path}.pieces[{i}][1]", literals),
                 )
             )
-        return PwlActivation(
+        return _located(
+            path,
+            PwlActivation,
             tuple(
                 _rational(b, f"{path}.breakpoints[{i}]", literals) for i, b in enumerate(bps)
             ),
@@ -132,16 +138,28 @@ def activation_from_doc(doc: Any, path: str, literals: dict[str, Fraction]):
                 _rational(clip[0], f"{path}.clip[0]", literals),
                 _rational(clip[1], f"{path}.clip[1]", literals),
             )
-        return BitBoundedActivation(
-            base=activation_from_doc(_get(doc, "base", path, dict), f"{path}.base", literals),
-            bits=_get(doc, "bits", path, int),
-            clip=parsed_clip,
+        return _located(
+            path,
+            BitBoundedActivation,
+            activation_from_doc(_get(doc, "base", path, dict), f"{path}.base", literals),
+            _get(doc, "bits", path, int),
+            parsed_clip,
         )
     raise SchemaError(path, f"unknown activation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # helpers
+
+
+def _located(path: str, fn: Callable, *args: Any) -> Any:
+    """``fn(*args)``, a ``NetworkError`` re-raised as a ``SchemaError`` at
+    ``path`` plus the error's ``where``; the file names an edge's ends u, v."""
+    try:
+        return fn(*args)
+    except NetworkError as exc:
+        where = exc.where.replace(".tail", ".u").replace(".head", ".v")
+        raise SchemaError(f"{path}.{where}" if where else path, str(exc)) from None
 
 
 def _get(doc: Any, key: str, path: str, expected: type) -> Any:
@@ -300,39 +318,27 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
     for i, vdoc in enumerate(_get(doc, "vertices", "$", list)):
         path = f"$.vertices[{i}]"
         vid = _get(vdoc, "id", path, str)
-        role = _get(vdoc, "role", path, str)
-        if role not in ROLES:
-            raise SchemaError(f"{path}.role", f"unknown role {role!r}")
         act_doc = vdoc.get("activation")
-        act = None
-        if role == ROLE_SOURCE:
-            if act_doc is not None:
-                raise SchemaError(f"{path}.activation", "sources carry no activation")
-        else:
-            if act_doc is None:
-                raise SchemaError(f"{path}.activation", "missing activation")
-            act = activation_from_doc(act_doc, f"{path}.activation", literals)
-        vertices.append(Vertex(vid, role, act))
+        act = None if act_doc is None else activation_from_doc(
+            act_doc, f"{path}.activation", literals
+        )
+        vertices.append(_located(path, Vertex, vid, vdoc.get("role"), act))
 
     edges = []
     for i, edoc in enumerate(_get(doc, "edges", "$", list)):
         path = f"$.edges[{i}]"
         edges.append(Edge(*(_get(edoc, key, path, str) for key in ("id", "u", "v"))))
 
-    try:
-        net = Network(vertices, edges)
-    except NetworkError as exc:
-        # the file names an edge's tail and head u and v
-        where = exc.where.replace(".tail", ".u").replace(".head", ".v")
-        raise SchemaError(f"$.{where}", str(exc)) from None
+    net = _located("$", Network, vertices, edges)
+    target = _located("$", lambda: net.single_target)
 
     theta = theta_from_doc(_get(doc, "theta", "$", dict), "$.theta", literals)
-    missing = sorted(net.edge_map.keys() - theta.params.keys())
-    extra = sorted(theta.params.keys() - net.edge_map.keys())
-    if missing:
-        raise SchemaError("$.theta", f"missing parameters for edges {missing}")
-    if extra:
-        raise SchemaError("$.theta", f"parameters for unknown edges {extra}")
+    _located("$.theta", theta.check_against, net)
+
+    loss_doc = _get(doc, "loss", "$", dict)
+    loss = _located("$.loss", LossSpec, *(loss_doc.get(k) for k in ("kind", "target", "j")))
+    if loss.target is not None and loss.target != target:
+        raise SchemaError("$.loss.target", f"{loss.target!r} is not the target {target!r}")
 
     samples = []
     for i, sdoc in enumerate(_get(doc, "dataset", "$", list)):
@@ -349,29 +355,12 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         flag = _get(sdoc, "flag", path, int)
         if flag not in (0, 1):
             raise SchemaError(f"{path}.flag", f"flag must be 0 or 1, got {flag}")
-        if flag == 0 and not isinstance(label, dict):
-            raise SchemaError(
-                f"{path}.y", "auxiliary (flag 0) samples need a sparse-vector label"
-            )
         count = _get(sdoc, "count", path, int)
         if count < 1:
             raise SchemaError(f"{path}.count", f"count must be >= 1, got {count}")
-        samples.append(Sample(x, label, flag, count, sdoc.get("note", "")))
-
-    loss_doc = _get(doc, "loss", "$", dict)
-    loss_kind = _get(loss_doc, "kind", "$.loss", str)
-    target = loss_doc.get("target")
-    if target is not None and target not in net.vertex_map:
-        raise SchemaError("$.loss.target", f"unknown vertex {target!r}")
-    loss = LossSpec(loss_kind, target=target, bit_index=loss_doc.get("j"))
-    for i, sample in enumerate(samples):
-        vector = isinstance(sample.label, dict)
-        if sample.flag == 1 and loss_kind == "vector-equality" and not vector:
-            raise SchemaError(
-                f"$.dataset[{i}].y", "vector-equality samples need a sparse-vector label"
-            )
-        if sample.flag == 1 and loss_kind in ("square", "hinge") and vector:
-            raise SchemaError(f"$.dataset[{i}].y", f"{loss_kind} loss needs a rational label")
+        sample = Sample(x, label, flag, count, sdoc.get("note", ""))
+        _located(f"{path}.y", check_label, loss, sample)
+        samples.append(sample)
 
     provenance = doc.get("provenance", {})
     if kind == "erm":

@@ -30,10 +30,10 @@ plan never outlives the call that made it.  Activations take an
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
 
 from .product_identity import RationalPoly
 from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits
@@ -49,8 +49,9 @@ LOSS_KINDS = ("square", "hinge", "bit01", "vector-equality")
 class NetworkError(ValueError):
     """Structurally invalid network, parameters or dataset.
 
-    ``where`` locates a fault of the ``Network`` arguments, such as
-    ``edges[3].head`` or ``edges`` for a cycle; it is empty otherwise.
+    ``where`` locates a fault within the raising call's arguments, such
+    as ``edges[3].head``, ``edges`` for a cycle or a ``Vertex``'s
+    ``role``; it is empty otherwise.
     """
 
     def __init__(self, message: str, where: str = "") -> None:
@@ -99,12 +100,12 @@ class Vertex:
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
-            raise NetworkError(f"vertex {self.id}: unknown role {self.role!r}")
+            raise NetworkError(f"vertex {self.id}: unknown role {self.role!r}", "role")
         if self.role == ROLE_SOURCE:
             if self.activation is not None:
-                raise NetworkError(f"source {self.id} must not carry an activation")
+                raise NetworkError(f"source {self.id} must not carry an activation", "activation")
         elif self.activation is None:
-            raise NetworkError(f"vertex {self.id}: missing activation")
+            raise NetworkError(f"vertex {self.id}: missing activation", "activation")
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,7 @@ class Network:
     @property
     def single_target(self) -> str:
         if len(self.targets) != 1:
-            raise NetworkError(f"expected one target vertex, have {self.targets}")
+            raise NetworkError(f"expected one target vertex, have {self.targets}", "vertices")
         return self.targets[0]
 
     def __eq__(self, other: object) -> bool:
@@ -226,12 +227,13 @@ class Theta:
         return Theta(updated)
 
     def check_against(self, net: Network) -> None:
+        """Require exactly one (weight, bias) pair per edge of ``net``."""
         missing = [e.id for e in net.edges if e.id not in self.params]
-        extra = sorted(set(self.params) - set(net.edge_map))
-        if missing or extra:
-            raise NetworkError(
-                f"theta does not match network edges (missing {missing}, extra {extra})"
-            )
+        if missing:
+            raise NetworkError(f"missing parameters for edges {missing}")
+        if len(self.params) != len(net.edges):
+            extra = sorted(self.params.keys() - net.edge_map.keys())
+            raise NetworkError(f"parameters for unknown edges {extra}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theta) and dict(self.params) == dict(other.params)
@@ -307,6 +309,8 @@ class LossSpec:
             raise NetworkError(f"loss {self.kind!r} needs a target vertex")
         if self.kind == "bit01" and self.bit_index is None:
             raise NetworkError("bit01 loss needs a bit index")
+        if self.bit_index is not None and type(self.bit_index) is not int:
+            raise NetworkError(f"bit index must be an integer, got {self.bit_index!r}")
 
 
 @dataclass(frozen=True)
@@ -359,10 +363,12 @@ class _Plan:
     in-edges as (tail, edge id, weight), the sum of their biases, the
     activation and its derivative (None for identity), and the bit-check
     locations.  A source has no in-edges and no ``pre_where``.  ``ops``
-    is the operation count of one forward pass.
+    is the operation count of one forward pass.  ``theta`` must hold
+    exactly the edges of ``net`` (:meth:`Theta.check_against`).
     """
 
     def __init__(self, net: Network, theta: Theta) -> None:
+        theta.check_against(net)
         self.order = net.topo_order
         self.node: dict[str, tuple] = {}
         self.ops = 0
@@ -451,6 +457,17 @@ def _vector_matches(
     return True
 
 
+def check_label(spec: LossSpec, sample: Sample) -> None:
+    """Require a label that fits how ``spec`` scores ``sample``: a vector when
+    the sample is equality-checked, a scalar under square or hinge loss."""
+    vector = isinstance(sample.label, Mapping)
+    if sample.flag == 0 or spec.kind == "vector-equality":
+        if not vector:
+            raise NetworkError("equality-checked sample needs a vector label")
+    elif vector and spec.kind in ("square", "hinge"):
+        raise NetworkError(f"{spec.kind} loss needs a scalar label")
+
+
 def sample_loss(
     net: Network,
     spec: LossSpec,
@@ -458,12 +475,9 @@ def sample_loss(
     sample: Sample,
 ) -> Fraction:
     """Exact per-sample loss (one copy, ignoring ``count``)."""
+    check_label(spec, sample)
     if sample.flag == 0 or spec.kind == "vector-equality":
-        if not isinstance(sample.label, Mapping):
-            raise NetworkError("equality-checked sample needs a vector label")
         return Fraction(0 if _vector_matches(net, values, sample.label) else 1)
-    if spec.kind in ("square", "hinge") and isinstance(sample.label, Mapping):
-        raise NetworkError(f"{spec.kind} loss needs a scalar label")
     pred = values[spec.target]
     if spec.kind == "square":
         diff = pred - Fraction(sample.label)

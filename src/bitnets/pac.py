@@ -70,10 +70,6 @@ class AdversarialPair:
     c1: Fraction
     c2: Fraction
 
-    @property
-    def hypotheses(self) -> tuple[Fraction, Fraction]:
-        return (self.c1, self.c2)
-
 
 def make_pair(q: int, bits: Sequence[int]) -> AdversarialPair:
     bits = tuple(int(b) for b in bits)
@@ -102,9 +98,12 @@ class SimReport:
     ``floor`` is the analytic lower bound (1/2)*(q/(q+1))^m on the
     failure probability of *any* learner against the pair prior; the
     simulation demonstrates it for the two specific learners here and
-    cannot itself quantify over all algorithms.  ``sample_bound`` is
-    q*ln(1/(2*delta)), the sample size any (epsilon < 1/(q+1), delta)
-    PAC learner must exceed.
+    cannot itself quantify over all algorithms.  For those two learners
+    it is the failure probability exactly: the pair is confusable iff
+    2^q is never drawn, probability (q/(q+1))^m, and then each learner
+    misses the uniformly drawn target with probability 1/2.
+    ``sample_bound`` is q*ln(1/(2*delta)), the sample size any
+    (epsilon < 1/(q+1), delta) PAC learner must exceed.
     """
 
     q: int

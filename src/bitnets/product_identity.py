@@ -54,10 +54,6 @@ class RationalPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
     def evaluate(self, x: Fraction) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self.coefficients):
@@ -120,10 +116,6 @@ class LambdaCoeffs:
     lambdas: tuple[Fraction, ...]
     common_denominator: int
     integer_lambdas: tuple[int, ...]
-
-    @property
-    def shift_count(self) -> int:
-        return len(self.lambdas)
 
 
 def solve_lambda(sigma: RationalPoly) -> LambdaCoeffs:

@@ -251,7 +251,6 @@ def verify_witness(
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    theta.check_against(inst.network)
     loss = loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits)
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)

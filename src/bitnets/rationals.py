@@ -23,8 +23,6 @@ import re
 import sys
 from fractions import Fraction
 
-Rational = Fraction
-
 #: Default cap on the bit-length of any intermediate value in the exact
 #: engines.  Keeps brute-force evaluation usable for squaring chains of
 #: length ~20 while refusing clearly out-of-scale instances.

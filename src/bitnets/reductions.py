@@ -393,7 +393,6 @@ def check_zero_aux_loss(
     returned samples and bit-budget errors are those of one full forward
     pass per auxiliary sample in dataset order.
     """
-    theta.check_against(inst.network)
     for sample, ok in _aux_verdicts(inst, _Plan(inst.network, theta), max_bits):
         if ok is False:
             return False, sample

@@ -206,6 +206,16 @@ class TestMoreUsageErrors:
               "-o", str(inst)])
         assert main(["net", "eval", str(inst), "--input", "v0"]) == 2
 
+    def test_input_names_unknown_vertex(self, slp_file, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        main(["compile", "erm", slp_file, "--sigma", "0,0,1", "--j", "0",
+              "-o", str(inst)])
+        capsys.readouterr()
+        assert main(["net", "eval", str(inst), "--input", "v0=1",
+                     "--input", "ghost=1"]) == 2
+        out = capsys.readouterr()
+        assert "'ghost'" in out.err and out.out == ""
+
     def test_grad_needs_edge_for_erm(self, slp_file, tmp_path):
         inst = tmp_path / "inst.json"
         main(["compile", "erm", slp_file, "--sigma", "0,0,1", "--j", "0",

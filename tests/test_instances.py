@@ -1,5 +1,8 @@
 """Canonical instance files: round trips, canonical form, schema errors."""
 
+import contextlib
+import copy
+import io
 import json
 from fractions import Fraction
 
@@ -448,3 +451,198 @@ class TestGraphFaults:
         assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
                      "--gamma", "0"]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# faults found by the library's own types, located by the parser
+
+
+def small_docs():
+    program = parse_slp("const 1\nmul 0 0\n")
+    return (
+        instance_to_doc(compile_erm(program, SQUARE, j=2, gap=(0, 1))),
+        instance_to_doc(compile_hinge_posslp(program, SQUARE, copies=2)),
+    )
+
+
+BASE_DOCS = small_docs()
+
+
+def verify_erm(tmp_path, doc, theta):
+    """``bitnets verify erm`` on ``doc`` with witness ``theta``: (exit code, stderr)."""
+    from bitnets.cli import main
+
+    inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+    inst_path.write_bytes(canonical_bytes(doc))
+    theta_path.write_bytes(canonical_bytes(theta))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0"])
+    return code, err.getvalue()
+
+
+def vertex_index(doc, role):
+    return next(i for i, v in enumerate(doc["vertices"]) if v["role"] == role)
+
+
+def set_role(old, new):
+    def mutate(doc):
+        doc["vertices"][vertex_index(doc, old)]["role"] = new
+    return mutate
+
+
+def set_activation(act):
+    def mutate(doc):
+        doc["vertices"][vertex_index(doc, "hidden")]["activation"] = act
+    return mutate
+
+
+def set_loss(**fields):
+    return lambda doc: doc["loss"].update(fields)
+
+
+def hidden_activation_path(doc):
+    return f"$.vertices[{vertex_index(doc, 'hidden')}].activation"
+
+
+ONE_PIECE = [["1", "0"]]
+
+
+class TestLocatedLibraryFaults:
+    """Each fault is found by the library type that owns the rule; the
+    parser only names where it is."""
+
+    FAULTS = [
+        ("bogus loss kind", set_loss(kind="bogus"), "$.loss", "unknown loss kind"),
+        ("bit01 without j", lambda doc: doc["loss"].pop("j"), "$.loss", "needs a bit index"),
+        ("j as text", set_loss(j="3"), "$.loss", "bit index must be an integer"),
+        ("j as float", set_loss(j=1.5), "$.loss", "bit index must be an integer"),
+        ("j as bool", set_loss(j=True), "$.loss", "bit index must be an integer"),
+        ("source as loss target", set_loss(target="v0"), "$.loss.target", "is not the target"),
+        ("no target", set_role("target", "hidden"), "$.vertices", "expected one target"),
+        ("two targets", set_role("hidden", "target"), "$.vertices", "expected one target"),
+        ("breakpoints not increasing",
+         set_activation({"kind": "pwl", "breakpoints": ["1", "0"],
+                         "pieces": ONE_PIECE * 3}),
+         hidden_activation_path, "strictly increasing"),
+        ("bad kink slope",
+         set_activation({"kind": "pwl", "breakpoints": ["0"], "pieces": ONE_PIECE * 2,
+                         "kink_slope": "middle"}),
+         hidden_activation_path, "kink_slope"),
+        ("zero bits",
+         set_activation({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 0}),
+         hidden_activation_path, "bits >= 1"),
+        ("pieces for breakpoints",
+         set_activation({"kind": "pwl", "breakpoints": ["0"], "pieces": ONE_PIECE}),
+         hidden_activation_path, "need 2 pieces"),
+        ("unknown role", set_role("hidden", "widget"),
+         lambda doc: f"$.vertices[{vertex_index(doc, 'widget')}].role", "unknown role"),
+        ("missing activation", set_activation(None), hidden_activation_path,
+         "missing activation"),
+        ("theta for unknown edge",
+         lambda doc: doc["theta"].update(ghost={"w": "1", "b": "0"}),
+         "$.theta", "parameters for unknown edges ['ghost']"),
+        ("theta missing an edge", lambda doc: doc["theta"].pop(min(doc["theta"])),
+         "$.theta", "missing parameters for edges ['L1_1_0->U1_1_0']"),
+    ]
+
+    def faulty(self, mutate, path):
+        doc = copy.deepcopy(BASE_DOCS[0])
+        mutate(doc)
+        return doc, path(doc) if callable(path) else path
+
+    @pytest.mark.parametrize("name, mutate, path, message", FAULTS, ids=[f[0] for f in FAULTS])
+    def test_parse_names_the_path(self, name, mutate, path, message):
+        doc, path = self.faulty(mutate, path)
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        assert err.value.path == path
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("name, mutate, path, message", FAULTS, ids=[f[0] for f in FAULTS])
+    def test_verify_erm_exits_2_with_the_path(self, name, mutate, path, message, tmp_path):
+        doc, path = self.faulty(mutate, path)
+        code, err = verify_erm(tmp_path, doc, BASE_DOCS[0]["theta"])
+        assert code == 2
+        assert err.startswith(f"error: {path}: ")
+
+
+def json_slots(node, out):
+    """Every (container, key) pair of a JSON document, depth first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            json_slots(value, out)
+    return out
+
+
+OTHER_VALUES = [None, True, 0, 7, -1, 1.5, "", "x", "1/2", [], {}, ["1"], {"a": "1"}]
+BAD_LITERALS = ["2/4", "1/0", "0/1", "-0", "01", "1.5", " 1", "1/-2", "abc", "", "+1"]
+
+
+@st.composite
+def mutated_docs(draw):
+    """A compiled instance document with one field changed (a key deleted, a
+    value of another type, an unknown id, a role, the loss or a literal),
+    and the parameters of the unchanged document as a witness."""
+    base = draw(st.sampled_from(BASE_DOCS))
+    doc = copy.deepcopy(base)
+    op = draw(st.sampled_from(["delete", "retype", "ghost", "ghost-key", "role", "loss",
+                               "literal"]))
+    if op == "role":
+        vertex = draw(st.sampled_from(doc["vertices"]))
+        vertex["role"] = draw(st.sampled_from(["source", "hidden", "target", "widget"]))
+    elif op == "loss":
+        loss = {"kind": draw(st.sampled_from(["square", "hinge", "bit01", "vector-equality",
+                                              "bogus"]))}
+        for key, options in (("target", ["v0", "v1", "v3", "ghost", 5, None]),
+                             ("j", [0, 3, -1, "3", 1.5, True, None])):
+            if draw(st.booleans()):
+                loss[key] = draw(st.sampled_from(options))
+        doc["loss"] = loss
+    else:
+        slots = json_slots(doc, [])
+        if op == "literal":
+            slots = [s for s in slots if isinstance(s[0][s[1]], str)]
+        elif op == "ghost-key":
+            slots = [s for s in slots if isinstance(s[0], dict)]
+        container, key = draw(st.sampled_from(slots))
+        if op == "delete":
+            del container[key]
+        elif op == "retype":
+            old = container[key]
+            container[key] = draw(st.sampled_from(
+                [v for v in OTHER_VALUES if type(v) is not type(old)]
+            ))
+        elif op == "ghost":
+            container[key] = "ghost"
+        elif op == "ghost-key":
+            container["ghost"] = container.pop(key)
+        else:
+            container[key] = draw(st.sampled_from(BAD_LITERALS))
+    return doc, base["theta"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_docs())
+def test_verify_erm_on_a_mutated_file_exits_0_to_3(case, workdir):
+    """Every error path of ``verify erm`` on one changed field exits 0-3 with
+    no traceback; exit 2 is the parser's located error, never a later one."""
+    doc, theta = case
+    try:
+        parse_instance(canonical_bytes(doc))
+        expected = None
+    except SchemaError as exc:
+        expected = f"error: {exc}\n"
+    code, err = verify_erm(workdir, doc, theta)
+    assert code in (0, 1, 2, 3)
+    if expected is None:
+        assert code != 2, err
+    else:
+        assert code == 2 and err == expected and err.startswith("error: $")

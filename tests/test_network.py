@@ -346,6 +346,36 @@ class TestValidationErrors:
         with pytest.raises(NetworkError):
             Theta({e: (Fraction(1), Fraction(0)), "ghost": (Fraction(1), Fraction(0))}).check_against(net)
 
+    @pytest.mark.parametrize("params, message", [
+        ({}, "missing parameters for edges ['e']"),
+        ({"e": (Fraction(1), Fraction(0)), "ghost": (Fraction(1), Fraction(0))},
+         "parameters for unknown edges ['ghost']"),
+    ])
+    def test_engine_rejects_theta_not_matching_edges(self, params, message):
+        from bitnets.pwl import gd_step
+
+        net, _ = single_edge(IDENTITY)
+        theta = Theta(params)
+        data = [Sample({"s": Fraction(1)}, Fraction(1))]
+        spec = LossSpec("square", target="t")
+        calls = [
+            lambda: forward(net, theta, {"s": Fraction(1)}),
+            lambda: loss_total(net, theta, data, spec),
+            lambda: gradients(net, theta, data, spec),
+            lambda: gd_step(net, theta, data, spec, Fraction(1, 2)),
+        ]
+        for call in calls:
+            with pytest.raises(NetworkError) as err:
+                call()
+            assert str(err.value) == message
+
+    def test_loss_spec_rejects_non_integer_bit_index(self):
+        for j in ("3", 1.5, True, Fraction(3)):
+            with pytest.raises(NetworkError) as err:
+                LossSpec("bit01", target="t", bit_index=j)
+            assert "bit index must be an integer" in str(err.value)
+        assert LossSpec("bit01", target="t", bit_index=-2).bit_index == -2
+
     def test_scalar_loss_rejects_vector_label(self):
         net, e = single_edge(IDENTITY)
         theta = Theta({e: (Fraction(1), Fraction(0))})

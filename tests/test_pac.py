@@ -84,16 +84,26 @@ class TestExactModelContrast:
             exact_fit(Fraction(0), Fraction(1))
 
 
+def assert_within_3_sigma_of_floor(report):
+    """Both learners fail with probability exactly ``floor``; check the
+    Monte-Carlo rate on both sides, with sigma from that exact p."""
+    p = float(report.floor)
+    sigma = math.sqrt(p * (1 - p) / report.trials)
+    assert abs(report.failure_rate - p) <= 3 * sigma, (report.failure_rate, p, sigma)
+
+
 class TestSimulation:
     def test_m_zero_failure_rate_near_half(self):
         report = simulate_lower_bound(q=2, m=0, trials=4000, learner="min", seed=3)
         assert report.floor == Fraction(1, 2)
         assert report.failure_rate >= 0.5 - 3 * report.stderr
+        assert_within_3_sigma_of_floor(report)
 
     def test_q1_m1_floor_quarter(self):
         report = simulate_lower_bound(q=1, m=1, trials=8000, learner="min", seed=4)
         assert report.floor == Fraction(1, 4)
         assert report.failure_rate >= 0.25 - 3 * report.stderr
+        assert_within_3_sigma_of_floor(report)
 
     def test_sampling_the_top_point_identifies_target(self):
         # with m large, 2^q is almost surely sampled: failure rate collapses
@@ -105,6 +115,7 @@ class TestSimulation:
             report = simulate_lower_bound(q=4, m=4, trials=6000, learner=learner, seed=6)
             floor = float(report.floor)
             assert report.failure_rate >= floor - 3 * report.stderr
+            assert_within_3_sigma_of_floor(report)
 
     def test_seed_reproducibility(self):
         a = simulate_lower_bound(q=3, m=2, trials=500, learner="random", seed=7)
