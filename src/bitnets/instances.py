@@ -178,15 +178,21 @@ def _get(doc: Any, key: str, path: str, expected: type) -> Any:
 
 
 def _rational(value: Any, path: str, literals: dict[str, Fraction]) -> Fraction:
-    """The value of a literal; ``literals`` holds the call's valid texts so far."""
+    """The value of a literal; ``literals`` holds the call's valid texts so far.
+
+    A file holds only canonical literals, ``format_rational`` of their
+    value, so that |I| is the length of the file's own bytes."""
     if not isinstance(value, str):
         raise SchemaError(path, "rationals are encoded as strings")
     q = literals.get(value)
     if q is None:
         try:
-            q = literals[value] = parse_rational(value)
+            q = parse_rational(value)
         except ValueError as exc:
             raise SchemaError(path, str(exc)) from None
+        if format_rational(q) != value:
+            raise SchemaError(path, f"rational literal not canonical: {value!r}")
+        literals[value] = q
     return q
 
 

@@ -170,13 +170,16 @@ def bit_extract(q: Fraction, j: int) -> int:
     computed exactly with integer division.  Non-negative ``j`` reads the
     bits of the integer part; negative ``j`` reads bits to the right of
     the binary point (position ``-1`` is the first fractional bit).
+    Neither side builds ``2**|j|``: the digit is ``floor(|u| / v) >> j``
+    for ``j >= 0`` and ``(|u| * 2**-j mod 2v) // v`` otherwise, so no
+    intermediate is much larger than ``|u| * v`` whatever ``j`` is.
     """
     q = Fraction(q)
     u = abs(q.numerator)
     v = q.denominator
     if j >= 0:
-        return (u // (v << j)) & 1
-    return ((u << -j) // v) & 1
+        return ((u // v) >> j) & 1
+    return (u * pow(2, -j, 2 * v) % (2 * v)) // v
 
 
 def round_to_dyadic(q: Fraction, k: int) -> Fraction:

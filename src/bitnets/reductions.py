@@ -14,25 +14,14 @@ Three instance families are emitted: bit-query ERM instances, gradient
 (backprop sign / bit) instances with a single free distinguished edge,
 and hinge-loss sign instances for the derived value 2*n_P - 1.
 
-Auxiliary samples are checked by a local-equation certificate rather
-than one forward pass each.  A sample reproduces its label vector y iff
-every vertex satisfies ``act_v(x_v + sum of (w * y_u + b)) == y_v`` with
-the tails' labels substituted.  The first auxiliary sample gets a full
-forward pass; every other one differs from it at a few vertices, and
-only those and their heads are checked, so the exact arithmetic of
-checking (and compiling) all of them is O(|E|·mu) rather than
-O(|samples|·|E|).  A sample that fails its local check gets a full
-forward pass, which keeps verdicts and bit-budget errors exactly those
-of the full passes.  The certificate, its full passes and the inputs of
-the compiled auxiliary samples all run on one lowered plan of the
-network engine per call.
+Auxiliary samples are scored by the local-equation certificate of
+:mod:`bitnets.network`, inside ``loss_total``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
 
 from .network import (
     Edge,
@@ -47,9 +36,10 @@ from .network import (
     Theta,
     Vertex,
     _as_fraction,
+    _aux_verdicts,
     _Plan,
     grad_coordinate,
-    sample_loss,
+    loss_total,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
@@ -177,14 +167,6 @@ def _put(vec: dict[str, Fraction], vid: str, value: Fraction) -> None:
         vec.pop(vid, None)
 
 
-def _heads(net: Network) -> dict[str, set[str]]:
-    """The out-neighbours of every vertex."""
-    heads: dict[str, set[str]] = {v.id: set() for v in net.vertices}
-    for e in net.edges:
-        heads[e.tail].add(e.head)
-    return heads
-
-
 def _aux_samples(
     net: Network,
     theta_star: Theta,
@@ -204,7 +186,6 @@ def _aux_samples(
     mu = sigma.degree
     sigma_zero = sigma.evaluate(Fraction(0))
     sigma_alpha1 = sigma.evaluate(Fraction(alpha1))
-    heads = _heads(net)
 
     def is_sigma(vid: str) -> bool:
         return isinstance(net.vertex_map[vid].activation, PolyActivation)
@@ -225,7 +206,7 @@ def _aux_samples(
         the vertices they name (the same two vertices in both)."""
         x, label = dict(base_x), dict(base_label)
         labels = {**base_label, **y}
-        for vid in set(y).union(*(heads[u] for u in y)):
+        for vid in set(y).union(*(net.heads[u] for u in y)):
             _put(x, vid, x_at(vid, labels, pre))
         for vid, value in y.items():
             _put(label, vid, value)
@@ -315,105 +296,29 @@ def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs, alpha1: int | No
     return prov
 
 
-def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]:
-    """Coordinates where two sparse vectors differ.  Compiled samples share
-    their unchanged entries with the baseline, so identity settles most."""
-    out = set()
-    for k in a.keys() | b.keys():
-        p, q = a.get(k, 0), b.get(k, 0)
-        if p is not q and p != q:
-            out.add(k)
-    return out
-
-
-def _full_loss(inst: ErmInstance, plan: _Plan, sample: Sample, max_bits: int) -> Fraction:
-    """One copy's loss from a full forward pass."""
-    values = plan.run(sample.x, max_bits)[0]
-    return sample_loss(inst.network, inst.loss, values, sample)
-
-
-def _aux_verdicts(
-    inst: ErmInstance, plan: _Plan, max_bits: int
-) -> Iterator[tuple[Sample, bool | None]]:
-    """Yield every sample in dataset order with whether it reproduces its
-    label vector under the plan's theta; main samples yield None and are
-    not evaluated.
-
-    A sample reproduces its labels y iff every vertex v satisfies its
-    local equation ``act_v(x_v + sum over in-edges (u,v) of (w * y_u + b))
-    == y_v`` (``x_v == y_v`` at a source), by induction over the
-    topological order.  Until an auxiliary sample passes a full forward
-    pass, each one gets one; the first that passes is the reference.
-    Every later sample shares the reference's local equation at each
-    vertex where neither x, y nor a tail's y differs, so only the
-    remaining vertices are checked, in topological order, with the same
-    bit checks as a forward pass.  A sample whose local check fails, or
-    whose label is not a vector, gets a full forward pass of its own, so
-    verdicts and errors (bit budget, location) are those of a full pass.
-    """
-    net = inst.network
-    heads = _heads(net)
-    position = {vid: i for i, vid in enumerate(net.topo_order)}
-    ref: Sample | None = None
-
-    def passes_local(sample: Sample) -> bool:
-        x, y = sample.x, sample.label
-        relabelled = _differing(y, ref.label)
-        stale = _differing(x, ref.x) | relabelled
-        stale = stale.union(*(heads[u] for u in relabelled if u in heads))
-        for vid in sorted((v for v in stale if v in position), key=position.__getitem__):
-            if plan.settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
-                return False
-        return True
-
-    for sample in inst.dataset:
-        if sample.flag != 0:
-            yield sample, None
-        elif ref is not None and isinstance(sample.label, Mapping) and passes_local(sample):
-            yield sample, True
-        else:
-            ok = _full_loss(inst, plan, sample, max_bits) == 0
-            if ok and ref is None:
-                ref = sample
-            yield sample, ok
-
-
 def check_zero_aux_loss(
     inst: ErmInstance, theta: Theta, max_bits: int = DEFAULT_MAX_BITS
 ) -> tuple[bool, Sample | None]:
     """True iff every auxiliary sample reproduces its label exactly under theta.
 
     On failure, the first violated sample (with its identifying note) is
-    returned alongside False.  The first auxiliary sample gets a full
-    forward pass; once it passes, every other one is checked by its
-    local equations at the vertices where it differs from the first, and
-    a local failure is confirmed by a full pass of that sample.  On a
-    compiled instance that is O(|E|·mu) exact arithmetic in all, plus a
-    comparison of each sample's sparse input with the first's.  Verdicts,
-    returned samples and bit-budget errors are those of one full forward
-    pass per auxiliary sample in dataset order.
+    returned alongside False.  Samples are checked in dataset order by
+    the certificate ``loss_total`` uses (see :mod:`bitnets.network`),
+    stopping at the first violation.  Verdicts, returned samples and
+    bit-budget errors are those of one full forward pass per auxiliary
+    sample in dataset order.
     """
-    for sample, ok in _aux_verdicts(inst, _Plan(inst.network, theta), max_bits):
+    net = inst.network
+    for sample, ok in _aux_verdicts(net, inst.loss, inst.dataset, _Plan(net, theta), max_bits):
         if ok is False:
             return False, sample
     return True, None
 
 
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
-    """Evaluate the total loss at theta*; YES (True) iff it is at most gap[0].
-
-    Summed in dataset order: ``count`` for each auxiliary sample that
-    fails, decided by the certificate of :func:`check_zero_aux_loss`,
-    and ``count`` times the loss of a full forward pass for each main
-    sample.  The total equals ``loss_total`` at theta*.
-    """
-    plan = _Plan(inst.network, inst.theta_star)
-    total = Fraction(0)
-    for sample, ok in _aux_verdicts(inst, plan, max_bits):
-        if ok is None:
-            total += sample.count * _full_loss(inst, plan, sample, max_bits)
-        elif not ok:
-            total += sample.count
+    """YES (True) iff the instance's total loss at theta*, ``loss_total``,
+    is at most gap[0]."""
+    total = loss_total(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
     return total <= inst.gap[0]
 
 

@@ -1,9 +1,10 @@
 """The auxiliary-sample certificate against one full forward pass per sample.
 
-``check_zero_aux_loss``, ``decide_at_theta_star`` and the compiler's
-auxiliary samples are computed sparsely in the library.  The reference
-below is the dense form: a full forward pass per sample, ``loss_total``,
-and a sweep over every vertex for every sample's input.
+``loss_total``, ``verify_witness``, ``check_zero_aux_loss``,
+``decide_at_theta_star`` and the compiler's auxiliary samples are
+computed sparsely in the library.  The reference below is the dense
+form: a full ``forward`` pass and ``sample_loss`` per sample, and a
+sweep over every vertex for every sample's input.
 """
 
 import dataclasses
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bitnets.network
 from bitnets.cli import main
 from bitnets.instances import SchemaError, parse_instance, serialize_instance
 from bitnets.network import (
@@ -30,8 +32,10 @@ from bitnets.network import (
     Vertex,
     forward,
     loss_total,
+    sample_loss,
 )
 from bitnets.product_identity import RationalPoly, monomial
+from bitnets.pwl import ACCEPT, REJECT_LOSS, verify_witness
 from bitnets.rationals import BitBudgetError
 from bitnets.reductions import (
     ErmInstance,
@@ -73,9 +77,17 @@ def ref_check(inst, theta, max_bits=1 << 20):
     return True, None
 
 
+def ref_loss(inst, theta, max_bits=1 << 20):
+    """The total loss, one ``forward`` pass per sample in dataset order."""
+    total = Fraction(0)
+    for sample in inst.dataset:
+        values = forward(inst.network, theta, sample.x, max_bits).values
+        total += sample.count * sample_loss(inst.network, inst.loss, values, sample)
+    return total
+
+
 def ref_decide(inst, max_bits=1 << 20):
-    total = loss_total(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
-    return total <= inst.gap[0]
+    return ref_loss(inst, inst.theta_star, max_bits) <= inst.gap[0]
 
 
 def ref_aux_samples(inst):
@@ -133,6 +145,22 @@ def assert_same(inst, theta, max_bits=1 << 20):
     assert outcome(decide_at_theta_star, at_theta, max_bits) == outcome(
         ref_decide, at_theta, max_bits
     )
+
+
+def assert_same_loss(inst, theta, max_bits=1 << 20):
+    net, spec = inst.network, inst.loss
+    expected = outcome(ref_loss, inst, theta, max_bits)
+    assert outcome(loss_total, net, theta, inst.dataset, spec, max_bits) == expected
+    gamma = Fraction(inst.gap[0])
+
+    def witness():
+        verdict = verify_witness(inst, theta, gamma, (4, 2), max_bits)
+        return verdict.verdict, verdict.loss
+
+    if expected[0] == "ok":
+        loss = expected[1]
+        expected = ("ok", (ACCEPT if loss <= gamma else REJECT_LOSS, loss))
+    assert outcome(witness) == expected
 
 
 def shifted(theta, eid, coord, delta):
@@ -263,6 +291,62 @@ class TestVerdicts:
         inst = ErmInstance(net, theta, dataset, LossSpec("square", target="a"), (0, 1), {})
         assert outcome(check_zero_aux_loss, inst, theta, 5) == ("bits", 8, 5, "preactivation z")
         assert_same(inst, theta, 5)
+
+
+class TestLossTotal:
+    def test_loss_and_witness_match_dense_reference(self):
+        """``loss_total`` and ``verify_witness`` on compiled and parsed copies,
+        at theta* and single-coordinate shifts, equal the dense totals,
+        bit-budget errors included."""
+        rng = random.Random(65)
+        for _ in range(5):
+            inst = compiled(rng)
+            parsed = parse_instance(serialize_instance(inst))
+            shifts = [(rng.choice([e.id for e in inst.network.edges]),
+                       rng.choice(("weight", "bias")), delta) for delta in DELTAS]
+            for copy in (inst, parsed):
+                thetas = [copy.theta_star] + [shifted(copy.theta_star, *s) for s in shifts]
+                for theta in thetas:
+                    for cap in (2, 3, 5, 16, 1 << 20):
+                        assert_same_loss(copy, theta, cap)
+
+    def test_relabelled_tail_checks_its_heads(self):
+        # s -> h with w = 1: the second sample relabels s but keeps x and y
+        # at h, so only the head of s shows that h no longer matches
+        s, h = Vertex("s", "source"), Vertex("h", "target", IdentityActivation())
+        net = Network([s, h], [Edge("s->h", "s", "h")])
+        theta = Theta({"s->h": (Fraction(1), Fraction(0))})
+        dataset = (
+            Sample({}, {}, 0, 1, "zero"),
+            Sample({"s": Fraction(1)}, {"s": Fraction(1)}, 0, 2, "stale head"),
+            Sample({"s": Fraction(1)}, {"s": Fraction(1), "h": Fraction(1)}, 0, 3, "right"),
+        )
+        inst = ErmInstance(net, theta, dataset, LossSpec("square", target="h"), (1, 3), {})
+        ok, violated = check_zero_aux_loss(inst, theta)
+        assert not ok and violated.note == "stale head"
+        assert loss_total(net, theta, dataset, inst.loss) == 2
+        assert decide_at_theta_star(inst) is False
+        assert_same(inst, theta)
+        assert_same_loss(inst, theta)
+
+    def test_one_full_pass_per_main_sample_at_theta_star(self, monkeypatch):
+        """Past the reference, auxiliary samples that hold need no full pass."""
+        runs = []
+        run = bitnets.network._Plan.run
+        monkeypatch.setattr(
+            bitnets.network._Plan, "run", lambda plan, *a: runs.append(1) or run(plan, *a)
+        )
+        rng = random.Random(66)
+        for _ in range(4):
+            inst = compiled(rng)
+            n_main = sum(1 for s in inst.dataset if s.flag == 1)
+            for copy in (inst, parse_instance(serialize_instance(inst))):
+                runs.clear()
+                assert check_zero_aux_loss(copy, copy.theta_star) == (True, None)
+                assert len(runs) == 1
+                runs.clear()
+                loss_total(copy.network, copy.theta_star, copy.dataset, copy.loss)
+                assert len(runs) == 1 + n_main
 
 
 class TestScalarAuxLabel:

@@ -1,9 +1,17 @@
 """Command-line front end: exit codes, file IO, end-to-end flows."""
 
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import bitnets
 from bitnets.cli import main
-from bitnets.instances import parse_instance, serialize_theta
+from bitnets.instances import instance_size, parse_instance, serialize_theta, theta_size
 
 CHAIN16 = "const 1\nadd 0 0\nmul 1 1\nmul 2 2\n"
 
@@ -135,6 +143,49 @@ class TestVerifyAndStep:
         assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
                      "--gamma", "-1"]) == 1
         assert "loss too high" in capsys.readouterr().out
+
+    @pytest.fixture
+    def witness(self, slp_file, tmp_path):
+        """A compiled bit01 instance file and its theta* file."""
+        inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+        main(["compile", "erm", slp_file, "--sigma", "0,0,1", "--j", "4",
+              "-o", str(inst_path)])
+        theta_path.write_bytes(serialize_theta(parse_instance(inst_path.read_bytes()).theta_star))
+        return inst_path, theta_path
+
+    def test_verify_theta_star_output(self, witness, capsys):
+        inst_path, theta_path = witness
+        argv = ["verify", "erm", str(inst_path), "--theta", str(theta_path), "--gamma", "0"]
+        inst = parse_instance(inst_path.read_bytes())
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            f"accept\nenc-length {theta_size(inst.theta_star)} "
+            f"cap {4 * instance_size(inst) ** 2}\nloss 0\n"
+        )
+
+    @pytest.mark.parametrize("j", [1 << 40, -(1 << 40)])
+    def test_verify_far_bit_index_in_bounded_memory(self, witness, j):
+        """A bit01 index of 2**40 or -2**40 is answered without building 2**|j|,
+        in a child process whose address space is capped at 1 GiB."""
+        inst_path, theta_path = witness
+        doc = json.loads(inst_path.read_bytes())
+        doc["loss"]["j"] = j
+        inst_path.write_text(json.dumps(doc))
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(bitnets.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from bitnets.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "verify", "erm", str(inst_path), "--theta", str(theta_path), "--gamma", "0"],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert run.returncode in (0, 1) and run.stderr == ""
+        # 16 has no bit 2**40 and no fractional bits: the main sample costs its count
+        assert run.stdout.startswith("reject(loss too high)\n")
 
     def test_pwl_step(self, tmp_path, capsys):
         from fractions import Fraction

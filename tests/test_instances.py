@@ -568,6 +568,47 @@ class TestLocatedLibraryFaults:
         assert err.startswith(f"error: {path}: ")
 
 
+def literal_slots(doc):
+    """(name, container, key, path) of one literal in x, y, theta and an
+    activation coefficient."""
+    i = next(i for i, s in enumerate(doc["dataset"]) if s["y"])
+    sample = doc["dataset"][i]
+    xv, yv, eid = min(sample["x"]), min(sample["y"]), min(doc["theta"])
+    k = next(k for k, v in enumerate(doc["vertices"]) if (v["activation"] or {}).get("coeffs"))
+    return [
+        ("x", sample["x"], xv, f"$.dataset[{i}].x.{xv}"),
+        ("y", sample["y"], yv, f"$.dataset[{i}].y.{yv}"),
+        ("theta", doc["theta"][eid], "w", f"$.theta.{eid}.w"),
+        ("coefficient", doc["vertices"][k]["activation"]["coeffs"], 0,
+         f"$.vertices[{k}].activation.coeffs[0]"),
+    ]
+
+
+class TestCanonicalLiterals:
+    """A file holds only ``format_rational`` texts, so |I| is its length;
+    ``parse_rational`` stays lenient for text typed on the command line."""
+
+    FORMS = ["01", "-0", "0/1", "1/1", " 1", "1\n", "\N{MINUS SIGN}1"]
+
+    @pytest.mark.parametrize("slot", range(4), ids=["x", "y", "theta", "coefficient"])
+    @pytest.mark.parametrize("form", FORMS)
+    def test_noncanonical_literal_exits_2_with_its_path(self, form, slot, tmp_path):
+        doc = copy.deepcopy(BASE_DOCS[0])
+        _, container, key, path = literal_slots(doc)[slot]
+        container[key] = form
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        assert err.value.path == path
+        assert "not canonical" in str(err.value)
+        code, stderr = verify_erm(tmp_path, doc, BASE_DOCS[0]["theta"])
+        assert code == 2 and stderr.startswith(f"error: {path}: ")
+
+    def test_theta_file_literal(self):
+        with pytest.raises(SchemaError) as err:
+            parse_theta(canonical_bytes({"e": {"w": "1/1", "b": "0"}}))
+        assert err.value.path == "theta.e.w"
+
+
 def json_slots(node, out):
     """Every (container, key) pair of a JSON document, depth first."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):

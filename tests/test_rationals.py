@@ -149,6 +149,17 @@ class TestBitExtract:
         assert bit_extract(Fraction(5, 2), 0) == 0
         assert bit_extract(Fraction(5, 2), 1) == 1
 
+    @given(st.fractions(), st.integers(-100, 100))
+    def test_matches_binary_digits(self, q, j):
+        whole, rest = divmod(abs(q.numerator), q.denominator)
+        if j >= 0:
+            digits = format(whole, "b")[::-1]
+            expected = int(digits[j]) if j < len(digits) else 0
+        else:
+            for _ in range(-j):  # long division: next fractional digit
+                expected, rest = divmod(2 * rest, q.denominator)
+        assert bit_extract(q, j) == expected
+
 
 class TestDyadicRounding:
     def test_examples(self):
