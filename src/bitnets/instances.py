@@ -65,33 +65,6 @@ def canonical_bytes(doc: Any) -> bytes:
 # activations
 
 
-def activation_to_doc(act) -> dict:
-    if isinstance(act, IdentityActivation):
-        return {"kind": "identity"}
-    if isinstance(act, PolyActivation):
-        return {
-            "kind": "poly",
-            "coeffs": [format_rational(c) for c in act.poly.coefficients],
-        }
-    if isinstance(act, PwlActivation):
-        return {
-            "kind": "pwl",
-            "breakpoints": [format_rational(b) for b in act.breakpoints],
-            "pieces": [[format_rational(a), format_rational(c)] for a, c in act.pieces],
-            "kink_slope": act.kink_slope,
-        }
-    if isinstance(act, BitBoundedActivation):
-        doc = {
-            "kind": "bitbounded",
-            "base": activation_to_doc(act.base),
-            "bits": act.bits,
-        }
-        if act.clip is not None:
-            doc["clip"] = [format_rational(act.clip[0]), format_rational(act.clip[1])]
-        return doc
-    raise SchemaError("activation", f"unserializable activation {act!r}")
-
-
 def activation_from_doc(doc: Any, path: str, literals: dict[str, Fraction]):
     kind = _get(doc, "kind", path, str)
     if kind == "identity":
@@ -266,7 +239,7 @@ def instance_to_doc(inst: ErmInstance | BackpropInstance) -> dict:
             {
                 "id": v.id,
                 "role": v.role,
-                "activation": None if v.activation is None else activation_to_doc(v.activation),
+                "activation": None if v.activation is None else v.activation.to_doc(),
             }
             for v in inst.network.vertices
         ],

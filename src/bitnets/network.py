@@ -15,17 +15,21 @@ id) so traces are bit-for-bit reproducible.
 One engine does all of it.  Each call lowers ``(network, theta)`` once
 into a private plan: the vertices in topological order, each with its
 in-edges as (tail, edge id, weight), the *sum* of its in-edge biases
-and its activation.  ``forward``, ``loss_total`` and ``gradients`` run
-every sample on that plan, and the compiler of
+and its activation's ``lower()``.  ``forward``, ``loss_total`` and
+``gradients`` run every sample on that plan, and the compiler of
 :mod:`bitnets.reductions` uses its local equation
 ``act_v(x_v + b_v + sum of w * y_u)`` and its inverse.  Inside the
 engine a scalar is an ``int`` while it is integral and a ``Fraction``
 only once a denominator appears; results leave it as ``Fraction``.
 Bits are checked with :func:`bitnets.rationals.check_bits` on each
 vertex's reduced preactivation and value, on every backpropagated
-adjoint, and on the gradient accumulators after the last sample.  A
-plan never outlives the call that made it.  Activations take an
-``int`` or a ``Fraction``.
+adjoint, on the gradient accumulators after the last sample, and on
+each main sample's loss and the running loss total.  A plan never
+outlives the call that made it.
+
+Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
+and the instance writer ask it for ``lower()``, ``step_family``,
+``is_continuous`` and ``to_doc()`` rather than test its type.
 
 Auxiliary samples are scored by a local-equation certificate rather
 than one forward pass each.  A sample reproduces its label vector y iff
@@ -50,7 +54,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .product_identity import RationalPoly
-from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits
+from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits, format_rational
 
 ROLE_SOURCE = "source"
 ROLE_HIDDEN = "hidden"
@@ -77,8 +81,25 @@ class NonDifferentiableLoss(NetworkError):
     """Gradient requested for a loss with no derivative in the prediction."""
 
 
+class Activation:
+    """Base of every activation: a ``kind``, and ``eval``/``derivative`` on an
+    ``int`` or a ``Fraction``.  ``lower()`` is the int-first (eval, derivative)
+    pair the engine runs, (None, None) for a pass-through; ``to_doc()`` is the
+    canonical JSON object; ``step_family`` says whether ``pwl.gd_step`` may run
+    it and ``is_continuous`` whether its pieces meet at every breakpoint."""
+
+    step_family = True
+    is_continuous = True
+
+    def lower(self) -> tuple[Callable | None, Callable | None]:
+        return (lambda z: _int_first(self.eval(z))), (lambda z: _int_first(self.derivative(z)))
+
+    def to_doc(self) -> dict:
+        return {"kind": self.kind}
+
+
 @dataclass(frozen=True)
-class IdentityActivation:
+class IdentityActivation(Activation):
     kind = "identity"
 
     def eval(self, z: Fraction) -> Fraction:
@@ -87,13 +108,17 @@ class IdentityActivation:
     def derivative(self, z: Fraction) -> Fraction:
         return Fraction(1)
 
+    def lower(self) -> tuple[None, None]:
+        return None, None
+
 
 @dataclass(frozen=True)
-class PolyActivation:
+class PolyActivation(Activation):
     """Polynomial activation with rational coefficients."""
 
     poly: RationalPoly
     kind = "poly"
+    step_family = False
 
     def eval(self, z: Fraction) -> Fraction:
         return self.poly.evaluate(z)
@@ -105,12 +130,20 @@ class PolyActivation:
     def _deriv(self) -> RationalPoly:
         return self.poly.derivative()
 
+    def lower(self) -> tuple[Callable, Callable]:
+        values = tuple(_int_first(c) for c in reversed(self.poly.coefficients))
+        slopes = tuple(_int_first(c) for c in reversed(self._deriv.coefficients))
+        return (lambda z: _horner(values, z)), (lambda z: _horner(slopes, z))
+
+    def to_doc(self) -> dict:
+        return {"kind": self.kind, "coeffs": [format_rational(c) for c in self.poly.coefficients]}
+
 
 @dataclass(frozen=True)
 class Vertex:
     id: str
     role: str
-    activation: object | None = None
+    activation: Activation | None = None
 
     def __post_init__(self) -> None:
         if self.role not in ROLES:
@@ -120,6 +153,8 @@ class Vertex:
                 raise NetworkError(f"source {self.id} must not carry an activation", "activation")
         elif self.activation is None:
             raise NetworkError(f"vertex {self.id}: missing activation", "activation")
+        elif not isinstance(self.activation, Activation):
+            raise NetworkError(f"vertex {self.id}: activation is not an Activation", "activation")
 
 
 @dataclass(frozen=True)
@@ -261,35 +296,6 @@ class Theta:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theta) and dict(self.params) == dict(other.params)
 
-    @classmethod
-    def from_node_biases(
-        cls,
-        net: Network,
-        weights: Mapping[str, Fraction],
-        node_biases: Mapping[str, Fraction] | None = None,
-    ) -> "Theta":
-        """Build edge parameters from per-edge weights and per-node biases.
-
-        Only bias sums per head vertex are observable, so a node bias is
-        carried by that vertex's first incoming edge (id order) with
-        zeros elsewhere.  Vertices with a bias but no incoming edge are
-        rejected.
-        """
-        node_biases = dict(node_biases or {})
-        params: dict[str, tuple[Fraction, Fraction]] = {}
-        for e in net.edges:
-            params[e.id] = (Fraction(weights[e.id]), Fraction(0))
-        for vid, bias in node_biases.items():
-            if vid not in net.vertex_map:
-                raise NetworkError(f"unknown vertex {vid!r}")
-            incoming = net.in_edges[vid]
-            if not incoming:
-                raise NetworkError(f"vertex {vid!r} has no incoming edge to carry a bias")
-            eid = incoming[0].id
-            w, _ = params[eid]
-            params[eid] = (w, Fraction(bias))
-        return cls(params)
-
 
 @dataclass(frozen=True)
 class Sample:
@@ -368,17 +374,6 @@ def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
     return _int_first(acc)
 
 
-def _lower_activation(act) -> tuple[Callable | None, Callable | None]:
-    """Int-first (eval, derivative) of an activation; identity is (None, None)."""
-    if isinstance(act, IdentityActivation):
-        return None, None
-    if isinstance(act, PolyActivation):
-        values = tuple(_int_first(c) for c in reversed(act.poly.coefficients))
-        slopes = tuple(_int_first(c) for c in reversed(act._deriv.coefficients))
-        return (lambda z: _horner(values, z)), (lambda z: _horner(slopes, z))
-    return (lambda z: _int_first(act.eval(z))), (lambda z: _int_first(act.derivative(z)))
-
-
 class _Plan:
     """``(net, theta)`` lowered for one call of the exact engine.
 
@@ -409,7 +404,7 @@ class _Plan:
                     bias += b
             key = id(vertex.activation)
             if key not in lowered:
-                lowered[key] = _lower_activation(vertex.activation)
+                lowered[key] = vertex.activation.lower()
             act, slope = lowered[key]
             self.node[vid] = (
                 tuple(ins), _int_first(bias), act, slope, f"preactivation {vid}", f"vertex {vid}"
@@ -574,15 +569,22 @@ def loss_total(
     compiled instance that costs O(|E|·mu) exact arithmetic for all
     auxiliary samples, mu being sigma's degree.  The total and any
     bit-budget error are those of one full forward pass per sample.
+    Each main sample's one-copy loss, and the running total after each
+    addition to it, are checked against ``max_bits``.
     """
     plan = _Plan(net, theta)
     total = Fraction(0)
-    for sample, ok in _aux_verdicts(net, spec, dataset, plan, max_bits):
+    for i, (sample, ok) in enumerate(_aux_verdicts(net, spec, dataset, plan, max_bits)):
         if ok is None:
             values = plan.run(sample.x, max_bits)[0]
-            total += sample.count * sample_loss(net, spec, values, sample)
-        elif not ok:
+            loss = sample_loss(net, spec, values, sample)
+            check_bits(loss, max_bits, f"loss of sample {i}")
+            total += sample.count * loss
+        elif ok:
+            continue
+        else:
             total += sample.count
+        check_bits(total, max_bits, f"loss total after sample {i}")
     return total
 
 

@@ -8,6 +8,11 @@ peak bit-length to make that bound checkable.  :func:`verify_witness`
 is the NP-verification side: given an instance, a candidate parameter
 vector and a loss threshold, it checks the encoding-length bound and
 the exact loss.
+
+Both activation classes here subclass :class:`bitnets.network.Activation`
+and are in its ``step_family``, a bit-bounded wrapper whatever its base;
+``gd_step`` asks each activation for ``step_family`` and
+``is_continuous`` rather than test its type.
 """
 
 from __future__ import annotations
@@ -18,21 +23,20 @@ from fractions import Fraction
 from typing import Sequence
 
 from .network import (
-    IdentityActivation,
+    Activation,
     LossSpec,
     Network,
     NetworkError,
-    PolyActivation,
     Sample,
     Theta,
     gradients,
     loss_total,
 )
-from .rationals import DEFAULT_MAX_BITS, round_to_dyadic
+from .rationals import DEFAULT_MAX_BITS, format_rational, round_to_dyadic
 
 
 @dataclass(frozen=True)
-class PwlActivation:
+class PwlActivation(Activation):
     """Piecewise-linear map with rational breakpoints, slopes and intercepts.
 
     ``pieces[i]`` is the (slope, intercept) pair on the i-th interval;
@@ -97,6 +101,14 @@ class PwlActivation:
             idx -= 1
         return self.pieces[idx][0]
 
+    def to_doc(self) -> dict:
+        return {
+            "kind": self.kind,
+            "breakpoints": [format_rational(b) for b in self.breakpoints],
+            "pieces": [[format_rational(a), format_rational(c)] for a, c in self.pieces],
+            "kink_slope": self.kink_slope,
+        }
+
 
 def relu() -> PwlActivation:
     return PwlActivation((Fraction(0),), ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
@@ -110,7 +122,7 @@ def leaky_relu(negative_slope: Fraction) -> PwlActivation:
 
 
 @dataclass(frozen=True)
-class BitBoundedActivation:
+class BitBoundedActivation(Activation):
     """Wrapper that rounds a base activation's outputs to k-bit dyadics.
 
     The base is clipped to ``clip`` (when given) before rounding, so
@@ -119,7 +131,7 @@ class BitBoundedActivation:
     unwrapped base derivative.
     """
 
-    base: IdentityActivation | PolyActivation | PwlActivation
+    base: Activation
     bits: int
     clip: tuple[Fraction, Fraction] | None = None
     kind = "bitbounded"
@@ -143,8 +155,13 @@ class BitBoundedActivation:
     def derivative(self, z: Fraction) -> Fraction:
         return self.base.derivative(z)
 
+    @property
+    def is_continuous(self) -> bool:
+        return self.base.is_continuous
 
-_STEP_ACTIVATIONS = (IdentityActivation, PwlActivation, BitBoundedActivation)
+    def to_doc(self) -> dict:
+        clip = {} if self.clip is None else {"clip": [format_rational(q) for q in self.clip]}
+        return {"kind": self.kind, "base": self.base.to_doc(), "bits": self.bits, **clip}
 
 
 @dataclass(frozen=True)
@@ -170,25 +187,19 @@ def gd_step(
 ) -> GdStepReport:
     """theta <- theta - eta * grad(total loss), exactly.
 
-    Activations must be piecewise-linear, identity, or bit-bounded:
-    those are the families whose backward pass is polynomial-time in
-    the bit model.  The report flags discontinuous pieces, since the
-    derivative convention at their breakpoints is ours, not intrinsic.
+    Every activation must be in the ``step_family`` (piecewise-linear,
+    identity, bit-bounded): its backward pass is polynomial-time in the
+    bit model.  The report flags an activation that is not ``is_continuous``,
+    since the derivative convention at its breakpoints is ours, not intrinsic.
     """
-    discontinuous = False
-    for v in net.vertices:
-        if v.activation is None:
-            continue
-        if not isinstance(v.activation, _STEP_ACTIVATIONS):
+    inner = [v for v in net.vertices if v.activation is not None]
+    for v in inner:
+        if not v.activation.step_family:
             raise NetworkError(
                 f"vertex {v.id}: activation kind {v.activation.kind!r} is outside "
                 "the polynomial-time step families (pwl/identity/bit-bounded)"
             )
-        act = v.activation
-        if isinstance(act, BitBoundedActivation):
-            act = act.base
-        if isinstance(act, PwlActivation) and not act.is_continuous:
-            discontinuous = True
+    discontinuous = not all(v.activation.is_continuous for v in inner)
 
     eta = Fraction(eta)
     report = gradients(net, theta, dataset, spec, max_bits)

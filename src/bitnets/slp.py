@@ -176,19 +176,17 @@ class NormalizedSlp:
 def normalize_bn(p: Slp) -> NormalizedSlp:
     """Rewrite a constant-1 program into its bounded-norm form.
 
-    Runs the construction twice through one code path: a dry run that
-    only counts the gates the rewrite will emit (the count m fixes the
-    constant ``2**-m``), then the emission run.  The gate structure
-    depends only on the exponent bookkeeping, never on the constant's
-    value, so the two runs agree by construction.
+    The emitted gates depend only on the exponent bookkeeping, never on
+    the constant's value, so they are emitted once and their number m
+    fixes the constant ``2**-m``.
     """
     if p.constant != 1:
         raise SlpError(
             f"bounded-norm rewrite requires constant 1, got {format_rational(p.constant)}"
         )
-    m = _bn_emit(p, count_only=True).n_gates
-    out = _bn_emit(p, count_only=False, gate_count=m)
-    return NormalizedSlp(out, m, m << p.n_gates)
+    gates = _bn_emit(p)
+    m = len(gates)
+    return NormalizedSlp(Slp(Fraction(1, 1 << m), gates), m, m << p.n_gates)
 
 
 @dataclass
@@ -218,7 +216,7 @@ class _BnBuilder:
         return out
 
 
-def _bn_emit(p: Slp, count_only: bool, gate_count: int = 0) -> Slp:
+def _bn_emit(p: Slp) -> tuple[Gate, ...]:
     b = _BnBuilder([])
     # idx[i] = gate of the rewritten program holding b0**exp[i] * value(gate i).
     idx = [0]
@@ -236,5 +234,4 @@ def _bn_emit(p: Slp, count_only: bool, gate_count: int = 0) -> Slp:
             exp.append(aligned)
     # Final alignment raises the output's exponent to exactly 2**n.
     b.times_b0_pow(idx[-1], (1 << p.n_gates) - exp[-1])
-    constant = Fraction(1) if count_only else Fraction(1, 1 << gate_count)
-    return Slp(constant, tuple(b.gates))
+    return tuple(b.gates)

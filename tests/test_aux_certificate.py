@@ -36,7 +36,7 @@ from bitnets.network import (
 )
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.pwl import ACCEPT, REJECT_LOSS, verify_witness
-from bitnets.rationals import BitBudgetError
+from bitnets.rationals import BitBudgetError, check_bits
 from bitnets.reductions import (
     ErmInstance,
     check_zero_aux_loss,
@@ -78,11 +78,18 @@ def ref_check(inst, theta, max_bits=1 << 20):
 
 
 def ref_loss(inst, theta, max_bits=1 << 20):
-    """The total loss, one ``forward`` pass per sample in dataset order."""
+    """The total loss, one ``forward`` pass per sample in dataset order; a
+    main sample's one-copy loss and the total after each addition are checked."""
     total = Fraction(0)
-    for sample in inst.dataset:
+    for i, sample in enumerate(inst.dataset):
         values = forward(inst.network, theta, sample.x, max_bits).values
-        total += sample.count * sample_loss(inst.network, inst.loss, values, sample)
+        loss = sample_loss(inst.network, inst.loss, values, sample)
+        if sample.flag:
+            check_bits(loss, max_bits, f"loss of sample {i}")
+        elif not loss:
+            continue
+        total += sample.count * loss
+        check_bits(total, max_bits, f"loss total after sample {i}")
     return total
 
 

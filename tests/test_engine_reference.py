@@ -99,11 +99,18 @@ def ref_gradients(net, theta, dataset, spec, max_bits):
 
 
 def ref_loss(net, theta, dataset, spec, max_bits):
-    return sum(
-        (s.count * sample_loss(net, spec, ref_forward(net, theta, s.x, max_bits).values, s)
-         for s in dataset),
-        Fraction(0),
-    )
+    """The total in dataset order; a main sample's one-copy loss and the
+    total after each addition are checked."""
+    total = Fraction(0)
+    for i, s in enumerate(dataset):
+        loss = sample_loss(net, spec, ref_forward(net, theta, s.x, max_bits).values, s)
+        if s.flag:
+            ref_bits(loss, max_bits, f"loss of sample {i}")
+        elif not loss:
+            continue
+        total += s.count * loss
+        ref_bits(total, max_bits, f"loss total after sample {i}")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +262,28 @@ class TestAccumulatorBudget:
         assert outcome(gradients, *case, 12) == ("bits", 13, 12, "bias gradient s->h")
         assert gradients(*case, 13).max_bits == 12
         assert_engine_matches(*case, caps=(3, 12, 13))
+
+
+class TestLossBudget:
+    """``loss_total`` checks each main sample's one-copy loss and the
+    running total, not only the vertices of the forward pass."""
+
+    @pytest.mark.parametrize("kind, x_s, bits", [("square", 0, 81), ("hinge", -1, 42)])
+    def test_huge_label_trips_on_the_sample_loss(self, kind, x_s, bits):
+        # every vertex has at most 2 bits; (0 - 2**40)**2 / 2 = 2**79 has
+        # 80 + 1 (the denominator) and the hinge margin 1 + 2**40 has 41 + 1
+        net, theta, dataset, _ = one_edge(x_s, 1, 1 << 40, 1)
+        case = (net, theta, dataset, LossSpec(kind, target="h"))
+        assert forward(net, theta, dataset[0].x, 8).max_bits <= 2
+        assert outcome(loss_total, *case, 8) == ("bits", bits, 8, "loss of sample 0")
+        assert_engine_matches(*case, caps=(8, bits - 1, bits))
+
+    def test_count_trips_on_the_total(self):
+        # one copy loses 9/2 (6 bits); 2**10 copies lose 4608 (14 bits)
+        case = one_edge(3, 1, 0, 1 << 10)
+        assert outcome(loss_total, *case, 13) == ("bits", 14, 13, "loss total after sample 0")
+        assert loss_total(*case, 14) == 4608
+        assert_engine_matches(*case, caps=(6, 13, 14))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])

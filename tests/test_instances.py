@@ -468,18 +468,23 @@ def small_docs():
 BASE_DOCS = small_docs()
 
 
-def verify_erm(tmp_path, doc, theta):
-    """``bitnets verify erm`` on ``doc`` with witness ``theta``: (exit code, stderr)."""
+def run_on_file(tmp_path, doc, command, *options):
+    """``bitnets <command> <file holding doc> <options>``: (exit code, stderr)."""
     from bitnets.cli import main
 
-    inst_path, theta_path = tmp_path / "inst.json", tmp_path / "theta.json"
+    inst_path = tmp_path / "inst.json"
     inst_path.write_bytes(canonical_bytes(doc))
-    theta_path.write_bytes(canonical_bytes(theta))
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
-                     "--gamma", "0"])
+        code = main([*command.split(), str(inst_path), *options])
     return code, err.getvalue()
+
+
+def verify_erm(tmp_path, doc, theta):
+    """``bitnets verify erm`` on ``doc`` with witness ``theta``: (exit code, stderr)."""
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_bytes(canonical_bytes(theta))
+    return run_on_file(tmp_path, doc, "verify erm", "--theta", str(theta_path), "--gamma", "0")
 
 
 def vertex_index(doc, role):
@@ -665,6 +670,15 @@ def mutated_docs(draw):
     return doc, base["theta"]
 
 
+def parse_error(doc):
+    """The CLI's stderr for a file the parser rejects; None if it parses."""
+    try:
+        parse_instance(canonical_bytes(doc))
+    except SchemaError as exc:
+        return f"error: {exc}\n"
+    return None
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutated")
@@ -676,14 +690,28 @@ def test_verify_erm_on_a_mutated_file_exits_0_to_3(case, workdir):
     """Every error path of ``verify erm`` on one changed field exits 0-3 with
     no traceback; exit 2 is the parser's located error, never a later one."""
     doc, theta = case
-    try:
-        parse_instance(canonical_bytes(doc))
-        expected = None
-    except SchemaError as exc:
-        expected = f"error: {exc}\n"
+    expected = parse_error(doc)
     code, err = verify_erm(workdir, doc, theta)
     assert code in (0, 1, 2, 3)
     if expected is None:
         assert code != 2, err
     else:
         assert code == 2 and err == expected and err.startswith("error: $")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=mutated_docs())
+def test_file_reading_commands_on_a_mutated_file_exit_0_to_3(case, workdir):
+    """``net eval``, ``net grad`` and ``pwl step`` on one changed field exit
+    0-3 with no traceback; a file the parser rejects gets exactly its located
+    error."""
+    doc, theta = case
+    expected = parse_error(doc)
+    for command, *options in (("net eval",), ("net grad", "--edge", min(theta)),
+                              ("pwl step", "--eta", "1/64")):
+        code, err = run_on_file(workdir, doc, command, *options)
+        assert code in (0, 1, 2, 3), command
+        if expected is None:
+            assert code != 2 or err.startswith("error: ") and err.count("\n") == 1, err
+        else:
+            assert code == 2 and err == expected and err.startswith("error: $"), command

@@ -152,33 +152,6 @@ class TestLoss:
         assert loss_total(net, theta, data, spec) == 40
 
 
-class TestNodeBiasConstructor:
-    def test_bias_lands_on_first_incoming_edge(self):
-        net = Network(
-            [
-                Vertex("s", "source"),
-                Vertex("h", "hidden", IDENTITY),
-                Vertex("t", "target", IDENTITY),
-            ],
-            [Edge("e1", "s", "t"), Edge("e0", "s", "h"), Edge("e2", "h", "t")],
-        )
-        theta = Theta.from_node_biases(
-            net,
-            {"e0": Fraction(1), "e1": Fraction(1), "e2": Fraction(1)},
-            {"t": Fraction(5)},
-        )
-        assert theta.bias("e1") == 5  # first in-edge of t in id order
-        assert theta.bias("e2") == 0
-        # semantics match a plain per-edge assignment with the same bias sum
-        trace = forward(net, theta, {"s": Fraction(2)})
-        assert trace.values["t"] == 2 + 2 + 5
-
-    def test_bias_on_source_rejected(self):
-        net, e = single_edge(IDENTITY)
-        with pytest.raises(NetworkError):
-            Theta.from_node_biases(net, {e: Fraction(1)}, {"s": Fraction(1)})
-
-
 class TestGradients:
     def test_single_identity_edge_formula(self):
         # square loss, sample (x=a0, y=-a0), w=0: d/dw = (w*n + a0)*n = a0*n
@@ -326,6 +299,12 @@ class TestValidationErrors:
             Vertex("v", "source", IDENTITY)
         with pytest.raises(NetworkError):
             Vertex("v", "hidden", None)
+
+    def test_vertex_rejects_an_activation_that_is_not_an_activation(self):
+        # a kind name is not an Activation; forward would die on ``.eval``
+        with pytest.raises(NetworkError) as err:
+            Vertex("t", "target", "relu")
+        assert err.value.where == "activation"
 
     def test_single_target_helper(self):
         net = Network(

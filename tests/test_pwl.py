@@ -195,23 +195,36 @@ class TestGdStep:
             [Edge("e", "s", "t")],
         )
         theta = Theta({"e": (Fraction(1), Fraction(0))})
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="vertex t: activation kind 'poly' is outside"):
             gd_step(net, theta, [], LossSpec("square", target="t"), Fraction(1))
+
+    def test_bit_bounded_poly_is_in_the_step_family(self):
+        # the wrapper is the step family, whatever its base
+        act = BitBoundedActivation(PolyActivation(monomial(2)), bits=4)
+        net = Network([Vertex("s", "source"), Vertex("t", "target", act)], [Edge("e", "s", "t")])
+        theta = Theta({"e": (Fraction(1), Fraction(0))})
+        data = [Sample({"s": Fraction(3, 2)}, Fraction(0))]
+        report = gd_step(net, theta, data, LossSpec("square", target="t"), Fraction(1))
+        # value round(9/4, 4 bits) = 9/4, slope 2 * 3/2: dL/dw = 9/4 * 3 * 3/2
+        assert report.weight_grad["e"] == Fraction(81, 8)
+        assert not report.discontinuous
 
     def test_discontinuous_flagged(self):
         step_act = PwlActivation(
             (Fraction(0),), ((Fraction(0), Fraction(0)), (Fraction(0), Fraction(1)))
         )
-        net = Network(
-            [Vertex("s", "source"), Vertex("t", "target", step_act)],
-            [Edge("e", "s", "t")],
-        )
-        theta = Theta({"e": (Fraction(1), Fraction(0))})
-        report = gd_step(
-            net, theta, [Sample({"s": Fraction(1)}, Fraction(0))],
-            LossSpec("square", target="t"), Fraction(1),
-        )
-        assert report.discontinuous
+        # a bit-bounded wrapper reports its base's continuity
+        for act in (step_act, BitBoundedActivation(step_act, bits=3)):
+            net = Network(
+                [Vertex("s", "source"), Vertex("t", "target", act)],
+                [Edge("e", "s", "t")],
+            )
+            theta = Theta({"e": (Fraction(1), Fraction(0))})
+            report = gd_step(
+                net, theta, [Sample({"s": Fraction(1)}, Fraction(0))],
+                LossSpec("square", target="t"), Fraction(1),
+            )
+            assert report.discontinuous
 
     def test_update_formula(self):
         net, theta = relu_diamond()

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitnets.rationals import BitBudgetError
 from bitnets.slp import (
@@ -34,6 +36,15 @@ def random_slp(rng: random.Random, n_gates: int, constant=Fraction(1)) -> Slp:
             Gate(rng.choice(("add", "sub", "mul")), rng.randrange(i), rng.randrange(i))
         )
     return Slp(constant, tuple(gates))
+
+
+def gate_values(p: Slp) -> list[Fraction]:
+    """Every gate's value, constant first."""
+    values = [p.constant]
+    for g in p.gates:
+        a, b = values[g.left], values[g.right]
+        values.append(a + b if g.op == "add" else a - b if g.op == "sub" else a * b)
+    return values
 
 
 class TestParsing:
@@ -157,12 +168,7 @@ class TestBoundedNorm:
             result = normalize_bn(p)
             report = eval_slp(result.program)
             assert report.value * Fraction(2) ** result.scale_exponent == n_p
-            values = [result.program.constant]
-            for g in result.program.gates:
-                a, b = values[g.left], values[g.right]
-                v = a + b if g.op == "add" else a - b if g.op == "sub" else a * b
-                values.append(v)
-            assert all(-1 <= v <= 1 for v in values)
+            assert all(-1 <= v <= 1 for v in gate_values(result.program))
 
     def test_gate_count_quadratic_bound(self):
         # emitted gate count stays within 6*n^2 + 4n (measured envelope)
@@ -179,6 +185,22 @@ class TestBoundedNorm:
             p = random_slp(rng, rng.randint(1, 10))
             result = normalize_bn(p)
             assert result.program.n_gates == result.gate_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_normalize_property(self, data):
+        # any constant-1 program of at most 8 gates
+        n = data.draw(st.integers(0, 8))
+        p = Slp(Fraction(1), tuple(
+            Gate(data.draw(st.sampled_from(("add", "sub", "mul"))),
+                 data.draw(st.integers(0, i - 1)), data.draw(st.integers(0, i - 1)))
+            for i in range(1, n + 1)
+        ))
+        result = normalize_bn(p)
+        values = gate_values(result.program)
+        assert values[-1] * 2**result.scale_exponent == eval_slp(p).value
+        assert all(-1 <= v <= 1 for v in values)
+        assert result.program.n_gates == result.gate_count
 
     def test_gateless_program(self):
         result = normalize_bn(Slp(Fraction(1)))
