@@ -195,17 +195,14 @@ class Network:
         self.edges: tuple[Edge, ...] = tuple(sorted(edges, key=lambda e: e.id))
         self.edge_map: dict[str, Edge] = {e.id: e for e in self.edges}
 
-        self.in_edges: dict[str, tuple[Edge, ...]] = {v.id: () for v in self.vertices}
         grouped: dict[str, list[Edge]] = {v.id: [] for v in self.vertices}
         for e in self.edges:
             grouped[e.head].append(e)
-        for vid, es in grouped.items():
-            self.in_edges[vid] = tuple(es)
+        self.in_edges: dict[str, tuple[Edge, ...]] = {
+            vid: tuple(es) for vid, es in grouped.items()
+        }
 
         self.topo_order: tuple[str, ...] = self._toposort()
-        self.sources: tuple[str, ...] = tuple(
-            v.id for v in self.vertices if v.role == ROLE_SOURCE
-        )
         self.targets: tuple[str, ...] = tuple(
             v.id for v in self.vertices if v.role == ROLE_TARGET
         )

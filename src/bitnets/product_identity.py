@@ -77,9 +77,6 @@ class RationalPoly:
             merged[k] += c
         return RationalPoly(tuple(merged))
 
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + other.scaled(Fraction(-1))
-
     def to_text(self) -> str:
         return ",".join(format_rational(c) for c in self.coefficients)
 

@@ -139,6 +139,9 @@ class BitBoundedActivation(Activation):
     def __post_init__(self) -> None:
         if self.bits < 1:
             raise NetworkError("bit-bounded activation needs bits >= 1")
+        # a finer rounding than the default bit budget only yields values above it
+        if self.bits > DEFAULT_MAX_BITS:
+            raise NetworkError(f"bit-bounded activation needs bits <= {DEFAULT_MAX_BITS}")
         if self.clip is not None:
             lo, hi = self.clip
             if lo > hi:

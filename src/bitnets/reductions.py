@@ -10,9 +10,13 @@ equality loss force any zero-auxiliary-loss parameter vector to agree
 with theta* up to activation symmetries, so the instance's optimum
 value reflects a bit (or the sign) of the program's output.
 
-Three instance families are emitted: bit-query ERM instances, gradient
-(backprop sign / bit) instances with a single free distinguished edge,
-and hinge-loss sign instances for the derived value 2*n_P - 1.
+Three instance families are emitted, each a different head on the same
+simulation (``_CircuitBuilder.build``, which also marks the last gate's
+role): bit-query ERM instances and hinge-loss sign instances for the
+derived value 2*n_P - 1, which share the forcing-sample tail
+(``_forcing_instance``) and differ only in their main sample and loss,
+and gradient (backprop sign / bit) instances, which append one free
+distinguished edge to a fresh target and have no forcing samples.
 
 Auxiliary samples are scored by the local-equation certificate of
 :mod:`bitnets.network`, inside ``loss_total``.
@@ -20,6 +24,7 @@ Auxiliary samples are scored by the local-equation certificate of
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,9 +91,8 @@ class BackpropInstance:
 class _CircuitBuilder:
     """Accumulates vertices, edges and theta* for the gate-by-gate simulation."""
 
-    def __init__(self, sigma: RationalPoly, lam: LambdaCoeffs) -> None:
+    def __init__(self, sigma: RationalPoly) -> None:
         self.sigma = sigma
-        self.lam = lam
         self.vertices: list[Vertex] = []
         self.edges: list[Edge] = []
         self.theta: dict[str, tuple[Fraction, Fraction]] = {}
@@ -109,17 +113,23 @@ class _CircuitBuilder:
         self.theta[eid] = (Fraction(w), Fraction(b))
         return eid
 
-    def build(self, p: Slp) -> list[str]:
-        """Emit the simulation core; returns the vertex id per SLP gate."""
+    def build(self, p: Slp, out_role: str) -> str:
+        """Emit the simulation core, the last gate's vertex in ``out_role``;
+        returns that vertex's id.  The lambda coefficients are kept in
+        ``self.lam``."""
+        if p.n_gates == 0:
+            raise CompileError("program must have at least one gate")
+        self.lam = solve_lambda(self.sigma)
         mu = self.sigma.degree
         lam_prime = self.lam.integer_lambdas
         inv_d = Fraction(1, self.lam.common_denominator)
         gate_vertex = [self.vertex("v0", ROLE_SOURCE, None)]
         for i, g in enumerate(p.gates, start=1):
             vid = f"v{i}"
+            role = out_role if i == p.n_gates else ROLE_HIDDEN
             vj, vk = gate_vertex[g.left], gate_vertex[g.right]
             if g.op in ("add", "sub"):
-                self.vertex(vid, ROLE_HIDDEN, _IDENTITY)
+                self.vertex(vid, role, _IDENTITY)
                 self.edge(vj, vid, Fraction(1), Fraction(0))
                 self.edge(vk, vid, Fraction(1) if g.op == "add" else Fraction(-1), Fraction(0))
             else:
@@ -142,17 +152,10 @@ class _CircuitBuilder:
                     self.edge(u1, zid, Fraction(lam_prime[r]), Fraction(0))
                     self.edge(u2, zid, Fraction(-lam_prime[r]), Fraction(0))
                     self.edge(u3, zid, Fraction(-lam_prime[r]), Fraction(0))
-                self.vertex(vid, ROLE_HIDDEN, _IDENTITY)
+                self.vertex(vid, role, _IDENTITY)
                 self.edge(zid, vid, inv_d, Fraction(0))
             gate_vertex.append(vid)
-        return gate_vertex
-
-    def retag(self, vid: str, role: str) -> None:
-        for idx, v in enumerate(self.vertices):
-            if v.id == vid:
-                self.vertices[idx] = Vertex(vid, role, v.activation)
-                return
-        raise KeyError(vid)
+        return gate_vertex[-1]
 
 
 def _sparse(vec: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -235,43 +238,51 @@ def _aux_samples(
     return samples
 
 
+def _forcing_instance(
+    prog: Slp,
+    sigma: RationalPoly,
+    gap: tuple[int, int],
+    label: Fraction | dict[str, Fraction],
+    loss: Callable[[str], LossSpec],
+) -> ErmInstance:
+    """The ERM instance around the simulation of ``prog``: the forcing
+    samples, then one main sample (input the program's constant, label
+    ``label``) scored by ``loss(target)``.
+
+    Auxiliary samples are replicated gap[1]+1 times and the main sample
+    gap[1] times, so any parameter vector within the gap has zero
+    auxiliary loss and therefore reproduces the program exactly.
+    """
+    builder = _CircuitBuilder(sigma)
+    target = builder.build(prog, ROLE_TARGET)
+    net = Network(builder.vertices, builder.edges)
+    theta_star = Theta(builder.theta)
+    alpha1 = _pick_alpha1(sigma)
+    dataset = _aux_samples(net, theta_star, sigma, alpha1, gap[1] + 1)
+    dataset.append(
+        Sample(_sparse({"v0": prog.constant}), label, flag=1, count=gap[1], note="main")
+    )
+    provenance = _provenance(prog, sigma, builder.lam, alpha1)
+    return ErmInstance(net, theta_star, tuple(dataset), loss(target), gap, provenance)
+
+
 def compile_erm(
     p: Slp,
     sigma: RationalPoly,
     j: int,
     gap: tuple[int, int] = (0, 1),
 ) -> ErmInstance:
-    """Compile a bit-query instance: optimum <= gap[0] iff bit j of n_P is 1.
-
-    Auxiliary samples are replicated gap[1]+1 times and the main sample
-    gap[1] times, so any parameter vector within the gap has zero
-    auxiliary loss and therefore reproduces the program exactly.
-    """
+    """Compile a bit-query instance: optimum <= gap[0] iff bit j of n_P is 1."""
     a, b = gap
     if not (0 <= a < b):
         raise CompileError(f"need naturals a < b, got gap {gap}")
     if j < 0:
         raise CompileError(f"bit index must be non-negative, got {j}")
-    if p.n_gates == 0:
-        raise CompileError("program must have at least one gate")
-    lam = solve_lambda(sigma)
-    builder = _CircuitBuilder(sigma, lam)
-    gate_vertex = builder.build(p)
-    builder.retag(gate_vertex[-1], ROLE_TARGET)
-    net = Network(builder.vertices, builder.edges)
-    theta_star = Theta(builder.theta)
-
-    alpha1 = _pick_alpha1(sigma)
-    dataset = _aux_samples(net, theta_star, sigma, alpha1, b + 1)
-    dataset.append(
-        Sample(
-            _sparse({"v0": p.constant}), {}, flag=1, count=b, note="main"
-        )
+    inst = _forcing_instance(
+        p, sigma, (a, b), {}, lambda target: LossSpec("bit01", target=target, bit_index=j)
     )
-    loss = LossSpec("bit01", target=gate_vertex[-1], bit_index=j)
-    provenance = _provenance(p, sigma, lam, alpha1)
-    provenance["bit_index"] = j
-    return ErmInstance(net, theta_star, tuple(dataset), loss, (a, b), provenance)
+    inst.provenance["bit_index"] = j
+    return inst
 
 
 def _pick_alpha1(sigma: RationalPoly) -> int:
@@ -328,7 +339,6 @@ def compile_backprop(
     variant: str,
     promise: int | None = None,
     bit_index: int | None = None,
-    copies: int | None = None,
     a0_mode: str = "unit",
 ) -> BackpropInstance:
     """Compile a gradient-query instance around the simulation core.
@@ -336,19 +346,18 @@ def compile_backprop(
     A fresh identity target is appended behind the distinguished edge
     e*, whose weight is the only coordinate queried; at theta* (where
     w_e* = 0) the exact partial derivative equals copies * a0 * n_P for
-    the compiled program's constant a0 and output n_P.
+    the main sample's count ``copies``, the compiled program's constant
+    a0 and its output n_P.
 
     Variant ``sign`` asks for the derivative's sign under a promise gap
-    ``promise`` (requires copies == promise and unit constant 1);
-    variant ``bit`` asks for one bit (requires copies == 1).  With
+    ``promise`` (copies = promise, unit constant 1 only); variant
+    ``bit`` asks for one bit (copies = 1).  With
     ``a0_mode="bn-normalized"`` the program is rewritten in bounded-norm
     form first and the queried bit index shifts down by the scale
     exponent (fractional positions are negative indices).
     """
     if p.constant != 1:
         raise CompileError("backprop compilation expects a constant-1 program")
-    if p.n_gates == 0:
-        raise CompileError("program must have at least one gate")
     if a0_mode not in ("unit", "bn-normalized"):
         raise CompileError(f"unknown a0 mode {a0_mode!r}")
 
@@ -359,17 +368,13 @@ def compile_backprop(
             raise CompileError("sign variant takes no bit index")
         if a0_mode != "unit":
             raise CompileError("sign promise gap requires the unit constant")
-        b_copies = promise if copies is None else copies
-        if b_copies != promise:
-            raise CompileError("sign variant requires copies == promise")
+        copies = promise
     elif variant == "bit":
         if bit_index is None:
             raise CompileError("bit variant needs a bit index")
         if promise is not None:
             raise CompileError("bit variant takes no promise gap")
-        b_copies = 1 if copies is None else copies
-        if b_copies != 1:
-            raise CompileError("bit variant requires copies == 1")
+        copies = 1
     else:
         raise CompileError(f"unknown variant {variant!r}")
 
@@ -381,21 +386,20 @@ def compile_backprop(
         prog = norm.program
         shift = norm.gate_count + norm.scale_exponent
 
-    lam = solve_lambda(sigma)
-    builder = _CircuitBuilder(sigma, lam)
-    gate_vertex = builder.build(prog)
+    builder = _CircuitBuilder(sigma)
+    last = builder.build(prog, ROLE_HIDDEN)
     out = builder.vertex("out", ROLE_TARGET, _IDENTITY)
-    edge_star = builder.edge(gate_vertex[-1], out, Fraction(0), Fraction(0))
+    edge_star = builder.edge(last, out, Fraction(0), Fraction(0))
     net = Network(builder.vertices, builder.edges)
     theta_star = Theta(builder.theta)
 
     a0 = prog.constant
     dataset = (
-        Sample(_sparse({"v0": a0}), -a0, flag=1, count=b_copies, note="main"),
+        Sample(_sparse({"v0": a0}), -a0, flag=1, count=copies, note="main"),
     )
-    provenance = _provenance(prog, sigma, lam, None)
+    provenance = _provenance(prog, sigma, builder.lam, None)
     provenance["a0_mode"] = a0_mode
-    provenance["copies"] = b_copies
+    provenance["copies"] = copies
     if norm is not None:
         provenance["source_slp"] = p.to_text()
         provenance["bn_gate_count"] = norm.gate_count
@@ -455,29 +459,12 @@ def compile_hinge_posslp(
         p.constant,
         p.gates + (Gate("add", n, n), Gate("sub", n + 1, 0)),
     )
-    lam = solve_lambda(sigma)
-    builder = _CircuitBuilder(sigma, lam)
-    gate_vertex = builder.build(doubled)
-    builder.retag(gate_vertex[-1], ROLE_TARGET)
-    net = Network(builder.vertices, builder.edges)
-    theta_star = Theta(builder.theta)
-
-    alpha1 = _pick_alpha1(sigma)
-    dataset = _aux_samples(net, theta_star, sigma, alpha1, copies + 1)
-    dataset.append(
-        Sample(_sparse({"v0": p.constant}), Fraction(1), flag=1, count=copies, note="main")
+    inst = _forcing_instance(
+        doubled, sigma, (low, copies), Fraction(1), lambda target: LossSpec("hinge", target=target)
     )
-    provenance = _provenance(doubled, sigma, lam, alpha1)
-    provenance["derived_output"] = "2*n_P-1"
-    provenance["source_slp"] = p.to_text()
-    return ErmInstance(
-        net,
-        theta_star,
-        tuple(dataset),
-        LossSpec("hinge", target=gate_vertex[-1]),
-        (low, copies),
-        provenance,
-    )
+    inst.provenance["derived_output"] = "2*n_P-1"
+    inst.provenance["source_slp"] = p.to_text()
+    return inst
 
 
 @dataclass(frozen=True)

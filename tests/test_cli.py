@@ -128,6 +128,21 @@ class TestCompileAndNet:
         ]) == 2
 
 
+def run_capped(*argv):
+    """``bitnets <argv>`` in a child process whose address space is capped at 1 GiB."""
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(bitnets.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from bitnets.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
 class TestVerifyAndStep:
     def test_verify_accept_and_reject(self, slp_file, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -171,21 +186,26 @@ class TestVerifyAndStep:
         doc = json.loads(inst_path.read_bytes())
         doc["loss"]["j"] = j
         inst_path.write_text(json.dumps(doc))
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        src = str(Path(bitnets.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-c", "import sys; from bitnets.cli import main; "
-             "sys.exit(main(sys.argv[1:]))",
-             "verify", "erm", str(inst_path), "--theta", str(theta_path), "--gamma", "0"],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        run = run_capped("verify", "erm", str(inst_path), "--theta", str(theta_path),
+                         "--gamma", "0")
         assert run.returncode in (0, 1) and run.stderr == ""
         # 16 has no bit 2**40 and no fractional bits: the main sample costs its count
         assert run.stdout.startswith("reject(loss too high)\n")
+
+    def test_huge_rounding_precision_rejected_in_bounded_memory(self, witness):
+        """A bit-bounded activation with bits = 2**40 is a located schema error
+        (exit 2), not a 2**40-bit rounding scale, under a 1 GiB cap."""
+        inst_path, _ = witness
+        doc = json.loads(inst_path.read_bytes())
+        at = next(i for i, v in enumerate(doc["vertices"]) if v["id"] == "v1")
+        doc["vertices"][at]["activation"] = {
+            "kind": "bitbounded", "base": {"kind": "identity"}, "bits": 1 << 40
+        }
+        inst_path.write_text(json.dumps(doc))
+        run = run_capped("net", "eval", str(inst_path), "--max-bits", "64")
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr.startswith(f"error: $.vertices[{at}].activation: ")
+        assert "Traceback" not in run.stderr
 
     def test_pwl_step(self, tmp_path, capsys):
         from fractions import Fraction

@@ -538,6 +538,9 @@ class TestLocatedLibraryFaults:
         ("zero bits",
          set_activation({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 0}),
          hidden_activation_path, "bits >= 1"),
+        ("bits above the budget",
+         set_activation({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 1 << 40}),
+         hidden_activation_path, "bits <= 1048576"),
         ("pieces for breakpoints",
          set_activation({"kind": "pwl", "breakpoints": ["0"], "pieces": ONE_PIECE}),
          hidden_activation_path, "need 2 pieces"),

@@ -1,10 +1,12 @@
 """Compilers from programs to ERM / gradient instances and their checkers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from bitnets.instances import serialize_instance
 from bitnets.network import PolyActivation, forward, loss_total
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.rationals import bit_extract
@@ -262,8 +264,6 @@ class TestCompileBackprop:
         with pytest.raises(CompileError):
             compile_backprop(p, SQUARE, "bit")  # missing bit index
         with pytest.raises(CompileError):
-            compile_backprop(p, SQUARE, "bit", bit_index=0, copies=2)
-        with pytest.raises(CompileError):
             compile_backprop(p, SQUARE, "sign", promise=2, a0_mode="bn-normalized")
         with pytest.raises(CompileError):
             compile_backprop(Slp(Fraction(2), p.gates), SQUARE, "bit", bit_index=0)
@@ -356,13 +356,41 @@ class TestMoreValidation:
             compile_erm(squaring_chain(2), SQUARE, j=-1)
 
     def test_gateless_program_rejected(self):
-        from bitnets.slp import Slp
-
-        with pytest.raises(CompileError):
-            compile_erm(Slp(Fraction(1)), SQUARE, j=0)
+        empty = Slp(Fraction(1))
+        for compile_empty in (
+            lambda: compile_erm(empty, SQUARE, j=0),
+            lambda: compile_backprop(empty, SQUARE, "sign", promise=1),
+            lambda: compile_backprop(empty, SQUARE, "bit", bit_index=0, a0_mode="bn-normalized"),
+        ):
+            with pytest.raises(CompileError, match="^program must have at least one gate$"):
+                compile_empty()
 
     def test_hinge_gap_validation(self):
         with pytest.raises(CompileError):
             compile_hinge_posslp(squaring_chain(2), SQUARE, copies=0)
         with pytest.raises(CompileError):
             compile_hinge_posslp(squaring_chain(2), SQUARE, copies=2, low=2)
+
+
+class TestGoldenBytes:
+    """The canonical bytes of compiled instances (|I|, the paper's size
+    measure) are pinned by one digest over a small seeded corpus."""
+
+    DIGEST = "a52fde66a28b24459522de22135203092a1e7c70b0aabe87ae199027e8c70fc0"
+
+    def test_compiled_corpus_digest(self):
+        rng = random.Random(8)
+        digest = hashlib.sha256()
+        # SIGMAS[2] has sigma(0) = 1/3 != 0
+        for sigma in SIGMAS:
+            for _ in range(3):
+                p = random_slp(rng, rng.randint(1, 3))
+                for inst in (
+                    compile_erm(Slp(Fraction(-3, 2), p.gates), sigma, j=rng.randint(0, 3)),
+                    compile_hinge_posslp(p, sigma, copies=2, low=1),
+                    compile_backprop(p, sigma, "sign", promise=3),
+                    compile_backprop(p, sigma, "bit", bit_index=2),
+                    compile_backprop(p, sigma, "bit", bit_index=2, a0_mode="bn-normalized"),
+                ):
+                    digest.update(serialize_instance(inst))
+        assert digest.hexdigest() == self.DIGEST
