@@ -24,7 +24,6 @@ from .network import (
     Theta,
     Vertex,
     forward,
-    grad_coordinate,
     gradients,
     loss_total,
 )

@@ -24,7 +24,7 @@ from .instances import (
     serialize_instance,
     serialize_theta,
 )
-from .network import forward, grad_coordinate
+from .network import forward, gradients
 from .pac import LEARNERS, simulate_lower_bound
 from .product_identity import (
     RationalPoly,
@@ -203,13 +203,13 @@ def cmd_net_grad(args) -> int:
     edge = args.edge or getattr(inst, "edge_star", None)
     if edge is None:
         raise UsageError("--edge is required for ERM instances")
-    result = grad_coordinate(
-        inst.network, inst.theta_star, inst.dataset, inst.loss, edge, args.wrt,
-        args.max_bits,
-    )
-    print(f"d/d{args.wrt}[{edge}] {format_rational(result.value)}")
-    if result.hinge_kinks:
-        print(f"hinge-kinks {result.hinge_kinks} (subgradient 0 used)")
+    if edge not in inst.network.edge_map:
+        raise UsageError(f"unknown edge {edge!r}")
+    report = gradients(inst.network, inst.theta_star, inst.dataset, inst.loss, args.max_bits)
+    table = report.weight_grad if args.wrt == "weight" else report.bias_grad
+    print(f"d/d{args.wrt}[{edge}] {format_rational(table[edge])}")
+    if report.hinge_kinks:
+        print(f"hinge-kinks {report.hinge_kinks} (subgradient 0 used)")
     return EXIT_OK
 
 

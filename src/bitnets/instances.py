@@ -11,8 +11,9 @@ The parser holds no rules of its own for what the library checks.  It
 checks the JSON shape and the rational literals, builds each object
 with the library code that owns its rules (``Vertex``, ``Network``,
 ``Network.single_target``, ``Theta.check_against``, ``LossSpec``, the
-activation constructors, ``check_label``) and turns the ``NetworkError``
-they raise into a ``SchemaError`` at the field it names.
+activation constructors, ``check_label``, ``BackpropInstance``) and
+turns the ``NetworkError`` they raise into a ``SchemaError`` at the
+field it names.
 
 A compiled instance repeats a handful of values across thousands of
 entries.  Each ``parse_instance``/``parse_theta`` call therefore keeps
@@ -354,21 +355,10 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         return ErmInstance(net, theta, tuple(samples), loss, (a, b), provenance)
 
     edge_star = _get(doc, "edge_star", "$", str)
-    if edge_star not in net.edge_map:
-        raise SchemaError("$.edge_star", f"unknown edge {edge_star!r}")
     variant = _get(doc, "variant", "$", str)
-    if variant not in ("sign", "bit"):
-        raise SchemaError("$.variant", f"unknown variant {variant!r}")
-    return BackpropInstance(
-        network=net,
-        theta_star=theta,
-        dataset=tuple(samples),
-        loss=loss,
-        variant=variant,
-        edge_star=edge_star,
-        promise=doc.get("promise"),
-        bit_index=doc.get("bit_index"),
-        provenance=provenance,
+    return _located(
+        "$", BackpropInstance, net, theta, tuple(samples), loss, variant, edge_star,
+        doc.get("promise"), doc.get("bit_index"), provenance,
     )
 
 

@@ -587,7 +587,8 @@ def loss_total(
 
 @dataclass(frozen=True)
 class GradientReport:
-    """Exact per-edge gradients of the empirical loss.
+    """Exact per-edge gradients of the empirical loss, as :func:`gradients`
+    returns them; ``pwl.GdStepReport`` is this report plus the step.
 
     ``hinge_kinks`` counts samples whose margin sat exactly on the hinge
     kink; those contribute the subgradient value 0.
@@ -679,32 +680,3 @@ def gradients(
         ops,
     )
 
-
-@dataclass(frozen=True)
-class GradResult:
-    value: Fraction
-    hinge_kinks: int
-
-
-def grad_coordinate(
-    net: Network,
-    theta: Theta,
-    dataset: Sequence[Sample],
-    spec: LossSpec,
-    edge_id: str,
-    wrt: str = "weight",
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> GradResult:
-    """One exact partial derivative of the empirical loss.
-
-    ``wrt`` selects the edge's weight or bias coordinate.  Hinge samples
-    that land exactly on the kink take subgradient 0 and are counted in
-    the result metadata rather than raised.
-    """
-    if wrt not in ("weight", "bias"):
-        raise NetworkError(f"wrt must be 'weight' or 'bias', got {wrt!r}")
-    if edge_id not in net.edge_map:
-        raise NetworkError(f"unknown edge {edge_id!r}")
-    report = gradients(net, theta, dataset, spec, max_bits)
-    table = report.weight_grad if wrt == "weight" else report.bias_grad
-    return GradResult(table[edge_id], report.hinge_kinks)

@@ -176,28 +176,3 @@ def simulate_lower_bound(
     bound = q * math.log(1 / (2 * delta))
     return SimReport(q, m, trials, learner, seed, failures, floor, Fraction(delta), bound)
 
-
-def consistent_dyadic_learner(
-    samples: Sequence[tuple[int, Fraction]], q: int
-) -> Fraction | None:
-    """Smallest 2q-bit dyadic c in [0,1) consistent with rounded samples.
-
-    Provided for completeness beyond the two-point version space.  Each
-    sample (x, y) with x = 2^k constrains c to [y/2^k, y/2^k + 2^-(k+q));
-    the intersection is scanned for its smallest multiple of 2^-2q.
-    """
-    lo = Fraction(0)
-    hi = Fraction(1)
-    for x, y in samples:
-        k = x.bit_length() - 1
-        if 1 << k != x:
-            raise ValueError(f"domain points are powers of two, got {x}")
-        left = Fraction(y) / x
-        lo = max(lo, left)
-        hi = min(hi, left + Fraction(1, x << q))
-    if lo >= hi:
-        return None
-    step = 1 << (2 * q)
-    first = math.ceil(lo * step)
-    candidate = Fraction(first, step)
-    return candidate if candidate < hi else None

@@ -24,6 +24,7 @@ from typing import Sequence
 
 from .network import (
     Activation,
+    GradientReport,
     LossSpec,
     Network,
     NetworkError,
@@ -41,10 +42,9 @@ class PwlActivation(Activation):
 
     ``pieces[i]`` is the (slope, intercept) pair on the i-th interval;
     there is one more piece than breakpoints.  The value at a breakpoint
-    comes from the piece to its right.  Continuity is not required; use
-    :meth:`continuous` to build an activation that is checked to be
-    continuous.  ``kink_slope`` picks which piece's slope the derivative
-    reports exactly at a breakpoint ("right" by default).
+    comes from the piece to its right.  Continuity is not required.
+    ``kink_slope`` picks which piece's slope the derivative reports
+    exactly at a breakpoint ("right" by default).
     """
 
     breakpoints: tuple[Fraction, ...]
@@ -65,18 +65,6 @@ class PwlActivation(Activation):
             )
         if self.kink_slope not in ("right", "left"):
             raise NetworkError("kink_slope must be 'right' or 'left'")
-
-    @classmethod
-    def continuous(
-        cls,
-        breakpoints: Sequence[Fraction],
-        pieces: Sequence[tuple[Fraction, Fraction]],
-        kink_slope: str = "right",
-    ) -> "PwlActivation":
-        act = cls(tuple(breakpoints), tuple(pieces), kink_slope)
-        if not act.is_continuous:
-            raise NetworkError("pieces do not agree at a breakpoint")
-        return act
 
     @property
     def is_continuous(self) -> bool:
@@ -168,15 +156,12 @@ class BitBoundedActivation(Activation):
 
 
 @dataclass(frozen=True)
-class GdStepReport:
-    """One exact gradient-descent step plus its cost instrumentation."""
+class GdStepReport(GradientReport):
+    """The gradients of one exact descent step, the updated ``theta`` and
+    whether an activation is discontinuous; ``ops`` includes the update's
+    four per edge."""
 
     theta: Theta
-    weight_grad: dict[str, Fraction]
-    bias_grad: dict[str, Fraction]
-    max_bits: int
-    ops: int
-    hinge_kinks: int
     discontinuous: bool
 
 
@@ -206,7 +191,6 @@ def gd_step(
 
     eta = Fraction(eta)
     report = gradients(net, theta, dataset, spec, max_bits)
-    ops = report.ops
     updated: dict[str, tuple[Fraction, Fraction]] = {}
     for e in net.edges:
         w, b = theta.params[e.id]
@@ -214,16 +198,8 @@ def gd_step(
             w - eta * report.weight_grad[e.id],
             b - eta * report.bias_grad[e.id],
         )
-        ops += 4
-    return GdStepReport(
-        theta=Theta(updated),
-        weight_grad=report.weight_grad,
-        bias_grad=report.bias_grad,
-        max_bits=report.max_bits,
-        ops=ops,
-        hinge_kinks=report.hinge_kinks,
-        discontinuous=discontinuous,
-    )
+    fields = vars(report) | {"ops": report.ops + 4 * len(net.edges)}
+    return GdStepReport(**fields, theta=Theta(updated), discontinuous=discontinuous)
 
 
 ACCEPT = "accept"

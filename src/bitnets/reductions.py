@@ -33,6 +33,7 @@ from .network import (
     IdentityActivation,
     LossSpec,
     Network,
+    NetworkError,
     PolyActivation,
     ROLE_HIDDEN,
     ROLE_SOURCE,
@@ -43,12 +44,12 @@ from .network import (
     _as_fraction,
     _aux_verdicts,
     _Plan,
-    grad_coordinate,
+    gradients,
     loss_total,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
-from .slp import Gate, NormalizedSlp, Slp, normalize_bn
+from .slp import Gate, NormalizedSlp, Slp, normalize_bn, parse_slp
 
 _IDENTITY = IdentityActivation()
 
@@ -86,6 +87,26 @@ class BackpropInstance:
     promise: int | None
     bit_index: int | None
     provenance: dict
+
+    def __post_init__(self) -> None:
+        if self.edge_star not in self.network.edge_map:
+            raise NetworkError(f"unknown edge {self.edge_star!r}", "edge_star")
+        if self.variant == "sign":
+            if type(self.promise) is not int or self.promise < 1:
+                raise NetworkError(
+                    f"sign variant needs an integer promise >= 1, got {self.promise!r}", "promise"
+                )
+            if self.bit_index is not None:
+                raise NetworkError("sign variant takes no bit index", "bit_index")
+        elif self.variant == "bit":
+            if type(self.bit_index) is not int:
+                raise NetworkError(
+                    f"bit variant needs an integer bit index, got {self.bit_index!r}", "bit_index"
+                )
+            if self.promise is not None:
+                raise NetworkError("bit variant takes no promise", "promise")
+        else:
+            raise NetworkError(f"unknown variant {self.variant!r}", "variant")
 
 
 class _CircuitBuilder:
@@ -423,15 +444,8 @@ def backprop_gradient(
     inst: BackpropInstance, max_bits: int = DEFAULT_MAX_BITS
 ) -> Fraction:
     """The exact distinguished partial derivative at the instance's theta*."""
-    return grad_coordinate(
-        inst.network,
-        inst.theta_star,
-        inst.dataset,
-        inst.loss,
-        inst.edge_star,
-        "weight",
-        max_bits,
-    ).value
+    report = gradients(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
+    return report.weight_grad[inst.edge_star]
 
 
 def compile_hinge_posslp(
@@ -487,8 +501,6 @@ class GadgetReport:
 
 
 def gadget_report(inst: ErmInstance | BackpropInstance) -> GadgetReport:
-    from .slp import parse_slp
-
     p = parse_slp(inst.provenance["slp"])
     mu = RationalPoly.from_text(inst.provenance["sigma"]).degree
     ops = [g.op for g in p.gates]

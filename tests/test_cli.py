@@ -254,6 +254,53 @@ class TestPacAndBench:
         assert len(lines) == 4
 
 
+class TestNetGrad:
+    """``net grad`` on a one-edge hinge instance whose only sample sits on
+    the kink: theta = (1, 0), x_s = 1, y = 1, so the margin is exactly 0."""
+
+    @pytest.fixture
+    def kink_file(self, tmp_path):
+        from fractions import Fraction
+
+        from bitnets.instances import serialize_instance
+        from bitnets.network import Edge, IdentityActivation, LossSpec, Network, Sample, Theta, Vertex
+        from bitnets.reductions import ErmInstance
+
+        net = Network(
+            [Vertex("s", "source"), Vertex("t", "target", IdentityActivation())],
+            [Edge("e", "s", "t")],
+        )
+        inst = ErmInstance(
+            net, Theta({"e": (Fraction(1), Fraction(0))}),
+            (Sample({"s": Fraction(1)}, Fraction(1)),),
+            LossSpec("hinge", target="t"), (0, 1), {},
+        )
+        path = tmp_path / "kink.json"
+        path.write_bytes(serialize_instance(inst))
+        return str(path)
+
+    def test_weight_coordinate_reports_the_kink(self, kink_file, capsys):
+        assert main(["net", "grad", kink_file, "--edge", "e"]) == 0
+        out = capsys.readouterr()
+        assert out.out == "d/dweight[e] 0\nhinge-kinks 1 (subgradient 0 used)\n"
+        assert out.err == ""
+
+    def test_bias_coordinate(self, kink_file, capsys):
+        assert main(["net", "grad", kink_file, "--edge", "e", "--wrt", "bias"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "d/dbias[e] 0"
+
+    def test_unknown_edge(self, kink_file, capsys):
+        assert main(["net", "grad", kink_file, "--edge", "ghost"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: unknown edge 'ghost'\n"
+
+    def test_unknown_coordinate_is_an_argparse_error(self, kink_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["net", "grad", kink_file, "--edge", "e", "--wrt", "slope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'slope'" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:

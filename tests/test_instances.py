@@ -513,6 +513,18 @@ def hidden_activation_path(doc):
 
 ONE_PIECE = [["1", "0"]]
 
+BIT_DOC = instance_to_doc(
+    compile_backprop(parse_slp("const 1\nmul 0 0\n"), SQUARE, "bit", bit_index=0)
+)
+
+
+def backprop_with(**fields):
+    """Swap the doc for a backprop bit-variant doc with ``fields`` set."""
+    def mutate(doc):
+        doc.clear()
+        doc.update(copy.deepcopy(BIT_DOC), **fields)
+    return mutate
+
 
 class TestLocatedLibraryFaults:
     """Each fault is found by the library type that owns the rule; the
@@ -553,6 +565,20 @@ class TestLocatedLibraryFaults:
          "$.theta", "parameters for unknown edges ['ghost']"),
         ("theta missing an edge", lambda doc: doc["theta"].pop(min(doc["theta"])),
          "$.theta", "missing parameters for edges ['L1_1_0->U1_1_0']"),
+        ("unknown edge_star", backprop_with(edge_star="ghost"), "$.edge_star",
+         "unknown edge 'ghost'"),
+        ("unknown variant", backprop_with(variant="parity"), "$.variant", "unknown variant"),
+        ("bit_index as text", backprop_with(bit_index="two"), "$.bit_index",
+         "needs an integer bit index"),
+        ("bit_index as bool", backprop_with(bit_index=True), "$.bit_index",
+         "needs an integer bit index"),
+        ("promise as a list", backprop_with(variant="sign", promise=[1], bit_index=None),
+         "$.promise", "needs an integer promise >= 1"),
+        ("sign without a promise", backprop_with(variant="sign"), "$.promise",
+         "needs an integer promise >= 1"),
+        ("sign with a bit_index", backprop_with(variant="sign", promise=1), "$.bit_index",
+         "takes no bit index"),
+        ("bit with a promise", backprop_with(promise=1), "$.promise", "takes no promise"),
     ]
 
     def faulty(self, mutate, path):
@@ -574,6 +600,13 @@ class TestLocatedLibraryFaults:
         code, err = verify_erm(tmp_path, doc, BASE_DOCS[0]["theta"])
         assert code == 2
         assert err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("name, mutate, path, message", FAULTS, ids=[f[0] for f in FAULTS])
+    def test_net_grad_exits_2_with_the_path(self, name, mutate, path, message, tmp_path):
+        doc, path = self.faulty(mutate, path)
+        code, err = run_on_file(tmp_path, doc, "net grad")
+        assert code == 2
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 def literal_slots(doc):

@@ -16,7 +16,6 @@ from bitnets.network import (
     Theta,
     Vertex,
     forward,
-    grad_coordinate,
     gradients,
     loss_total,
 )
@@ -160,13 +159,12 @@ class TestGradients:
         theta = Theta({e: (Fraction(0), Fraction(0))})
         spec = LossSpec("square", target="t")
         data = [Sample({"s": upstream}, -a0)]
-        result = grad_coordinate(net, theta, data, spec, e, "weight")
-        assert result.value == a0 * upstream
+        assert gradients(net, theta, data, spec).weight_grad[e] == a0 * upstream
 
     def test_empty_dataset_gives_zero(self):
         net, e = single_edge(SQUARE)
         theta = Theta({e: (Fraction(2), Fraction(1))})
-        assert grad_coordinate(net, theta, [], LossSpec("square", target="t"), e).value == 0
+        assert gradients(net, theta, [], LossSpec("square", target="t")).weight_grad[e] == 0
 
     def test_central_difference_exact_for_quadratic(self):
         # loss quadratic in the queried weight: central difference is exact
@@ -174,7 +172,7 @@ class TestGradients:
         theta = Theta({e: (Fraction(3, 7), Fraction(2))})
         spec = LossSpec("square", target="t")
         data = [Sample({"s": Fraction(4, 3)}, Fraction(5, 2))]
-        grad = grad_coordinate(net, theta, data, spec, e, "weight").value
+        grad = gradients(net, theta, data, spec).weight_grad[e]
         for h in (Fraction(1), Fraction(1, 7), Fraction(13, 5)):
             up = loss_total(net, theta.with_param(e, weight=theta.weight(e) + h), data, spec)
             down = loss_total(net, theta.with_param(e, weight=theta.weight(e) - h), data, spec)
@@ -186,7 +184,7 @@ class TestGradients:
         spec = LossSpec("square", target="t")
         data = [Sample({"s": Fraction(3)}, Fraction(1))]
         # d/db (x + b - y)^2/2 = x + b - y = 2
-        assert grad_coordinate(net, theta, data, spec, e, "bias").value == 2
+        assert gradients(net, theta, data, spec).bias_grad[e] == 2
 
     def test_poly_chain_matches_hand_chain_rule(self):
         # s -> h (T^2) -> t (id): f = w2 * (w1 x + b1)^2 + b2
@@ -205,16 +203,16 @@ class TestGradients:
         data = [Sample({"s": x}, y)]
         pred = w2 * (w1 * x + b1) ** 2 + b2
         expected_e1 = (pred - y) * w2 * 2 * (w1 * x + b1) * x
-        assert grad_coordinate(net, theta, data, spec, "e1", "weight").value == expected_e1
+        assert gradients(net, theta, data, spec).weight_grad["e1"] == expected_e1
 
     def test_hinge_kink_reported_with_subgradient_zero(self):
         net, e = single_edge(IDENTITY)
         theta = Theta({e: (Fraction(1), Fraction(0))})
         spec = LossSpec("hinge", target="t")
         data = [Sample({"s": Fraction(1)}, Fraction(1))]  # margin exactly 0
-        result = grad_coordinate(net, theta, data, spec, e, "weight")
-        assert result.value == 0
-        assert result.hinge_kinks == 1
+        report = gradients(net, theta, data, spec)
+        assert report.weight_grad[e] == 0
+        assert report.hinge_kinks == 1
 
     def test_bit01_rejected(self):
         net, e = single_edge(IDENTITY)
@@ -361,15 +359,6 @@ class TestValidationErrors:
         data = [Sample({"s": Fraction(1)}, {"t": Fraction(1)}, flag=1)]
         with pytest.raises(NetworkError):
             loss_total(net, theta, data, LossSpec("square", target="t"))
-
-    def test_grad_coordinate_validates_edge_and_wrt(self):
-        net, e = single_edge(IDENTITY)
-        theta = Theta({e: (Fraction(1), Fraction(0))})
-        spec = LossSpec("square", target="t")
-        with pytest.raises(NetworkError):
-            grad_coordinate(net, theta, [], spec, "ghost")
-        with pytest.raises(NetworkError):
-            grad_coordinate(net, theta, [], spec, e, wrt="slope")
 
     def test_loss_spec_validation(self):
         with pytest.raises(NetworkError):

@@ -8,7 +8,6 @@ import pytest
 
 from bitnets.pac import (
     RoundedMultiplierClass,
-    consistent_dyadic_learner,
     exact_fit,
     make_pair,
     round_q,
@@ -125,24 +124,6 @@ class TestSimulation:
     def test_sample_bound_value(self):
         report = simulate_lower_bound(q=8, m=1, trials=10, seed=8, delta=Fraction(1, 20))
         assert math.isclose(report.sample_bound, 8 * math.log(10))
-
-
-class TestDyadicLearner:
-    def test_recovers_consistent_parameter(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            q = rng.randint(1, 6)
-            cls = RoundedMultiplierClass(q)
-            c = Fraction(rng.randrange(1 << (2 * q)), 1 << (2 * q))
-            samples = [(x, cls.predict(c, x)) for x in cls.domain]
-            learned = consistent_dyadic_learner(samples, q)
-            assert learned is not None
-            assert cls.labels(learned) == cls.labels(c)
-
-    def test_inconsistent_labels_give_none(self):
-        q = 2
-        samples = [(1, Fraction(0)), (2, Fraction(3))]  # c < 1/4 and c >= 3/2
-        assert consistent_dyadic_learner(samples, q) is None
 
 
 class TestValidation:

@@ -70,13 +70,6 @@ class TestPwlEval:
         )
         assert act.derivative(Fraction(0)) == 0
 
-    def test_continuous_constructor_checks(self):
-        PwlActivation.continuous((Fraction(0),), ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))))
-        with pytest.raises(NetworkError):
-            PwlActivation.continuous(
-                (Fraction(0),), ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))
-            )
-
     def test_breakpoints_must_increase(self):
         with pytest.raises(NetworkError):
             PwlActivation((Fraction(1), Fraction(0)), ((0, 0), (1, 0), (2, 0)))
@@ -336,6 +329,25 @@ class TestCostEnvelopes:
             report = gd_step(net, theta, data, spec, Fraction(1, 2))
             n = sum(s.count for s in data)
             assert report.ops <= 16 * max(1, n) * len(net.edges) + 8 * len(net.edges)
+
+    def test_gd_step_is_gradients_plus_four_ops_per_edge(self):
+        rng = random.Random(94)
+        for kind in ("square", "hinge") * 5:
+            net, theta, data = random_pwl_network(rng)
+            spec = LossSpec(kind, target="t")
+            step = gd_step(net, theta, data, spec, Fraction(1, 2))
+            grads = gradients(net, theta, data, spec)
+            assert step.weight_grad == grads.weight_grad
+            assert step.bias_grad == grads.bias_grad
+            assert step.hinge_kinks == grads.hinge_kinks
+            assert step.max_bits == grads.max_bits
+            assert step.ops == grads.ops + 4 * len(net.edges)
+
+    def test_gd_step_cost_of_one_seeded_net(self):
+        net, theta, data = random_pwl_network(random.Random(95))
+        report = gd_step(net, theta, data, LossSpec("square", target="t"), Fraction(1, 2))
+        assert (len(net.edges), sum(s.count for s in data)) == (30, 2)
+        assert (report.ops, report.max_bits) == (722, 122)
 
     def test_bit_length_quadratic_envelope(self):
         rng = random.Random(93)
