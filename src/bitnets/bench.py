@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .network import (
+    Activation,
     Edge,
     IdentityActivation,
     LossSpec,
@@ -31,11 +32,11 @@ from .network import (
     Vertex,
     gradients,
 )
-from .product_identity import RationalPoly
+from .product_identity import monomial
 from .pwl import relu
 from .rationals import DEFAULT_MAX_BITS, BitBudgetError, bit_length
 
-ACTIVATIONS = ("square", "relu")
+ACTIVATIONS: dict[str, Activation] = {"square": PolyActivation(monomial(2)), "relu": relu()}
 
 CSV_COLUMNS = ("depth", "activation", "grad_bitlen", "log10_proxy", "runtime_ms")
 
@@ -64,7 +65,7 @@ def _random_fraction(rng) -> Fraction:
 
 
 def build_chain(
-    depth: int, width: int, activation: str, weight_scale: int, rng
+    depth: int, width: int, activation: Activation, weight_scale: int, rng
 ) -> tuple[Network, Theta, dict[str, Fraction], list[str]]:
     """A width-wide fully-connected chain of the given depth plus a scalar head.
 
@@ -73,18 +74,11 @@ def build_chain(
     differentiates).  The draw order is fixed, so one rng yields the
     same weights regardless of activation.
     """
-    if activation == "square":
-        act = PolyActivation(RationalPoly((Fraction(0), Fraction(0), Fraction(1))))
-    elif activation == "relu":
-        act = relu()
-    else:
-        raise ValueError(f"activation must be one of {ACTIVATIONS}")
-
     vertices = [Vertex(f"s{i}", ROLE_SOURCE, None) for i in range(width)]
     layers = [[f"s{i}" for i in range(width)]]
     for layer in range(1, depth + 1):
         ids = [f"h{layer}_{i}" for i in range(width)]
-        vertices.extend(Vertex(vid, ROLE_HIDDEN, act) for vid in ids)
+        vertices.extend(Vertex(vid, ROLE_HIDDEN, activation) for vid in ids)
         layers.append(ids)
     vertices.append(Vertex("out", ROLE_TARGET, IdentityActivation()))
     layers.append(["out"])
@@ -114,7 +108,8 @@ def depth_growth_experiment(
     depths: list[int] | None = None,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> list[GrowthRow]:
-    """Exact first-layer gradients across depths for one activation.
+    """Exact first-layer gradients across depths for one activation, named
+    by its ``ACTIVATIONS`` key.
 
     The per-depth rng is derived from (seed, depth) only, so the square
     and relu runs at equal depth see identical weights and inputs.  A
@@ -127,7 +122,7 @@ def depth_growth_experiment(
         # Seeded per (seed, depth) only: both activations see identical draws.
         rng = random.Random(f"{seed}/depth{depth}")
         net, theta, x, first_layer = build_chain(
-            depth, width, activation, weight_scale, rng
+            depth, width, ACTIVATIONS[activation], weight_scale, rng
         )
         dataset = [Sample(x, Fraction(0), flag=1)]
         spec = LossSpec("square", target="out")

@@ -7,13 +7,13 @@ instance size |I| used by encoding-length bounds is the byte length of
 this serialization.  Parsing reports the JSON path of the first
 violation.
 
-The parser holds no rules of its own for what the library checks.  It
-checks the JSON shape and the rational literals, builds each object
-with the library code that owns its rules (``Vertex``, ``Network``,
-``Network.single_target``, ``Theta.check_against``, ``LossSpec``, the
-activation constructors, ``check_label``, ``BackpropInstance``) and
-turns the ``NetworkError`` they raise into a ``SchemaError`` at the
-field it names.
+The parser checks only the JSON shape and the rational literals.  It
+builds each object with the library type that owns its rules and turns
+the ``NetworkError`` it raises into a ``SchemaError`` at the field it
+names: ``Vertex`` (role, activation), ``Network`` (ids, edge ends, no
+cycle), the activations, ``LossSpec`` (kind, target, j), ``Sample`` (flag,
+count), ``ErmInstance``/``BackpropInstance`` (one target, scored by the loss;
+theta on the edges; vectors on vertices; labels fit the loss; gap or query).
 
 A compiled instance repeats a handful of values across thousands of
 entries.  Each ``parse_instance``/``parse_theta`` call therefore keeps
@@ -40,7 +40,6 @@ from .network import (
     Sample,
     Theta,
     Vertex,
-    check_label,
 )
 from .product_identity import RationalPoly
 from .pwl import BitBoundedActivation, PwlActivation
@@ -132,7 +131,9 @@ def _located(path: str, fn: Callable, *args: Any) -> Any:
     try:
         return fn(*args)
     except NetworkError as exc:
-        where = exc.where.replace(".tail", ".u").replace(".head", ".v")
+        where = exc.where
+        if where.startswith("edges["):  # a sample's where holds vertex ids
+            where = where.replace(".tail", ".u").replace(".head", ".v")
         raise SchemaError(f"{path}.{where}" if where else path, str(exc)) from None
 
 
@@ -170,15 +171,11 @@ def _rational(value: Any, path: str, literals: dict[str, Fraction]) -> Fraction:
     return q
 
 
-def _sparse_vector(
-    doc: Any, path: str, known: Mapping[str, Any], literals: dict[str, Fraction]
-) -> dict[str, Fraction]:
+def _sparse_vector(doc: Any, path: str, literals: dict[str, Fraction]) -> dict[str, Fraction]:
     if not isinstance(doc, dict):
         raise SchemaError(path, "expected an object mapping vertex ids to rationals")
     out = {}
     for vid in sorted(doc):
-        if vid not in known:
-            raise SchemaError(f"{path}.{vid}", f"unknown vertex {vid!r}")
         text = doc[vid]
         # a text parsed before needs no path string
         q = literals.get(text) if isinstance(text, str) else None
@@ -310,49 +307,29 @@ def doc_to_instance(doc: Any) -> ErmInstance | BackpropInstance:
         edges.append(Edge(*(_get(edoc, key, path, str) for key in ("id", "u", "v"))))
 
     net = _located("$", Network, vertices, edges)
-    target = _located("$", lambda: net.single_target)
-
     theta = theta_from_doc(_get(doc, "theta", "$", dict), "$.theta", literals)
-    _located("$.theta", theta.check_against, net)
-
     loss_doc = _get(doc, "loss", "$", dict)
     loss = _located("$.loss", LossSpec, *(loss_doc.get(k) for k in ("kind", "target", "j")))
-    if loss.target is not None and loss.target != target:
-        raise SchemaError("$.loss.target", f"{loss.target!r} is not the target {target!r}")
 
     samples = []
     for i, sdoc in enumerate(_get(doc, "dataset", "$", list)):
         path = f"$.dataset[{i}]"
-        x = _sparse_vector(_get(sdoc, "x", path, dict), f"{path}.x", net.vertex_map, literals)
+        x = _sparse_vector(_get(sdoc, "x", path, dict), f"{path}.x", literals)
         ydoc = sdoc.get("y")
         label: Fraction | dict[str, Fraction]
         if isinstance(ydoc, dict):
-            label = _sparse_vector(ydoc, f"{path}.y", net.vertex_map, literals)
+            label = _sparse_vector(ydoc, f"{path}.y", literals)
         elif isinstance(ydoc, str):
             label = _rational(ydoc, f"{path}.y", literals)
         else:
             raise SchemaError(f"{path}.y", "label must be a rational or a sparse vector")
-        flag = _get(sdoc, "flag", path, int)
-        if flag not in (0, 1):
-            raise SchemaError(f"{path}.flag", f"flag must be 0 or 1, got {flag}")
-        count = _get(sdoc, "count", path, int)
-        if count < 1:
-            raise SchemaError(f"{path}.count", f"count must be >= 1, got {count}")
-        sample = Sample(x, label, flag, count, sdoc.get("note", ""))
-        _located(f"{path}.y", check_label, loss, sample)
-        samples.append(sample)
+        flag, count = (_get(sdoc, key, path, int) for key in ("flag", "count"))
+        samples.append(_located(path, Sample, x, label, flag, count, sdoc.get("note", "")))
 
     provenance = doc.get("provenance", {})
     if kind == "erm":
-        gap_doc = _get(doc, "gap", "$", list)
-        if len(gap_doc) != 2 or not all(
-            isinstance(g, int) and not isinstance(g, bool) for g in gap_doc
-        ):
-            raise SchemaError("$.gap", "expected [a, b] with integer thresholds")
-        a, b = gap_doc
-        if not (0 <= a < b):
-            raise SchemaError("$.gap", f"need naturals a < b, got {gap_doc}")
-        return ErmInstance(net, theta, tuple(samples), loss, (a, b), provenance)
+        gap = tuple(_get(doc, "gap", "$", list))
+        return _located("$", ErmInstance, net, theta, tuple(samples), loss, gap, provenance)
 
     edge_star = _get(doc, "edge_star", "$", str)
     variant = _get(doc, "variant", "$", str)

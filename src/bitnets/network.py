@@ -238,12 +238,6 @@ class Network:
             heads[e.tail].add(e.head)
         return heads
 
-    @property
-    def single_target(self) -> str:
-        if len(self.targets) != 1:
-            raise NetworkError(f"expected one target vertex, have {self.targets}", "vertices")
-        return self.targets[0]
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Network)
@@ -282,13 +276,13 @@ class Theta:
         return Theta(updated)
 
     def check_against(self, net: Network) -> None:
-        """Require exactly one (weight, bias) pair per edge of ``net``."""
+        """Require one (weight, bias) pair per edge of ``net``; a fault is at ``theta``."""
         missing = [e.id for e in net.edges if e.id not in self.params]
         if missing:
-            raise NetworkError(f"missing parameters for edges {missing}")
+            raise NetworkError(f"missing parameters for edges {missing}", "theta")
         if len(self.params) != len(net.edges):
             extra = sorted(self.params.keys() - net.edge_map.keys())
-            raise NetworkError(f"parameters for unknown edges {extra}")
+            raise NetworkError(f"parameters for unknown edges {extra}", "theta")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theta) and dict(self.params) == dict(other.params)
@@ -296,7 +290,7 @@ class Theta:
 
 @dataclass(frozen=True)
 class Sample:
-    """One dataset entry; ``count`` encodes replicated copies.
+    """One dataset entry; ``count`` (an int >= 1) encodes replicated copies.
 
     ``label`` is a scalar for square/hinge main samples and a sparse
     vector (vertex id -> value, zeros omitted) for equality-checked
@@ -308,6 +302,12 @@ class Sample:
     flag: int = 1
     count: int = 1
     note: str = ""
+
+    def __post_init__(self) -> None:
+        if type(self.flag) is not int or self.flag not in (0, 1):
+            raise NetworkError(f"flag must be 0 or 1, got {self.flag!r}", "flag")
+        if type(self.count) is not int or self.count < 1:
+            raise NetworkError(f"count must be >= 1, got {self.count!r}", "count")
 
 
 @dataclass(frozen=True)
@@ -611,9 +611,9 @@ def gradients(
     """Exact reverse-mode gradients of the total loss for every edge.
 
     Only square and hinge losses are differentiable in the prediction;
-    bit01 / vector-equality specs and auxiliary (flag 0) samples are
-    rejected.  Adjoints propagate in reverse topological order.  After
-    the last sample every accumulator is checked against ``max_bits``
+    bit01 / vector-equality specs, auxiliary (flag 0) samples and vector
+    labels are rejected.  Adjoints propagate in reverse topological order.
+    After the last sample every accumulator is checked against ``max_bits``
     (weight then bias, edge by edge); the reported ``max_bits`` is the
     peak over vertex values, adjoints and weight gradients.
     """
@@ -630,6 +630,7 @@ def gradients(
             raise NonDifferentiableLoss(
                 "auxiliary (flag 0) samples use the equality loss and have no gradient"
             )
+        check_label(spec, sample)
         values, pre, bits = plan.run(sample.x, max_bits)
         ops += plan.ops
         peak = max(peak, max(bits.values(), default=1))

@@ -24,7 +24,7 @@ Auxiliary samples are scored by the local-equation certificate of
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +44,7 @@ from .network import (
     _as_fraction,
     _aux_verdicts,
     _Plan,
+    check_label,
     gradients,
     loss_total,
 )
@@ -55,17 +56,77 @@ _IDENTITY = IdentityActivation()
 
 
 class CompileError(ValueError):
-    """Invalid compiler input (degree, gap, variant or program shape)."""
+    """Input only a compiler can get wrong: no gates, a constant sigma, j < 0, a
+    program constant other than 1, the a0 mode, or the sign variant without
+    the unit constant.  A bad gap or query is the instance's ``NetworkError``."""
+
+
+def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
+    """The rules both instance kinds keep, each fault's ``where`` the field a
+    file names: one target, scored by the loss; theta* on exactly the edges;
+    sample vectors on vertices only; every label fits the loss."""
+    net, loss = inst.network, inst.loss
+    if len(net.targets) != 1:
+        raise NetworkError(f"expected one target vertex, have {net.targets}", "vertices")
+    target = net.targets[0]
+    if loss.target is not None and loss.target != target:
+        raise NetworkError(f"{loss.target!r} is not the target {target!r}", "loss.target")
+    inst.theta_star.check_against(net)
+    for i, sample in enumerate(inst.dataset):
+        for field, vector in (("x", sample.x), ("y", sample.label)):
+            if isinstance(vector, Mapping) and not vector.keys() <= net.vertex_map.keys():
+                vid = min(vector.keys() - net.vertex_map.keys())
+                raise NetworkError(f"unknown vertex {vid!r}", f"dataset[{i}].{field}.{vid}")
+        try:
+            check_label(loss, sample)
+        except NetworkError as exc:
+            raise NetworkError(str(exc), f"dataset[{i}].y") from None
+
+
+def _check_gap(gap: tuple[int, int]) -> None:
+    """An ERM gap is a pair of integers a, b with 0 <= a < b."""
+    if not (isinstance(gap, tuple) and len(gap) == 2 and all(type(g) is int for g in gap)):
+        raise NetworkError("expected [a, b] with integer thresholds", "gap")
+    if not 0 <= gap[0] < gap[1]:
+        raise NetworkError(f"need naturals a < b, got {list(gap)}", "gap")
+
+
+def _check_query(variant: str, promise: int | None, bit_index: int | None) -> None:
+    """A gradient query is ``sign``, with an integer promise >= 1 and no bit
+    index, or ``bit``, with an integer bit index and no promise."""
+    if variant == "sign":
+        if type(promise) is not int or promise < 1:
+            raise NetworkError(
+                f"sign variant needs an integer promise >= 1, got {promise!r}", "promise"
+            )
+        if bit_index is not None:
+            raise NetworkError("sign variant takes no bit index", "bit_index")
+    elif variant == "bit":
+        if type(bit_index) is not int:
+            raise NetworkError(
+                f"bit variant needs an integer bit index, got {bit_index!r}", "bit_index"
+            )
+        if promise is not None:
+            raise NetworkError("bit variant takes no promise", "promise")
+    else:
+        raise NetworkError(f"unknown variant {variant!r}", "variant")
 
 
 @dataclass(frozen=True)
 class ErmInstance:
+    """Promise gap (a, b): is the optimum loss at most a or at least b?
+    Construction checks the instance rules and the gap (``NetworkError``)."""
+
     network: Network
     theta_star: Theta
     dataset: tuple[Sample, ...]
     loss: LossSpec
     gap: tuple[int, int]
     provenance: dict
+
+    def __post_init__(self) -> None:
+        _check_instance(self)
+        _check_gap(self.gap)
 
 
 @dataclass(frozen=True)
@@ -89,24 +150,10 @@ class BackpropInstance:
     provenance: dict
 
     def __post_init__(self) -> None:
+        _check_instance(self)
         if self.edge_star not in self.network.edge_map:
             raise NetworkError(f"unknown edge {self.edge_star!r}", "edge_star")
-        if self.variant == "sign":
-            if type(self.promise) is not int or self.promise < 1:
-                raise NetworkError(
-                    f"sign variant needs an integer promise >= 1, got {self.promise!r}", "promise"
-                )
-            if self.bit_index is not None:
-                raise NetworkError("sign variant takes no bit index", "bit_index")
-        elif self.variant == "bit":
-            if type(self.bit_index) is not int:
-                raise NetworkError(
-                    f"bit variant needs an integer bit index, got {self.bit_index!r}", "bit_index"
-                )
-            if self.promise is not None:
-                raise NetworkError("bit variant takes no promise", "promise")
-        else:
-            raise NetworkError(f"unknown variant {self.variant!r}", "variant")
+        _check_query(self.variant, self.promise, self.bit_index)
 
 
 class _CircuitBuilder:
@@ -265,15 +312,17 @@ def _forcing_instance(
     gap: tuple[int, int],
     label: Fraction | dict[str, Fraction],
     loss: Callable[[str], LossSpec],
+    **provenance,
 ) -> ErmInstance:
     """The ERM instance around the simulation of ``prog``: the forcing
     samples, then one main sample (input the program's constant, label
-    ``label``) scored by ``loss(target)``.
+    ``label``) scored by ``loss(target)``, with the front's ``provenance``.
 
     Auxiliary samples are replicated gap[1]+1 times and the main sample
     gap[1] times, so any parameter vector within the gap has zero
     auxiliary loss and therefore reproduces the program exactly.
     """
+    _check_gap(gap)  # before the counts are taken from it
     builder = _CircuitBuilder(sigma)
     target = builder.build(prog, ROLE_TARGET)
     net = Network(builder.vertices, builder.edges)
@@ -283,7 +332,7 @@ def _forcing_instance(
     dataset.append(
         Sample(_sparse({"v0": prog.constant}), label, flag=1, count=gap[1], note="main")
     )
-    provenance = _provenance(prog, sigma, builder.lam, alpha1)
+    provenance = _provenance(prog, sigma, builder.lam) | provenance | {"alpha1": alpha1}
     return ErmInstance(net, theta_star, tuple(dataset), loss(target), gap, provenance)
 
 
@@ -294,16 +343,12 @@ def compile_erm(
     gap: tuple[int, int] = (0, 1),
 ) -> ErmInstance:
     """Compile a bit-query instance: optimum <= gap[0] iff bit j of n_P is 1."""
-    a, b = gap
-    if not (0 <= a < b):
-        raise CompileError(f"need naturals a < b, got gap {gap}")
     if j < 0:
         raise CompileError(f"bit index must be non-negative, got {j}")
-    inst = _forcing_instance(
-        p, sigma, (a, b), {}, lambda target: LossSpec("bit01", target=target, bit_index=j)
+    return _forcing_instance(
+        p, sigma, gap, {}, lambda target: LossSpec("bit01", target=target, bit_index=j),
+        bit_index=j,
     )
-    inst.provenance["bit_index"] = j
-    return inst
 
 
 def _pick_alpha1(sigma: RationalPoly) -> int:
@@ -314,8 +359,8 @@ def _pick_alpha1(sigma: RationalPoly) -> int:
     raise CompileError("no shift separates sigma from sigma(0); sigma is constant?")
 
 
-def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs, alpha1: int | None) -> dict:
-    prov = {
+def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs) -> dict:
+    return {
         "slp": p.to_text(),
         "sigma": sigma.to_text(),
         "lambdas": [format_rational(x) for x in lam.lambdas],
@@ -323,9 +368,6 @@ def _provenance(p: Slp, sigma: RationalPoly, lam: LambdaCoeffs, alpha1: int | No
         "common_denominator": lam.common_denominator,
         "mul_gates": sum(1 for g in p.gates if g.op == "mul"),
     }
-    if alpha1 is not None:
-        prov["alpha1"] = alpha1
-    return prov
 
 
 def check_zero_aux_loss(
@@ -382,22 +424,10 @@ def compile_backprop(
     if a0_mode not in ("unit", "bn-normalized"):
         raise CompileError(f"unknown a0 mode {a0_mode!r}")
 
-    if variant == "sign":
-        if promise is None or promise < 1:
-            raise CompileError("sign variant needs a promise gap b >= 1")
-        if bit_index is not None:
-            raise CompileError("sign variant takes no bit index")
-        if a0_mode != "unit":
-            raise CompileError("sign promise gap requires the unit constant")
-        copies = promise
-    elif variant == "bit":
-        if bit_index is None:
-            raise CompileError("bit variant needs a bit index")
-        if promise is not None:
-            raise CompileError("bit variant takes no promise gap")
-        copies = 1
-    else:
-        raise CompileError(f"unknown variant {variant!r}")
+    _check_query(variant, promise, bit_index)
+    if variant == "sign" and a0_mode != "unit":
+        raise CompileError("sign promise gap requires the unit constant")
+    copies = promise if variant == "sign" else 1
 
     shift = 0
     prog = p
@@ -418,7 +448,7 @@ def compile_backprop(
     dataset = (
         Sample(_sparse({"v0": a0}), -a0, flag=1, count=copies, note="main"),
     )
-    provenance = _provenance(prog, sigma, builder.lam, None)
+    provenance = _provenance(prog, sigma, builder.lam)
     provenance["a0_mode"] = a0_mode
     provenance["copies"] = copies
     if norm is not None:
@@ -464,21 +494,15 @@ def compile_hinge_posslp(
     """
     if p.constant != 1:
         raise CompileError("hinge compilation expects a constant-1 program")
-    if copies < 1:
-        raise CompileError("need at least one main sample")
-    if not (0 <= low < copies):
-        raise CompileError(f"need naturals low < copies, got ({low}, {copies})")
     n = p.n_gates
     doubled = Slp(
         p.constant,
         p.gates + (Gate("add", n, n), Gate("sub", n + 1, 0)),
     )
-    inst = _forcing_instance(
-        doubled, sigma, (low, copies), Fraction(1), lambda target: LossSpec("hinge", target=target)
+    return _forcing_instance(
+        doubled, sigma, (low, copies), Fraction(1), lambda t: LossSpec("hinge", target=t),
+        derived_output="2*n_P-1", source_slp=p.to_text(),
     )
-    inst.provenance["derived_output"] = "2*n_P-1"
-    inst.provenance["source_slp"] = p.to_text()
-    return inst
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 from fractions import Fraction
@@ -21,10 +22,22 @@ from bitnets.instances import (
     serialize_theta,
     theta_size,
 )
-from bitnets.network import Theta
+from bitnets.network import (
+    Edge,
+    IdentityActivation,
+    LossSpec,
+    Network,
+    NetworkError,
+    PolyActivation,
+    Sample,
+    Theta,
+    Vertex,
+)
 from bitnets.product_identity import monomial
+from bitnets.pwl import leaky_relu, relu
 from bitnets.reductions import (
     BackpropInstance,
+    ErmInstance,
     compile_backprop,
     compile_erm,
     compile_hinge_posslp,
@@ -457,15 +470,12 @@ class TestGraphFaults:
 # faults found by the library's own types, located by the parser
 
 
-def small_docs():
-    program = parse_slp("const 1\nmul 0 0\n")
-    return (
-        instance_to_doc(compile_erm(program, SQUARE, j=2, gap=(0, 1))),
-        instance_to_doc(compile_hinge_posslp(program, SQUARE, copies=2)),
-    )
-
-
-BASE_DOCS = small_docs()
+SMALL_PROGRAM = parse_slp("const 1\nmul 0 0\n")
+BASE_INSTANCES = (
+    compile_erm(SMALL_PROGRAM, SQUARE, j=2, gap=(0, 1)),
+    compile_hinge_posslp(SMALL_PROGRAM, SQUARE, copies=2),
+)
+BASE_DOCS = tuple(map(instance_to_doc, BASE_INSTANCES))
 
 
 def run_on_file(tmp_path, doc, command, *options):
@@ -513,9 +523,8 @@ def hidden_activation_path(doc):
 
 ONE_PIECE = [["1", "0"]]
 
-BIT_DOC = instance_to_doc(
-    compile_backprop(parse_slp("const 1\nmul 0 0\n"), SQUARE, "bit", bit_index=0)
-)
+BIT_INSTANCE = compile_backprop(SMALL_PROGRAM, SQUARE, "bit", bit_index=0)
+BIT_DOC = instance_to_doc(BIT_INSTANCE)
 
 
 def backprop_with(**fields):
@@ -579,6 +588,22 @@ class TestLocatedLibraryFaults:
         ("sign with a bit_index", backprop_with(variant="sign", promise=1), "$.bit_index",
          "takes no bit index"),
         ("bit with a promise", backprop_with(promise=1), "$.promise", "takes no promise"),
+        ("gap reversed", lambda doc: doc.update(gap=[1, 0]), "$.gap",
+         "need naturals a < b, got [1, 0]"),
+        ("gap of three", lambda doc: doc.update(gap=[0, 1, 2]), "$.gap",
+         "expected [a, b] with integer thresholds"),
+        ("gap of bools", lambda doc: doc.update(gap=[False, True]), "$.gap",
+         "expected [a, b] with integer thresholds"),
+        ("flag 2", lambda doc: doc["dataset"][0].update(flag=2), "$.dataset[0].flag",
+         "flag must be 0 or 1, got 2"),
+        ("count 0", lambda doc: doc["dataset"][0].update(count=0), "$.dataset[0].count",
+         "count must be >= 1, got 0"),
+        ("scalar auxiliary label", lambda doc: doc["dataset"][0].update(y="0"),
+         "$.dataset[0].y", "equality-checked sample needs a vector label"),
+        ("input at an unknown vertex", lambda doc: doc["dataset"][0]["x"].update(ghost="1"),
+         "$.dataset[0].x.ghost", "unknown vertex 'ghost'"),
+        ("label at an unknown vertex", lambda doc: doc["dataset"][0]["y"].update(ghost="1"),
+         "$.dataset[0].y.ghost", "unknown vertex 'ghost'"),
     ]
 
     def faulty(self, mutate, path):
@@ -607,6 +632,178 @@ class TestLocatedLibraryFaults:
         code, err = run_on_file(tmp_path, doc, "net grad")
         assert code == 2
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+
+def relabelled(net, old, new):
+    """``net`` with its first ``old`` vertex in id order given role ``new``."""
+    vertices = list(net.vertices)
+    i = next(i for i, v in enumerate(vertices) if v.role == old)
+    vertices[i] = Vertex(vertices[i].id, new, vertices[i].activation)
+    return Network(vertices, net.edges)
+
+
+def with_params(theta, change):
+    params = dict(theta.params)
+    change(params)
+    return Theta(params)
+
+
+def with_first_sample(inst, **fields):
+    return dataclasses.replace(
+        inst, dataset=(dataclasses.replace(inst.dataset[0], **fields), *inst.dataset[1:])
+    )
+
+
+ERM, BIT = BASE_INSTANCES[0], BIT_INSTANCE
+FIRST = ERM.dataset[0]
+
+
+class TestLibraryOwnsTheRules:
+    """The twin of ``TestLocatedLibraryFaults``: each fault whose rule a
+    ``Sample``, ``ErmInstance`` or ``BackpropInstance`` owns, built directly,
+    raises ``NetworkError`` at the parser's path less ``$.``.  A ``Sample``
+    does not know its place in the dataset, so the parser adds that part."""
+
+    TWINS = {
+        "source as loss target":
+            lambda: dataclasses.replace(ERM, loss=LossSpec("bit01", target="v0", bit_index=2)),
+        "no target":
+            lambda: dataclasses.replace(ERM, network=relabelled(ERM.network, "target", "hidden")),
+        "two targets":
+            lambda: dataclasses.replace(ERM, network=relabelled(ERM.network, "hidden", "target")),
+        "theta for unknown edge": lambda: dataclasses.replace(ERM, theta_star=with_params(
+            ERM.theta_star, lambda p: p.update(ghost=(Fraction(1), Fraction(0))))),
+        "theta missing an edge": lambda: dataclasses.replace(ERM, theta_star=with_params(
+            ERM.theta_star, lambda p: p.pop(min(p)))),
+        "unknown edge_star": lambda: dataclasses.replace(BIT, edge_star="ghost"),
+        "unknown variant": lambda: dataclasses.replace(BIT, variant="parity"),
+        "bit_index as text": lambda: dataclasses.replace(BIT, bit_index="two"),
+        "bit_index as bool": lambda: dataclasses.replace(BIT, bit_index=True),
+        "promise as a list":
+            lambda: dataclasses.replace(BIT, variant="sign", promise=[1], bit_index=None),
+        "sign without a promise": lambda: dataclasses.replace(BIT, variant="sign"),
+        "sign with a bit_index": lambda: dataclasses.replace(BIT, variant="sign", promise=1),
+        "bit with a promise": lambda: dataclasses.replace(BIT, promise=1),
+        "gap reversed": lambda: dataclasses.replace(ERM, gap=(1, 0)),
+        "gap of three": lambda: dataclasses.replace(ERM, gap=(0, 1, 2)),
+        "gap of bools": lambda: dataclasses.replace(ERM, gap=(False, True)),
+        "flag 2": lambda: dataclasses.replace(FIRST, flag=2),
+        "count 0": lambda: dataclasses.replace(FIRST, count=0),
+        "scalar auxiliary label": lambda: with_first_sample(ERM, label=Fraction(0)),
+        "input at an unknown vertex":
+            lambda: with_first_sample(ERM, x={**FIRST.x, "ghost": Fraction(1)}),
+        "label at an unknown vertex":
+            lambda: with_first_sample(ERM, label={**FIRST.label, "ghost": Fraction(1)}),
+    }
+    PLACED_BY_THE_PARSER = {"flag 2": "dataset[0].", "count 0": "dataset[0]."}
+
+    @pytest.mark.parametrize("name", TWINS)
+    def test_where_is_the_parser_path(self, name):
+        _, _, path, message = next(f for f in TestLocatedLibraryFaults.FAULTS if f[0] == name)
+        with pytest.raises(NetworkError) as err:
+            self.TWINS[name]()
+        assert "$." + self.PLACED_BY_THE_PARSER.get(name, "") + err.value.where == path
+        assert message in str(err.value)
+
+
+class TestBuiltInstancesAreWellFormed:
+    """Objects the parser would refuse cannot be built in the first place."""
+
+    def test_negative_count_has_no_loss(self):
+        # it used to make loss_total return -45/2
+        with pytest.raises(NetworkError, match="^count must be >= 1, got -5$") as err:
+            Sample({"v0": Fraction(1)}, Fraction(0), flag=1, count=-5)
+        assert err.value.where == "count"
+
+    def test_reversed_gap_is_not_decided(self):
+        # decide_at_theta_star used to answer True on it
+        with pytest.raises(NetworkError, match=r"^need naturals a < b, got \[5, 2\]$") as err:
+            dataclasses.replace(ERM, gap=(5, 2))
+        assert err.value.where == "gap"
+
+    def test_loss_on_a_source_is_refused_before_it_is_written(self):
+        # it used to build, and only its file was refused
+        with pytest.raises(NetworkError, match="^'v0' is not the target 'v1'$") as err:
+            dataclasses.replace(ERM, loss=LossSpec("bit01", target="v0", bit_index=2))
+        assert err.value.where == "loss.target"
+
+
+HAND_ACTIVATIONS = [IdentityActivation(), PolyActivation(monomial(2)), relu(),
+                    leaky_relu(Fraction(1, 4))]
+BUILD_FAULTS = ["targets", "loss target", "theta", "flag", "count", "label", "vertex", "gap"]
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@st.composite
+def hand_built_erm(draw):
+    """The fields of a small ERM instance, put together by hand, and the
+    rule they break (one of ``BUILD_FAULTS``), or None when they break none."""
+    fault = draw(st.sampled_from([None] * len(BUILD_FAULTS) + BUILD_FAULTS))
+    roles = (["source"] * draw(st.integers(1, 2)) + ["hidden"] * draw(st.integers(0, 2))
+             + ["target"] * (draw(st.sampled_from([0, 2])) if fault == "targets" else 1))
+    ids = [f"{role[0]}{i}" for i, role in enumerate(roles)]
+    vertices = [Vertex(vid, role, None if role == "source"
+                       else draw(st.sampled_from(HAND_ACTIVATIONS)))
+                for vid, role in zip(ids, roles)]
+    edges = [Edge(f"{ids[u]}->{ids[v]}", ids[u], ids[v])
+             for v in range(len(ids)) if roles[v] != "source"
+             for u in range(v) if draw(st.booleans())]
+    params = {e.id: (draw(small_rationals), draw(small_rationals)) for e in edges}
+    if fault == "theta":
+        if edges and draw(st.booleans()):
+            del params[edges[0].id]
+        else:
+            params["ghost"] = (Fraction(1), Fraction(0))
+    kind = draw(st.sampled_from(["square", "hinge", "bit01", "vector-equality"]))
+    target = "s0" if fault == "loss target" else ids[-1]
+    if kind == "vector-equality" and fault != "loss target" and draw(st.booleans()):
+        target = None
+    loss = (kind, target, draw(st.integers(-3, 3)) if kind == "bit01" else None)
+
+    vector = st.dictionaries(st.sampled_from(ids), small_rationals, max_size=3)
+    samples = []
+    n = draw(st.integers(1, 3))
+    at = draw(st.integers(0, n - 1))  # the sample a sample fault is in
+    for i in range(n):
+        flag = draw(st.sampled_from([0, 1]))
+        count = draw(st.integers(1, 3))
+        if i == at and fault == "flag":
+            flag = draw(st.sampled_from([2, -1, True]))
+        if i == at and fault == "count":
+            count = draw(st.sampled_from([0, -5, True]))
+        x = draw(vector)
+        label = draw(vector if flag == 0 or kind == "vector-equality" else small_rationals)
+        if i == at and fault == "label":
+            flag, label = 0, draw(small_rationals)
+        if i == at and fault == "vertex":
+            x = {**x, "ghost": Fraction(1)}
+        samples.append((x, label, flag, count, draw(st.sampled_from(["", "n"]))))
+    a = draw(st.integers(0, 3))
+    gap = (a, a + draw(st.integers(1, 3)))
+    if fault == "gap":
+        gap = draw(st.sampled_from([(2, 2), (3, 1), (-1, 1), (0, 1, 2), (False, True), [0, 1]]))
+    provenance = draw(st.sampled_from([{}, {"by": "hand", "sizes": [1, 2]}]))
+    return fault, (vertices, edges, params, samples, loss, gap, provenance)
+
+
+def build_erm(vertices, edges, params, samples, loss, gap, provenance):
+    dataset = tuple(Sample(*fields) for fields in samples)
+    return ErmInstance(Network(vertices, edges), Theta(params), dataset, LossSpec(*loss), gap,
+                       provenance)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hand_built_erm())
+def test_a_hand_built_erm_instance_builds_iff_it_round_trips(case):
+    """Fields that break a rule do not build; all others build an instance
+    the file format carries unchanged."""
+    fault, fields = case
+    if fault is not None:
+        with pytest.raises(NetworkError):
+            build_erm(*fields)
+    else:
+        inst = build_erm(*fields)
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 def literal_slots(doc):

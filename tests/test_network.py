@@ -227,6 +227,14 @@ class TestGradients:
         with pytest.raises(NonDifferentiableLoss):
             gradients(net, theta, data, LossSpec("square", target="t"))
 
+    @pytest.mark.parametrize("kind", ["square", "hinge"])
+    def test_vector_label_rejected(self, kind):
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        data = [Sample({"s": Fraction(1)}, {"t": Fraction(1)})]
+        with pytest.raises(NetworkError, match=f"^{kind} loss needs a scalar label$"):
+            gradients(net, theta, data, LossSpec(kind, target="t"))
+
     def test_forward_bits_geometric_for_square_linear_for_identity(self):
         # weight-3 chains on a 128-bit input: squaring nodes double the
         # bit-length per layer, identity nodes add a constant per layer
@@ -304,7 +312,9 @@ class TestValidationErrors:
             Vertex("t", "target", "relu")
         assert err.value.where == "activation"
 
-    def test_single_target_helper(self):
+    def test_instance_needs_exactly_one_target(self):
+        from bitnets.reductions import ErmInstance
+
         net = Network(
             [
                 Vertex("s", "source"),
@@ -313,8 +323,11 @@ class TestValidationErrors:
             ],
             [Edge("e1", "s", "t1"), Edge("e2", "s", "t2")],
         )
-        with pytest.raises(NetworkError):
-            net.single_target
+        theta = Theta({e: (Fraction(1), Fraction(0)) for e in ("e1", "e2")})
+        data = (Sample({"s": Fraction(1)}, Fraction(0)),)
+        with pytest.raises(NetworkError, match="^expected one target vertex") as err:
+            ErmInstance(net, theta, data, LossSpec("square", target="t1"), (0, 1), {})
+        assert err.value.where == "vertices"
 
     def test_theta_check_against(self):
         net, e = single_edge(IDENTITY)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from bitnets.instances import serialize_instance
-from bitnets.network import PolyActivation, forward, loss_total
+from bitnets.network import NetworkError, PolyActivation, forward, loss_total
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.rationals import bit_extract
 from bitnets.reductions import (
@@ -94,9 +94,9 @@ class TestCompileErm:
         assert len(mains) == 1 and mains[0].count == b
 
     def test_gap_validation(self):
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match=r"^need naturals a < b, got \[1, 1\]$"):
             compile_erm(squaring_chain(2), SQUARE, j=0, gap=(1, 1))
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match=r"^need naturals a < b, got \[3, 2\]$"):
             compile_erm(squaring_chain(2), SQUARE, j=0, gap=(3, 2))
 
     def test_degree_one_rejected(self):
@@ -259,9 +259,9 @@ class TestCompileBackprop:
 
     def test_variant_validation(self):
         p = squaring_chain(2)
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match="^sign variant needs an integer promise >= 1"):
             compile_backprop(p, SQUARE, "sign")  # missing promise
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match="^bit variant needs an integer bit index"):
             compile_backprop(p, SQUARE, "bit")  # missing bit index
         with pytest.raises(CompileError):
             compile_backprop(p, SQUARE, "sign", promise=2, a0_mode="bn-normalized")
@@ -366,9 +366,9 @@ class TestMoreValidation:
                 compile_empty()
 
     def test_hinge_gap_validation(self):
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match=r"^need naturals a < b, got \[0, 0\]$"):
             compile_hinge_posslp(squaring_chain(2), SQUARE, copies=0)
-        with pytest.raises(CompileError):
+        with pytest.raises(NetworkError, match=r"^need naturals a < b, got \[2, 2\]$"):
             compile_hinge_posslp(squaring_chain(2), SQUARE, copies=2, low=2)
 
 
