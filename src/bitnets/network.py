@@ -24,8 +24,10 @@ only once a denominator appears; results leave it as ``Fraction``.
 Bits are checked with :func:`bitnets.rationals.check_bits` on each
 vertex's reduced preactivation and value, on every backpropagated
 adjoint, on the gradient accumulators after the last sample, and on
-each main sample's loss and the running loss total.  A plan never
-outlives the call that made it.
+each main sample's loss and the running loss total.  A sum is held as
+an unreduced (numerator, denominator) pair over the lcm of its terms'
+denominators and reduced only at the check that reads it, so every
+value and bit count is the reduced one.  A plan never outlives the call.
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
 and the instance writer ask it for ``lower()``, ``step_family``,
@@ -52,6 +54,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .product_identity import RationalPoly
 from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits, format_rational
@@ -364,6 +367,23 @@ def _as_fraction(q: int | Fraction) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
+def _add(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
+    """``num/den + tn/td`` over the lcm of the (positive) denominators, unreduced."""
+    if td == den:
+        return num + tn, den
+    if td == 1:
+        return num + tn * den, den
+    if den == 1:
+        return num * td + tn, td
+    g = gcd(den, td)
+    return num * (td // g) + tn * (den // g), den // g * td
+
+
+def _reduced(num: int, den: int) -> int | Fraction:
+    """The pair ``num/den`` reduced once, as an ``int`` when integral."""
+    return num if den == 1 else _int_first(Fraction(num, den))
+
+
 def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
     acc = 0
     for c in coeffs:
@@ -375,11 +395,11 @@ class _Plan:
     """``(net, theta)`` lowered for one call of the exact engine.
 
     ``node[vid]`` is ``(ins, bias, act, slope, pre_where, where)``: the
-    in-edges as (tail, edge id, weight), the sum of their biases, the
-    activation and its derivative (None for identity), and the bit-check
-    locations.  A source has no in-edges and no ``pre_where``.  ``ops``
-    is the operation count of one forward pass.  ``theta`` must hold
-    exactly the edges of ``net`` (:meth:`Theta.check_against`).
+    in-edges as (tail, edge id, weight numerator, weight denominator), the
+    reduced sum of their biases as a pair, the activation and its derivative
+    (None for identity), and the bit-check locations.  A source has no
+    in-edges and no ``pre_where``.  ``ops`` is the operation count of one
+    forward pass.  ``theta`` must hold exactly the edges of ``net``.
     """
 
     def __init__(self, net: Network, theta: Theta) -> None:
@@ -391,44 +411,54 @@ class _Plan:
         for vid in self.order:
             vertex = net.vertex_map[vid]
             if vertex.activation is None:
-                self.node[vid] = ((), 0, None, None, None, f"vertex {vid}")
+                self.node[vid] = ((), (0, 1), None, None, None, f"vertex {vid}")
                 continue
-            ins, bias = [], 0
+            ins, num, den = [], 0, 1
             for e in net.in_edges[vid]:
-                w, b = theta.params[e.id]
-                ins.append((e.tail, e.id, _int_first(w)))
+                w, b = map(_int_first, theta.params[e.id])
+                ins.append((e.tail, e.id, w.numerator, w.denominator))
                 if b:
-                    bias += b
+                    num, den = _add(num, den, b.numerator, b.denominator)
+            bias = _reduced(num, den)
             key = id(vertex.activation)
             if key not in lowered:
                 lowered[key] = vertex.activation.lower()
             act, slope = lowered[key]
             self.node[vid] = (
-                tuple(ins), _int_first(bias), act, slope, f"preactivation {vid}", f"vertex {vid}"
+                tuple(ins), (bias.numerator, bias.denominator), act, slope,
+                f"preactivation {vid}", f"vertex {vid}",
             )
             self.ops += 3 * len(ins) + 1
 
-    def inflow(self, vid: str, y: Mapping) -> int | Fraction:
-        """``b_v + sum of w * y_u`` over v's in-edges, the tails read from ``y``
-        (missing means 0).  ``x_v = pre_v - inflow`` inverts the local equation."""
-        ins, z = self.node[vid][:2]
-        for tail, _, w in ins:
+    def inflow(self, vid: str, y: Mapping) -> tuple[int, int]:
+        """``b_v + sum of w * y_u`` over v's in-edges as an unreduced
+        (numerator, denominator) pair, the tails read from ``y`` (missing
+        means 0).  ``x_v = pre_v - inflow`` inverts the local equation."""
+        ins, (num, den) = self.node[vid][:2]
+        for tail, _, wn, wd in ins:
             q = y.get(tail, 0)
-            if type(q) is Fraction and q.denominator == 1:
-                q = q.numerator
-            z += w * q
-        return z if type(z) is int else _int_first(z)
+            qn = q.numerator
+            if qn:
+                td = wd * q.denominator
+                if td == den:  # all-integer nets stay here, without a call
+                    num += wn * qn
+                else:
+                    num, den = _add(num, den, wn * qn, td)
+        return num, den
 
     def settle(self, vid: str, x_v, y: Mapping, max_bits: int) -> tuple:
         """(preactivation, value, value bits) of v's local equation
-        ``act_v(x_v + inflow)`` with the tails at ``y``; a source is ``x_v``."""
-        ins, _, act, _, pre_where, where = self.node[vid]
+        ``act_v(x_v + inflow)`` with the tails at ``y``; a source is ``x_v``.
+        The preactivation is reduced once, where its bits are checked."""
+        _, _, act, _, pre_where, where = self.node[vid]
         z = x_v if type(x_v) is int else _int_first(x_v)
         if pre_where is None:
             return z, z, check_bits(z, max_bits, where)
-        z += self.inflow(vid, y)
-        if type(z) is not int:
-            z = _int_first(z)
+        num, den = self.inflow(vid, y)
+        if den == 1 and type(z) is int:
+            z += num
+        else:
+            z = _reduced(*_add(num, den, z.numerator, z.denominator))
         check_bits(z, max_bits, pre_where)
         value = z if act is None else act(z)
         return z, value, check_bits(value, max_bits, where)
@@ -496,7 +526,7 @@ def sample_loss(
     pred = values[spec.target]
     if spec.kind == "square":
         diff = pred - Fraction(sample.label)
-        return diff * diff / 2
+        return diff ** 2 / 2
     if spec.kind == "hinge":
         margin = 1 - Fraction(sample.label) * pred
         return margin if margin > 0 else Fraction(0)
@@ -620,8 +650,8 @@ def gradients(
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
     plan = _Plan(net, theta)
-    wgrad = {e.id: 0 for e in net.edges}
-    bgrad = {e.id: 0 for e in net.edges}
+    wgrad = dict.fromkeys(net.edge_map, (0, 1))
+    bgrad = dict.fromkeys(net.edge_map, (0, 1))
     kinks = 0
     peak = 1
     ops = 0
@@ -652,32 +682,30 @@ def gradients(
                 seed = 0
 
         scale = sample.count
-        adjoint = dict.fromkeys(plan.order, 0)
-        adjoint[target] = _int_first(seed)
+        adjoint = dict.fromkeys(plan.order, (0, 1))
+        adjoint[target] = (seed.numerator, seed.denominator)
         for vid in reversed(plan.order):
-            a = adjoint[vid]
-            if a == 0:
-                continue
             ins, _, _, slope, pre_where, _ = plan.node[vid]
             if pre_where is None:
                 continue
+            a = _reduced(*adjoint[vid])
+            if a == 0:
+                continue
             delta = a if slope is None else _int_first(a * slope(pre[vid]))
-            ops += 2
+            ops += 2 + 6 * len(ins)
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
-            scaled = scale * delta
-            for tail, eid, w in ins:
-                wgrad[eid] += scaled * values[tail]
-                bgrad[eid] += scaled
-                adjoint[tail] += delta * w
-                ops += 6
-    for eid in wgrad:
+            dn, dd = delta.numerator, delta.denominator
+            sn = scale * dn
+            for tail, eid, wn, wd in ins:
+                q = values[tail]
+                qn = q.numerator
+                if qn:
+                    wgrad[eid] = _add(*wgrad[eid], sn * qn, dd * q.denominator)
+                bgrad[eid] = _add(*bgrad[eid], sn, dd)
+                adjoint[tail] = _add(*adjoint[tail], dn * wn, dd * wd)
+    for eid, pair in wgrad.items():
+        wgrad[eid] = Fraction(*pair)
         peak = max(peak, check_bits(wgrad[eid], max_bits, f"weight gradient {eid}"))
+        bgrad[eid] = Fraction(*bgrad[eid])
         check_bits(bgrad[eid], max_bits, f"bias gradient {eid}")
-    return GradientReport(
-        {eid: _as_fraction(g) for eid, g in wgrad.items()},
-        {eid: _as_fraction(g) for eid, g in bgrad.items()},
-        kinks,
-        peak,
-        ops,
-    )
-
+    return GradientReport(wgrad, bgrad, kinks, peak, ops)

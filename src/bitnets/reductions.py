@@ -24,6 +24,7 @@ Auxiliary samples are scored by the local-equation certificate of
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,7 @@ from .network import (
     _as_fraction,
     _aux_verdicts,
     _Plan,
+    _reduced,
     check_label,
     gradients,
     loss_total,
@@ -61,10 +63,15 @@ class CompileError(ValueError):
     the unit constant.  A bad gap or query is the instance's ``NetworkError``."""
 
 
+def _not_rational(value: object, where: str) -> NetworkError:
+    return NetworkError(f"expected an int or a Fraction, got {type(value).__name__}", where)
+
+
 def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     """The rules both instance kinds keep, each fault's ``where`` the field a
     file names: one target, scored by the loss; theta* on exactly the edges;
-    sample vectors on vertices only; every label fits the loss."""
+    sample vectors on vertices only; every label fits the loss; values are
+    ``int`` or ``Fraction``; the provenance is JSON."""
     net, loss = inst.network, inst.loss
     if len(net.targets) != 1:
         raise NetworkError(f"expected one target vertex, have {net.targets}", "vertices")
@@ -72,15 +79,30 @@ def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     if loss.target is not None and loss.target != target:
         raise NetworkError(f"{loss.target!r} is not the target {target!r}", "loss.target")
     inst.theta_star.check_against(net)
+    for eid, (w, b) in inst.theta_star.params.items():
+        if type(w) not in (Fraction, int) or type(b) not in (Fraction, int):
+            field, q = ("w", w) if type(w) not in (Fraction, int) else ("b", b)
+            raise _not_rational(q, f"theta.{eid}.{field}")
     for i, sample in enumerate(inst.dataset):
         for field, vector in (("x", sample.x), ("y", sample.label)):
-            if isinstance(vector, Mapping) and not vector.keys() <= net.vertex_map.keys():
+            if not isinstance(vector, Mapping):
+                if field == "y" and type(vector) not in (Fraction, int):
+                    raise _not_rational(vector, f"dataset[{i}].y")
+                continue
+            if not vector.keys() <= net.vertex_map.keys():
                 vid = min(vector.keys() - net.vertex_map.keys())
                 raise NetworkError(f"unknown vertex {vid!r}", f"dataset[{i}].{field}.{vid}")
+            if not {Fraction, int}.issuperset(map(type, vector.values())):
+                vid = min(v for v, q in vector.items() if type(q) not in (Fraction, int))
+                raise _not_rational(vector[vid], f"dataset[{i}].{field}.{vid}")
         try:
             check_label(loss, sample)
         except NetworkError as exc:
             raise NetworkError(str(exc), f"dataset[{i}].y") from None
+    try:
+        json.dumps(inst.provenance, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise NetworkError(f"provenance is not JSON-serialisable: {exc}", "provenance") from None
 
 
 def _check_gap(gap: tuple[int, int]) -> None:
@@ -268,7 +290,7 @@ def _aux_samples(
     plan = _Plan(net, theta_star)
 
     def x_at(vid: str, labels: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
-        return _as_fraction(pre.get(vid, 0) - plan.inflow(vid, labels))
+        return _as_fraction(pre.get(vid, 0) - _reduced(*plan.inflow(vid, labels)))
 
     base_x = _sparse({v.id: x_at(v.id, base_label, {}) for v in net.vertices})
 

@@ -1,11 +1,14 @@
 """The exact engine against a plain reference evaluator.
 
 ``forward``, ``loss_total`` and ``gradients`` run on a lowered, int-first
-plan of the network.  The reference below is the direct form: a walk
-over dicts of ``Fraction`` in topological order that adds every edge's
-``w * f_u + b`` one at a time, and the reverse-mode loop over the same
-dicts.  Seeded random DAGs compare every field of the results, their
-types, and the ``BitBudgetError`` fields at small caps.
+plan of the network that holds every sum as an unreduced (numerator,
+denominator) pair and reduces it only where its bits are checked.  The
+reference below is the direct form: a walk over dicts of ``Fraction`` in
+topological order that adds every edge's ``w * f_u + b`` one at a time,
+and the reverse-mode loop over the same dicts.  Seeded random DAGs
+compare every field of the results, their types, and the
+``BitBudgetError`` fields at small caps; nets shaped like the benchmark's
+piecewise-linear ones compare them on operands of thousands of bits.
 """
 
 import random
@@ -32,7 +35,7 @@ from bitnets.network import (
     sample_loss,
 )
 from bitnets.product_identity import RationalPoly, monomial
-from bitnets.pwl import BitBoundedActivation, leaky_relu, relu
+from bitnets.pwl import BitBoundedActivation, gd_step, leaky_relu, relu
 from bitnets.rationals import BitBudgetError
 
 # ---------------------------------------------------------------------------
@@ -291,3 +294,145 @@ class TestLossBudget:
        st.sampled_from(("square", "hinge")))
 def test_engine_matches_reference_property(rng, mode, kind):
     assert_engine_matches(*random_case(rng, mode, kind))
+
+
+# ---------------------------------------------------------------------------
+# sums held over a common denominator
+
+
+def bits(q):
+    return abs(q.numerator).bit_length() + q.denominator.bit_length()
+
+
+def around(*peaks):
+    """Each peak bit count and one less: the caps at which a check just
+    passes and just fails."""
+    return sorted({c for p in peaks for c in (p - 1, p)})
+
+
+def assert_engine_matches_at_peaks(net, theta, dataset, spec):
+    """Compare each call uncapped and at the caps around the reference's
+    peaks for that call, where its largest operands are checked; returns
+    the gradient peak."""
+    big = 1 << 30
+    loss_peaks, total = set(), Fraction(0)
+    for s in dataset:
+        trace = ref_forward(net, theta, s.x, big)
+        peaks = (trace.max_bits, max(map(bits, trace.preactivations.values())))
+        for cap in (*around(*peaks), big):
+            assert outcome(forward, net, theta, s.x, cap) == outcome(
+                ref_forward, net, theta, s.x, cap)
+        loss = sample_loss(net, spec, trace.values, s)
+        total += s.count * loss
+        loss_peaks |= {*peaks, bits(loss), bits(total)}
+    for cap in (*around(*loss_peaks), big):
+        assert outcome(loss_total, net, theta, dataset, spec, cap) == outcome(
+            ref_loss, net, theta, dataset, spec, cap)
+    report = ref_gradients(net, theta, dataset, spec, big)
+    for cap in (*around(report.max_bits, max(map(bits, report.bias_grad.values()))), big):
+        assert outcome(gradients, net, theta, dataset, spec, cap) == outcome(
+            ref_gradients, net, theta, dataset, spec, cap)
+    return report.max_bits
+
+
+PWL_ACTIVATIONS = (relu(), leaky_relu(Fraction(1, 10)), IdentityActivation())
+
+
+def layered_case(rng, width=4, depth=3, samples=4):
+    """A fully connected layered net of ReLU / leaky / identity vertices and
+    an identity target, with 64-bit numerators over {1, 3, 7, 11, 2**20}."""
+    def scalar():
+        return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.choice((1, 3, 7, 11, 1 << 20)))
+
+    prev = [f"s{i}" for i in range(width)]
+    vertices, edges = [Vertex(v, "source") for v in prev], []
+    for layer in range(1, depth + 2):
+        cur = [f"h{layer}_{i}" for i in range(width)] if layer <= depth else ["t"]
+        for v in cur:
+            if v == "t":
+                vertices.append(Vertex(v, "target", IdentityActivation()))
+            else:
+                vertices.append(Vertex(v, "hidden", rng.choice(PWL_ACTIVATIONS)))
+            edges += [Edge(f"{u}->{v}", u, v) for u in prev]
+        prev = cur
+    theta = Theta({e.id: (scalar(), scalar()) for e in edges})
+    dataset = tuple(Sample({f"s{i}": scalar() for i in range(width)}, scalar())
+                    for _ in range(samples))
+    return Network(vertices, edges), theta, dataset, LossSpec("square", target="t")
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pwl_shaped_nets_match_reference_along_two_steps(seed):
+    net, theta, dataset, spec = layered_case(random.Random(seed))
+    for step in range(3):
+        peak = assert_engine_matches_at_peaks(net, theta, dataset, spec)
+        if step < 2:
+            theta = gd_step(net, theta, dataset, spec, Fraction(1, 64)).theta
+    assert peak > 10_000  # theta_2 puts the checks on big operands
+
+
+def star(weights, biases, xs):
+    """Sources s0, s1, ... into one identity target t, one sample labelled 1."""
+    n = len(weights)
+    net = Network([*(Vertex(f"s{i}", "source") for i in range(n)),
+                   Vertex("t", "target", IdentityActivation())],
+                  [Edge(f"e{i}", f"s{i}", "t") for i in range(n)])
+    theta = Theta({f"e{i}": (Fraction(w), Fraction(b))
+                   for i, (w, b) in enumerate(zip(weights, biases))})
+    dataset = (Sample({f"s{i}": Fraction(x) for i, x in enumerate(xs)}, Fraction(1)),)
+    return net, theta, dataset, LossSpec("square", target="t")
+
+
+F = Fraction
+STARS = {
+    # name: (weights, biases, inputs, the preactivation of t)
+    "terms cancel to an integer": ((F(1, 2), F(1, 3)), (0, 0), (1, F(3, 2)), 1),
+    "terms cancel to zero": ((F(1, 2), F(-1, 3)), (0, 0), (1, F(3, 2)), 0),
+    "terms and biases cancel to zero": ((F(1, 6), F(1, 10)), (F(-1, 3), F(-1, 5)), (2, 2), 0),
+    "equal denominators":
+        ((F(1, 7), F(2, 7), F(3, 7)), (F(1, 7), 0, F(-3, 7)), (1, 1, 1), F(4, 7)),
+    "int tails under Fraction weights": ((F(5, 7), F(2, 3)), (0, 0), (3, -4), F(-11, 21)),
+    "int terms onto a Fraction bias": ((2, 3), (F(1, 2), 0), (5, 7), F(63, 2)),
+    "Fraction terms onto an int total": ((1, F(1, 3)), (0, 0), (4, F(1, 5)), F(61, 15)),
+}
+
+
+@pytest.mark.parametrize("name", STARS)
+def test_hand_sums_match_reference(name):
+    weights, biases, xs, pre = STARS[name]
+    case = star(weights, biases, xs)
+    trace = forward(*case[:2], case[2][0].x)
+    assert trace.preactivations["t"] == pre and type(trace.preactivations["t"]) is Fraction
+    assert trace.node_bits["t"] == bits(Fraction(pre))
+    assert_engine_matches(*case, caps=(1, 2, 3, 4, 5, 6, 8, 12, 1 << 20))
+
+
+def test_an_adjoint_that_cancels_to_zero_skips_its_vertex():
+    # t = a/3 - b/3 and a = b = 3u/4: u's adjoint is 3/4 * (1/3 - 1/3) * delta_t
+    net = Network([Vertex("s", "source"), Vertex("u", "hidden", IdentityActivation()),
+                   Vertex("a", "hidden", IdentityActivation()),
+                   Vertex("b", "hidden", IdentityActivation()),
+                   Vertex("t", "target", IdentityActivation())],
+                  [Edge("su", "s", "u"), Edge("ua", "u", "a"), Edge("ub", "u", "b"),
+                   Edge("at", "a", "t"), Edge("bt", "b", "t")])
+    zero = Fraction(0)
+    theta = Theta({"su": (Fraction(1, 3), zero), "ua": (Fraction(3, 4), zero),
+                   "ub": (Fraction(3, 4), zero), "at": (Fraction(1, 3), zero),
+                   "bt": (Fraction(-1, 3), zero)})
+    case = (net, theta, (Sample({"s": Fraction(5)}, Fraction(1)),), LossSpec("square", "t"))
+    report = gradients(*case)
+    # forward 4 + 4 + 4 + 7, the seed 1, then t, a and b (2 + 6 per in-edge); u is skipped
+    assert report.ops == 19 + 1 + 14 + 8 + 8
+    assert report.weight_grad["su"] == 0 and report.bias_grad["su"] == 0
+    assert_engine_matches(*case, caps=(1, 2, 3, 4, 5, 6, 1 << 20))
+
+
+def test_gradient_accumulators_are_checked_once_after_cancelling_across_samples():
+    # sample 0 adds 2**10 * 3 * 3 to the weight gradient (14 bits) and
+    # 2**10 * 3 to the bias gradient; sample 1 takes both back to 0
+    net, theta, _, spec = one_edge(3, 1, 0, 1 << 10)
+    dataset = (Sample({"s": Fraction(3)}, Fraction(0), count=1 << 10),
+               Sample({"s": Fraction(3)}, Fraction(6), count=1 << 10))
+    report = gradients(net, theta, dataset, spec, 4)
+    assert report.weight_grad == {"s->h": 0} and report.bias_grad == {"s->h": 0}
+    assert_engine_matches(net, theta, dataset, spec, caps=(1, 2, 3, 4, 13, 14))

@@ -705,6 +705,59 @@ class TestLibraryOwnsTheRules:
         assert "$." + self.PLACED_BY_THE_PARSER.get(name, "") + err.value.where == path
         assert message in str(err.value)
 
+    EDGE = min(ERM.theta_star.params)
+    MAIN = next(i for i, s in enumerate(ERM.dataset) if s.flag == 1)
+    VALUE_FAULTS = {
+        # name: (the instance built with the value, the value in its file)
+        "weight as float": (
+            lambda e=EDGE: dataclasses.replace(ERM, theta_star=with_params(
+                ERM.theta_star, lambda p: p.update({e: (0.5, p[e][1])}))),
+            lambda doc, e=EDGE: doc["theta"][e].update(w=0.5)),
+        "bias as bool": (
+            lambda e=EDGE: dataclasses.replace(ERM, theta_star=with_params(
+                ERM.theta_star, lambda p: p.update({e: (p[e][0], True)}))),
+            lambda doc, e=EDGE: doc["theta"][e].update(b=True)),
+        "input as float": (
+            lambda: with_first_sample(ERM, x={**FIRST.x, min(FIRST.x): 0.5}),
+            lambda doc: doc["dataset"][0]["x"].update({min(FIRST.x): 0.5})),
+        "vector label as float": (
+            lambda: with_first_sample(ERM, label={**FIRST.label, min(FIRST.x): 0.5}),
+            lambda doc: doc["dataset"][0]["y"].update({min(FIRST.x): 0.5})),
+        "scalar label as float": (
+            lambda i=MAIN: dataclasses.replace(ERM, dataset=tuple(
+                dataclasses.replace(s, label=0.5) if k == i else s
+                for k, s in enumerate(ERM.dataset))),
+            lambda doc, i=MAIN: doc["dataset"][i].update(y=0.5)),
+    }
+
+    @pytest.mark.parametrize("name", VALUE_FAULTS)
+    def test_a_value_the_writer_cannot_write_is_refused(self, name):
+        # each used to build, and serialize_instance then died with an AttributeError
+        build, mutate = self.VALUE_FAULTS[name]
+        got = "bool" if "bool" in name else "float"
+        message = f"^expected an int or a Fraction, got {got}$"
+        with pytest.raises(NetworkError, match=message) as err:
+            build()
+        doc = copy.deepcopy(BASE_DOCS[0])
+        mutate(doc)
+        with pytest.raises(SchemaError) as parsed:
+            parse_instance(canonical_bytes(doc))
+        assert "$." + err.value.where == parsed.value.path
+
+    @pytest.mark.parametrize("inst", [ERM, BIT], ids=["erm", "backprop"])
+    def test_a_provenance_the_writer_cannot_write_is_refused(self, inst):
+        # it used to build, and serialize_instance then died with a TypeError
+        with pytest.raises(NetworkError, match="^provenance is not JSON-serialisable") as err:
+            dataclasses.replace(inst, provenance={"k": Fraction(1, 2)})
+        assert err.value.where == "provenance"
+
+    def test_int_values_build_and_round_trip(self):
+        ints = dataclasses.replace(ERM, theta_star=Theta(
+            {e: (int(w), int(b)) if w.denominator == b.denominator == 1 else (w, b)
+             for e, (w, b) in ERM.theta_star.params.items()}))
+        assert any(type(w) is int for w, _ in ints.theta_star.params.values())
+        assert parse_instance(serialize_instance(ints)) == ERM
+
 
 class TestBuiltInstancesAreWellFormed:
     """Objects the parser would refuse cannot be built in the first place."""
