@@ -27,7 +27,8 @@ adjoint, on the gradient accumulators after the last sample, and on
 each main sample's loss and the running loss total.  A sum is held as
 an unreduced (numerator, denominator) pair over the lcm of its terms'
 denominators and reduced only at the check that reads it, so every
-value and bit count is the reduced one.  A plan never outlives the call.
+value and bit count is the reduced one.  A plan never outlives the call;
+the certificate's index below does, on the instance.
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
 and the instance writer ask it for ``lower()``, ``step_family``,
@@ -46,6 +47,19 @@ compiled instance, O(|E|·mu) exact arithmetic for all of them rather
 than O(|samples|·|E|).  A sample that fails its local check gets a full
 forward pass, which keeps verdicts and bit-budget errors exactly those
 of the full passes.
+
+Which vertices a sample checks depends on the dataset and the network,
+not on theta, so the certificate's index (``_aux_index``) lists them
+once, against the first auxiliary sample with a vector label: for each
+sample, the vertices where x or y differs from that sample's and the
+heads of the relabelled ones.  When the reference's own list is empty
+(it is that sample, or equals it), a sample checks its own list;
+otherwise it checks the union of its list and the reference's, a
+superset of the vertices where it differs from the reference whose
+extra vertices share the reference's passing local equation.  ``loss_total`` builds the index
+per call.  ``reductions.ErmInstance`` builds it on first use and keeps
+it for every later theta, which relies on the rule that an instance
+and its samples are not changed after they are built.
 """
 
 from __future__ import annotations
@@ -279,13 +293,20 @@ class Theta:
         return Theta(updated)
 
     def check_against(self, net: Network) -> None:
-        """Require one (weight, bias) pair per edge of ``net``; a fault is at ``theta``."""
+        """Require one (weight, bias) tuple per edge of ``net``; a missing or
+        unknown edge is at ``theta``, an entry that is not a pair at
+        ``theta.<edge id>``."""
         missing = [e.id for e in net.edges if e.id not in self.params]
         if missing:
             raise NetworkError(f"missing parameters for edges {missing}", "theta")
         if len(self.params) != len(net.edges):
             extra = sorted(self.params.keys() - net.edge_map.keys())
             raise NetworkError(f"parameters for unknown edges {extra}", "theta")
+        for eid, pair in self.params.items():
+            if type(pair) is not tuple or len(pair) != 2:
+                raise NetworkError(
+                    f"parameters of edge {eid!r} must be a (weight, bias) pair", f"theta.{eid}"
+                )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theta) and dict(self.params) == dict(other.params)
@@ -298,6 +319,8 @@ class Sample:
     ``label`` is a scalar for square/hinge main samples and a sparse
     vector (vertex id -> value, zeros omitted) for equality-checked
     samples.  ``flag`` 1 marks a main sample, 0 an auxiliary one.
+    ``x`` is a mapping; neither it nor a vector label is changed after
+    the sample is built (an ``ErmInstance`` keeps an index of them).
     """
 
     x: Mapping[str, Fraction]
@@ -307,6 +330,8 @@ class Sample:
     note: str = ""
 
     def __post_init__(self) -> None:
+        if not isinstance(self.x, Mapping):
+            raise NetworkError(f"x must map vertex ids to values, got {type(self.x).__name__}", "x")
         if type(self.flag) is not int or self.flag not in (0, 1):
             raise NetworkError(f"flag must be 0 or 1, got {self.flag!r}", "flag")
         if type(self.count) is not int or self.count < 1:
@@ -545,40 +570,68 @@ def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]
     return out
 
 
+def _aux_index(net: Network, dataset: Sequence[Sample]) -> tuple[tuple[str, ...] | None, ...]:
+    """The certificate's index of ``dataset``, by position: the vertices, in
+    topological order, where an auxiliary sample's local equations can
+    differ from those of the first auxiliary sample with a vector label.
+    Those are the vertices where x or the label differs from that sample's,
+    and the heads of the relabelled ones.  Main samples and samples with a
+    scalar label get None.  It depends on neither theta nor the bit budget."""
+    rank = {vid: k for k, vid in enumerate(net.topo_order)}
+    first: Sample | None = None
+    index: list[tuple[str, ...] | None] = []
+    for sample in dataset:
+        y = sample.label
+        if sample.flag != 0 or not isinstance(y, Mapping):
+            index.append(None)
+            continue
+        if first is None:
+            first = sample
+        relabelled = _differing(y, first.label)
+        stale = _differing(sample.x, first.x) | relabelled
+        stale = stale.union(*(net.heads[u] for u in relabelled if u in rank))
+        index.append(tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__)))
+    return tuple(index)
+
+
 def _aux_verdicts(
-    net: Network, spec: LossSpec, dataset: Sequence[Sample], plan: _Plan, max_bits: int
+    net: Network,
+    spec: LossSpec,
+    dataset: Sequence[Sample],
+    plan: _Plan,
+    max_bits: int,
+    index: Sequence[tuple[str, ...] | None],
 ) -> Iterator[tuple[Sample, bool | None]]:
     """Yield every sample in dataset order with whether it reproduces its
     label vector under the plan's theta, by the certificate of the module
-    docstring; main samples yield None and are not evaluated.  A sample
-    whose label is not a vector gets a full forward pass, so its error is
-    that of a full pass too.
+    docstring, ``index`` being ``_aux_index(net, dataset)``; main samples
+    yield None and are not evaluated.  A sample whose label is not a vector
+    gets a full forward pass, so its error is that of a full pass too.
     """
-    ref: Sample | None = None
-    position: dict[str, int] = {}
-
-    def passes_local(sample: Sample) -> bool:
-        x, y = sample.x, sample.label
-        relabelled = _differing(y, ref.label)
-        stale = _differing(x, ref.x) | relabelled
-        stale = stale.union(*(net.heads[u] for u in relabelled if u in position))
-        for vid in sorted((v for v in stale if v in position), key=position.__getitem__):
-            if plan.settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
-                return False
-        return True
-
-    for sample in dataset:
+    settle = plan.settle
+    ref: set[str] | None = None  # the reference's index entry
+    rank: dict[str, int] = {}
+    for sample, stale in zip(dataset, index):
         if sample.flag != 0:
             yield sample, None
-        elif ref is not None and isinstance(sample.label, Mapping) and passes_local(sample):
-            yield sample, True
-        else:
-            values = plan.run(sample.x, max_bits)[0]
-            ok = sample_loss(net, spec, values, sample) == 0
-            if ok and ref is None:
-                ref = sample
-                position = {vid: i for i, vid in enumerate(plan.order)}
-            yield sample, ok
+            continue
+        if ref is not None and stale is not None:
+            if ref:
+                stale = sorted(ref.union(stale), key=rank.__getitem__)
+            x, y = sample.x, sample.label
+            for vid in stale:
+                if settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
+                    break
+            else:
+                yield sample, True
+                continue
+        values = plan.run(sample.x, max_bits)[0]
+        ok = sample_loss(net, spec, values, sample) == 0
+        if ok and ref is None:
+            ref = set(stale)
+            if ref:
+                rank = {vid: k for k, vid in enumerate(plan.order)}
+        yield sample, ok
 
 
 def loss_total(
@@ -597,11 +650,24 @@ def loss_total(
     auxiliary samples, mu being sigma's degree.  The total and any
     bit-budget error are those of one full forward pass per sample.
     Each main sample's one-copy loss, and the running total after each
-    addition to it, are checked against ``max_bits``.
+    addition to it, are checked against ``max_bits``.  The certificate's
+    index is built for this call.
     """
+    return _loss_total(net, theta, dataset, spec, max_bits, _aux_index(net, dataset))
+
+
+def _loss_total(
+    net: Network,
+    theta: Theta,
+    dataset: Sequence[Sample],
+    spec: LossSpec,
+    max_bits: int,
+    index: Sequence[tuple[str, ...] | None],
+) -> Fraction:
+    """``loss_total`` with the certificate's index of ``dataset`` given."""
     plan = _Plan(net, theta)
     total = Fraction(0)
-    for i, (sample, ok) in enumerate(_aux_verdicts(net, spec, dataset, plan, max_bits)):
+    for i, (sample, ok) in enumerate(_aux_verdicts(net, spec, dataset, plan, max_bits, index)):
         if ok is None:
             values = plan.run(sample.x, max_bits)[0]
             loss = sample_loss(net, spec, values, sample)

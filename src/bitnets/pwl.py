@@ -30,10 +30,11 @@ from .network import (
     NetworkError,
     Sample,
     Theta,
+    _loss_total,
     gradients,
-    loss_total,
 )
 from .rationals import DEFAULT_MAX_BITS, format_rational, round_to_dyadic
+from .reductions import _index_of
 
 
 @dataclass(frozen=True)
@@ -231,7 +232,8 @@ def verify_witness(
     The witness encoding length is the byte length of the canonical
     serialized theta, counted from digit counts without rendering it; it
     must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
-    length.  Within the bound, the exact total loss is compared against
+    length.  Within the bound, the exact total loss (``loss_total``, with
+    an ``ErmInstance``'s kept certificate index) is compared against
     gamma.  Always returns a three-way verdict.
     """
     from .instances import instance_size, theta_size
@@ -241,7 +243,7 @@ def verify_witness(
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    loss = loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits)
+    loss = _loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits, _index_of(inst))
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

@@ -19,7 +19,9 @@ and gradient (backprop sign / bit) instances, which append one free
 distinguished edge to a fresh target and have no forcing samples.
 
 Auxiliary samples are scored by the local-equation certificate of
-:mod:`bitnets.network`, inside ``loss_total``.
+:mod:`bitnets.network`, inside ``loss_total``.  An ``ErmInstance`` keeps
+the certificate's index, so checking one instance at many theta builds
+it once.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import json
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .network import (
     Edge,
@@ -43,12 +46,13 @@ from .network import (
     Theta,
     Vertex,
     _as_fraction,
+    _aux_index,
     _aux_verdicts,
+    _loss_total,
     _Plan,
     _reduced,
     check_label,
     gradients,
-    loss_total,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
@@ -85,8 +89,8 @@ def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
             raise _not_rational(q, f"theta.{eid}.{field}")
     for i, sample in enumerate(inst.dataset):
         for field, vector in (("x", sample.x), ("y", sample.label)):
-            if not isinstance(vector, Mapping):
-                if field == "y" and type(vector) not in (Fraction, int):
+            if not isinstance(vector, Mapping):  # a scalar label; a Sample's x is a mapping
+                if type(vector) not in (Fraction, int):
                     raise _not_rational(vector, f"dataset[{i}].y")
                 continue
             if not vector.keys() <= net.vertex_map.keys():
@@ -137,7 +141,13 @@ def _check_query(variant: str, promise: int | None, bit_index: int | None) -> No
 @dataclass(frozen=True)
 class ErmInstance:
     """Promise gap (a, b): is the optimum loss at most a or at least b?
-    Construction checks the instance rules and the gap (``NetworkError``)."""
+    Construction checks the instance rules and the gap (``NetworkError``).
+
+    An instance is not changed after it is built, nor are its samples'
+    vectors: the checks above hold only for the fields they saw, and the
+    certificate's index is built from the dataset on first use and kept.
+    ``dataclasses.replace`` makes a new instance with its own index.
+    """
 
     network: Network
     theta_star: Theta
@@ -149,6 +159,18 @@ class ErmInstance:
     def __post_init__(self) -> None:
         _check_instance(self)
         _check_gap(self.gap)
+
+    @cached_property
+    def _index(self) -> tuple:
+        return _aux_index(self.network, self.dataset)
+
+
+def _index_of(inst) -> tuple:
+    """The certificate's index of ``inst``: kept on an ``ErmInstance``, built
+    for this call on any other object, whose fields may have been swapped."""
+    if isinstance(inst, ErmInstance):
+        return inst._index
+    return _aux_index(inst.network, inst.dataset)
 
 
 @dataclass(frozen=True)
@@ -213,6 +235,7 @@ class _CircuitBuilder:
         mu = self.sigma.degree
         lam_prime = self.lam.integer_lambdas
         inv_d = Fraction(1, self.lam.common_denominator)
+        sigma_act = PolyActivation(self.sigma)  # one object, so a plan lowers sigma once
         gate_vertex = [self.vertex("v0", ROLE_SOURCE, None)]
         for i, g in enumerate(p.gates, start=1):
             vid = f"v{i}"
@@ -224,7 +247,6 @@ class _CircuitBuilder:
                 self.edge(vk, vid, Fraction(1) if g.op == "add" else Fraction(-1), Fraction(0))
             else:
                 zid = self.vertex(f"z{i}", ROLE_HIDDEN, _IDENTITY)
-                sigma_act = PolyActivation(self.sigma)
                 for r in range(mu + 1):
                     l1 = self.vertex(f"L1_{i}_{r}", ROLE_HIDDEN, _IDENTITY)
                     l2 = self.vertex(f"L2_{i}_{r}", ROLE_HIDDEN, _IDENTITY)
@@ -276,16 +298,10 @@ def _aux_samples(
     sample after the baseline changes y and pre at one edge's tail and
     head only, so its x differs from the baseline's at those two
     vertices and their heads, and only those are recomputed."""
-    mu = sigma.degree
-    sigma_zero = sigma.evaluate(Fraction(0))
+    sigma_at = [sigma.evaluate(Fraction(tau)) for tau in range(sigma.degree + 1)]
     sigma_alpha1 = sigma.evaluate(Fraction(alpha1))
-
-    def is_sigma(vid: str) -> bool:
-        return isinstance(net.vertex_map[vid].activation, PolyActivation)
-
-    base_y = {
-        v.id: sigma_zero if is_sigma(v.id) else Fraction(0) for v in net.vertices
-    }
+    is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
+    base_y = {vid: sigma_at[0] if s else Fraction(0) for vid, s in is_sigma.items()}
     base_label = _sparse(base_y)
     plan = _Plan(net, theta_star)
 
@@ -307,21 +323,21 @@ def _aux_samples(
 
     samples = [make({}, {}, "baseline")]
     for e in net.edges:
-        if is_sigma(e.head):
+        if is_sigma[e.head]:
             # sigma-edge: pin sigma(w z + b) == sigma(z) at mu+1 points
-            for tau in range(mu + 1):
-                y = {e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
+            for tau, sigma_tau in enumerate(sigma_at):
+                y = {e.tail: Fraction(tau), e.head: sigma_tau}
                 pre = {e.tail: tau, e.head: tau}
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
             # identity-head edge: pin the edge weight (and bias sums)
-            bump = sigma_alpha1 if is_sigma(e.tail) else Fraction(1)
+            bump = sigma_alpha1 if is_sigma[e.tail] else Fraction(1)
             y = {
                 e.tail: bump,
                 e.head: theta_star.weight(e.id) * (bump - base_y[e.tail]),
             }
             pre = {
-                e.tail: Fraction(alpha1) if is_sigma(e.tail) else bump,
+                e.tail: Fraction(alpha1) if is_sigma[e.tail] else bump,
                 e.head: y[e.head],
             }
             samples.append(make(y, pre, f"id-edge {e.id}"))
@@ -405,7 +421,8 @@ def check_zero_aux_loss(
     sample in dataset order.
     """
     net = inst.network
-    for sample, ok in _aux_verdicts(net, inst.loss, inst.dataset, _Plan(net, theta), max_bits):
+    plan = _Plan(net, theta)
+    for sample, ok in _aux_verdicts(net, inst.loss, inst.dataset, plan, max_bits, _index_of(inst)):
         if ok is False:
             return False, sample
     return True, None
@@ -414,7 +431,9 @@ def check_zero_aux_loss(
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """YES (True) iff the instance's total loss at theta*, ``loss_total``,
     is at most gap[0]."""
-    total = loss_total(inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits)
+    total = _loss_total(
+        inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits, _index_of(inst)
+    )
     return total <= inst.gap[0]
 
 

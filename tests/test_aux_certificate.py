@@ -177,6 +177,44 @@ def assert_same_loss(inst, theta, max_bits=1 << 20):
     assert outcome(witness) == expected
 
 
+def assert_sweep(inst, thetas, caps=(1 << 20,)):
+    """``check_zero_aux_loss``, ``loss_total`` and ``verify_witness`` on one
+    object at every theta and cap, twice, with ``decide_at_theta_star`` on it
+    in between, against the reference: every call after the first reads the
+    certificate index the instance keeps.  ``thetas[0]`` is theta*."""
+    gamma = Fraction(inst.gap[0])
+    cases = [(theta, cap) for theta in thetas for cap in caps]
+    expected = [
+        (outcome(ref_check, inst, theta, cap), outcome(ref_loss, inst, theta, cap))
+        for theta, cap in cases
+    ]
+    decided = {cap: ("ok", loss[1] <= gamma) if loss[0] == "ok" else loss
+               for (theta, cap), (_, loss) in zip(cases, expected) if theta is thetas[0]}
+    for _ in range(2):
+        for (theta, cap), (check, loss) in zip(cases, expected):
+            assert outcome(check_zero_aux_loss, inst, theta, cap) == check
+            assert outcome(decide_at_theta_star, inst, cap) == decided[cap]
+            assert outcome(loss_total, inst.network, theta, inst.dataset, inst.loss, cap) == loss
+
+            def witness():
+                verdict = verify_witness(inst, theta, gamma, (4, 2), cap)
+                return verdict.verdict, verdict.loss
+
+            if loss[0] == "ok":
+                loss = ("ok", (ACCEPT if loss[1] <= gamma else REJECT_LOSS, loss[1]))
+            assert outcome(witness) == loss
+
+
+def single_shifts(rng, inst, n_edges):
+    """theta* and, on ``n_edges`` random edges, one weight and one bias shift."""
+    theta = inst.theta_star
+    return [theta] + [
+        shifted(theta, eid, coord, rng.choice(DELTAS))
+        for eid in rng.sample([e.id for e in inst.network.edges], n_edges)
+        for coord in ("weight", "bias")
+    ]
+
+
 def shifted(theta, eid, coord, delta):
     w, b = theta.params[eid]
     return theta.with_param(eid, **{coord: (b if coord == "bias" else w) + delta})
@@ -214,10 +252,7 @@ class TestVerdicts:
         rng = random.Random(61)
         for _ in range(12):
             inst = compiled(rng)
-            assert_same(inst, inst.theta_star)
-            for eid in rng.sample([e.id for e in inst.network.edges], 4):
-                for coord in ("weight", "bias"):
-                    assert_same(inst, shifted(inst.theta_star, eid, coord, rng.choice(DELTAS)))
+            assert_sweep(inst, single_shifts(rng, inst, 4))
 
     def test_parsed_copy_agrees_with_compiled(self):
         """A file round trip shares equal values by identity instead of by
@@ -240,19 +275,13 @@ class TestVerdicts:
                     ) == outcome(
                         decide_at_theta_star, dataclasses.replace(b, theta_star=theta_b), cap
                     )
+            assert_sweep(parsed, [theta for c, theta in copies if c is parsed], (5, 1 << 20))
 
     def test_bit_budget_errors_at_small_caps(self):
         rng = random.Random(62)
         for _ in range(8):
             inst = compiled(rng, n_max=5)
-            edges = [e.id for e in inst.network.edges]
-            thetas = [inst.theta_star] + [
-                shifted(inst.theta_star, rng.choice(edges), coord, rng.choice(DELTAS))
-                for coord in ("weight", "bias")
-            ]
-            for theta in thetas:
-                for cap in (2, 3, 5, 16):
-                    assert_same(inst, theta, cap)
+            assert_sweep(inst, single_shifts(rng, inst, 2), (2, 3, 5, 16))
 
     def test_reordered_aux_samples(self):
         rng = random.Random(63)
@@ -263,10 +292,16 @@ class TestVerdicts:
             main = [s for s in inst.dataset if s.flag == 1]
             dataset = main + aux if rng.random() < 0.5 else aux + main
             shuffled = dataclasses.replace(inst, dataset=tuple(dataset))
-            assert_same(shuffled, shuffled.theta_star)
-            for eid in rng.sample([e.id for e in inst.network.edges], 3):
-                assert_same(shuffled, shifted(inst.theta_star, eid, "weight", Fraction(1, 2)))
-                assert_same(shuffled, shifted(inst.theta_star, eid, "bias", Fraction(-1)), 16)
+            # shifting the weight out of a vertex that the first auxiliary
+            # sample labels non-zero fails that sample, so the reference is
+            # a later one
+            eids = rng.sample([e.id for e in inst.network.edges], 2) + [
+                e.id for e in inst.network.edges if aux[0].label.get(e.tail, 0) != 0][:1]
+            thetas = [shuffled.theta_star]
+            for eid in eids:
+                thetas.append(shifted(inst.theta_star, eid, "weight", Fraction(1, 2)))
+                thetas.append(shifted(inst.theta_star, eid, "bias", Fraction(-1)))
+            assert_sweep(shuffled, thetas, (2, 3, 5, 16, 1 << 20))
 
     def test_first_aux_sample_fails(self):
         # s -> h (w = 2, identity); the first auxiliary label is wrong, so
@@ -284,11 +319,19 @@ class TestVerdicts:
         inst = ErmInstance(net, theta, dataset, LossSpec("square", target="h"), (9, 10), {})
         ok, violated = check_zero_aux_loss(inst, theta)
         assert not ok and violated.note == "wrong"
-        assert_same(inst, theta)
-        assert_same(inst, theta.with_param("s->h", bias=Fraction(2)))
+        thetas = [theta, theta.with_param("s->h", bias=Fraction(2)),
+                  theta.with_param("s->h", weight=Fraction(1))]
+        assert_sweep(inst, thetas, (2, 3, 5, 16, 1 << 20))
         # loss: 2 + 7 for the wrong samples, (4 - 4)^2 / 2 for the main one
         assert decide_at_theta_star(inst) is True
         assert decide_at_theta_star(dataclasses.replace(inst, gap=(8, 9))) is False
+        # a copy of the first sample after the reference equals it at every
+        # vertex, so only the reference's own list shows it is wrong
+        again = dataclasses.replace(dataset[0], count=11, note="wrong again")
+        repeated = dataclasses.replace(inst, dataset=dataset + (again,), gap=(19, 20))
+        assert loss_total(net, theta, repeated.dataset, repeated.loss) == 20
+        assert decide_at_theta_star(repeated) is False
+        assert_sweep(repeated, thetas, (2, 3, 5, 16, 1 << 20))
 
     def test_budget_error_at_first_vertex_in_topological_order(self):
         # ids sort as a < s < z, evaluation order is s, z, a; the second
@@ -309,9 +352,9 @@ class TestVerdicts:
 
 class TestLossTotal:
     def test_loss_and_witness_match_dense_reference(self):
-        """``loss_total`` and ``verify_witness`` on compiled and parsed copies,
-        at theta* and single-coordinate shifts, equal the dense totals,
-        bit-budget errors included."""
+        """``loss_total``, ``verify_witness`` and the checks on compiled and
+        parsed copies, at theta* and single-coordinate shifts, equal the dense
+        totals, bit-budget errors included."""
         rng = random.Random(65)
         for _ in range(5):
             inst = compiled(rng)
@@ -320,9 +363,7 @@ class TestLossTotal:
                        rng.choice(("weight", "bias")), delta) for delta in DELTAS]
             for copy in (inst, parsed):
                 thetas = [copy.theta_star] + [shifted(copy.theta_star, *s) for s in shifts]
-                for theta in thetas:
-                    for cap in (2, 3, 5, 16, 1 << 20):
-                        assert_same_loss(copy, theta, cap)
+                assert_sweep(copy, thetas, (2, 3, 5, 16, 1 << 20))
 
     def test_relabelled_tail_checks_its_heads(self):
         # s -> h with w = 1: the second sample relabels s but keeps x and y
@@ -371,6 +412,7 @@ class TestScalarAuxLabel:
     @pytest.fixture
     def raw(self):
         inst = compile_erm(parse_slp("const 1\nadd 0 0\n"), SIGMAS[0], 0)
+        assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)  # keeps an index
         data = list(inst.dataset)
         data[1] = dataclasses.replace(data[1], label=Fraction(0))
         return SimpleNamespace(**{**vars(inst), "dataset": tuple(data)})
@@ -380,6 +422,27 @@ class TestScalarAuxLabel:
         assert outcome(check_zero_aux_loss, raw, raw.theta_star) == expected
         assert outcome(loss_total, raw.network, raw.theta_star, raw.dataset, raw.loss) == expected
         assert outcome(ref_decide, raw) == expected
+
+    def test_namespace_copy_is_judged_on_its_own_dataset(self):
+        # the copy carries the original's kept index in its fields; it
+        # relabels the target in a sample that agrees with the baseline
+        # there and at the target's tails, so no index of the original
+        # lists the target for that sample
+        inst = compile_erm(parse_slp("const 1\nmul 0 0\nadd 1 0\n"), SIGMAS[0], 0)
+        assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+        target, base = inst.network.targets[0], inst.dataset[0]
+        near = {target} | {e.tail for e in inst.network.in_edges[target]}
+        k = next(i for i, s in enumerate(inst.dataset) if s.flag == 0 and all(
+            s.x.get(v, 0) == base.x.get(v, 0) and s.label.get(v, 0) == base.label.get(v, 0)
+            for v in near) and s is not base)
+        label = dict(inst.dataset[k].label)
+        label[target] = label.get(target, 0) + 1
+        data = list(inst.dataset)
+        data[k] = dataclasses.replace(data[k], label=label)
+        copy = SimpleNamespace(**{**vars(inst), "dataset": tuple(data)})
+        assert_sweep(copy, single_shifts(random.Random(67), inst, 2))
+        assert check_zero_aux_loss(copy, inst.theta_star) == (False, data[k])
+        assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
 
     def test_parse_rejects_with_path(self, raw):
         with pytest.raises(SchemaError) as err:

@@ -32,6 +32,7 @@ from bitnets.network import (
     Sample,
     Theta,
     Vertex,
+    forward,
 )
 from bitnets.product_identity import monomial
 from bitnets.pwl import leaky_relu, relu
@@ -750,6 +751,36 @@ class TestLibraryOwnsTheRules:
         with pytest.raises(NetworkError, match="^provenance is not JSON-serialisable") as err:
             dataclasses.replace(inst, provenance={"k": Fraction(1, 2)})
         assert err.value.where == "provenance"
+
+    def test_an_input_that_is_not_a_vector_is_refused(self):
+        # it used to build, and serialize_instance then died with an AttributeError
+        with pytest.raises(NetworkError, match="^x must map vertex ids to values, got Fraction$") \
+                as err:
+            with_first_sample(ERM, x=Fraction(1))
+        doc = copy.deepcopy(BASE_DOCS[0])
+        doc["dataset"][0]["x"] = "1"
+        with pytest.raises(SchemaError) as parsed:
+            parse_instance(canonical_bytes(doc))
+        assert "$.dataset[0]." + err.value.where == parsed.value.path
+
+    @pytest.mark.parametrize("entry", [(Fraction(1),), Fraction(1), [Fraction(1), Fraction(0)]],
+                             ids=["one value", "a rational", "a list"])
+    def test_a_theta_entry_that_is_not_a_pair_is_refused(self, entry):
+        # ErmInstance and forward used to raise a bare ValueError or TypeError on the
+        # first two; the list built, and its file parsed back to a Theta unequal to it
+        e = self.EDGE
+        theta = with_params(ERM.theta_star, lambda p: p.update({e: entry}))
+        message = f"^parameters of edge '{e}' must be a \\(weight, bias\\) pair$"
+        for build in (lambda: dataclasses.replace(ERM, theta_star=theta),
+                      lambda: forward(ERM.network, theta, FIRST.x)):
+            with pytest.raises(NetworkError, match=message) as err:
+                build()
+            assert err.value.where == f"theta.{e}"
+        doc = copy.deepcopy(BASE_DOCS[0])
+        doc["theta"][e] = "1"
+        with pytest.raises(SchemaError) as parsed:
+            parse_instance(canonical_bytes(doc))
+        assert "$." + err.value.where == parsed.value.path
 
     def test_int_values_build_and_round_trip(self):
         ints = dataclasses.replace(ERM, theta_star=Theta(
