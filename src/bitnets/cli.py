@@ -284,10 +284,20 @@ def cmd_bench_depth_growth(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_max_bits(parser) -> None:
     parser.add_argument(
-        "--max-bits", type=int, default=DEFAULT_MAX_BITS,
-        help="bit-length budget for intermediate values",
+        "--max-bits", type=_positive_int, default=DEFAULT_MAX_BITS,
+        help="bit-length budget for intermediate values (a positive integer)",
     )
 
 

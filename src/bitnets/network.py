@@ -21,14 +21,22 @@ and its activation's ``lower()``.  ``forward``, ``loss_total`` and
 ``act_v(x_v + b_v + sum of w * y_u)`` and its inverse.  Inside the
 engine a scalar is an ``int`` while it is integral and a ``Fraction``
 only once a denominator appears; results leave it as ``Fraction``.
-Bits are checked with :func:`bitnets.rationals.check_bits` on each
+Bits are checked with :func:`bitnets.rationals.check_bits` (a vertex
+counts an ``int``'s inline, raising the same ``BitBudgetError``) on each
 vertex's reduced preactivation and value, on every backpropagated
 adjoint, on the gradient accumulators after the last sample, and on
 each main sample's loss and the running loss total.  A sum is held as
 an unreduced (numerator, denominator) pair over the lcm of its terms'
 denominators and reduced only at the check that reads it, so every
-value and bit count is the reduced one.  A plan never outlives the call;
-the certificate's index below does, on the instance.
+value and bit count is the reduced one.
+
+A plan lives for its call, except that ``reductions.ErmInstance`` keeps
+its theta* plan: a plan of another theta built against it takes the
+kept entry of every vertex whose in-edge (weight, bias) pairs are the
+very tuple objects the kept plan lowered, and lowers the others again,
+so a one-edge shift lowers one vertex.  Matching by identity, not
+value, needs no comparison of rationals and still holds if theta*'s
+parameters are replaced.
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
 and the instance writer ask it for ``lower()``, ``step_family``,
@@ -56,10 +64,13 @@ heads of the relabelled ones.  When the reference's own list is empty
 (it is that sample, or equals it), a sample checks its own list;
 otherwise it checks the union of its list and the reference's, a
 superset of the vertices where it differs from the reference whose
-extra vertices share the reference's passing local equation.  ``loss_total`` builds the index
-per call.  ``reductions.ErmInstance`` builds it on first use and keeps
-it for every later theta, which relies on the rule that an instance
-and its samples are not changed after they are built.
+extra vertices share the reference's passing local equation.  The index
+also holds each such sample's x and label in engine form, so the checks
+compare ``int`` with ``int``; the samples are not touched.
+``loss_total`` builds the index per call.  ``reductions.ErmInstance``
+builds it on first use and keeps it for every later theta, which relies
+on the rule that an instance and its samples are not changed after they
+are built.
 """
 
 from __future__ import annotations
@@ -71,7 +82,14 @@ from functools import cached_property
 from math import gcd
 
 from .product_identity import RationalPoly
-from .rationals import DEFAULT_MAX_BITS, bit_extract, check_bits, format_rational
+from .rationals import (
+    DEFAULT_MAX_BITS,
+    BitBudgetError,
+    bit_extract,
+    bit_length,
+    check_bits,
+    format_rational,
+)
 
 ROLE_SOURCE = "source"
 ROLE_HIDDEN = "hidden"
@@ -417,7 +435,7 @@ def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
 
 
 class _Plan:
-    """``(net, theta)`` lowered for one call of the exact engine.
+    """``(net, theta)`` lowered for the exact engine.
 
     ``node[vid]`` is ``(ins, bias, act, slope, pre_where, where)``: the
     in-edges as (tail, edge id, weight numerator, weight denominator), the
@@ -425,11 +443,25 @@ class _Plan:
     (None for identity), and the bit-check locations.  A source has no
     in-edges and no ``pre_where``.  ``ops`` is the operation count of one
     forward pass.  ``theta`` must hold exactly the edges of ``net``.
+
+    ``pairs`` is a copy of ``theta.params``, the (weight, bias) tuples the
+    plan lowered.  Given ``kept``, a plan of the same network, a vertex takes
+    ``kept``'s entry when each of its in-edge pairs *is* the tuple object
+    ``kept`` lowered, and is lowered again otherwise, in topological order.
     """
 
-    def __init__(self, net: Network, theta: Theta) -> None:
+    def __init__(self, net: Network, theta: Theta, kept: _Plan | None = None) -> None:
         theta.check_against(net)
         self.order = net.topo_order
+        self.pairs = dict(theta.params)
+        if kept is not None:
+            self.ops = kept.ops
+            heads = {net.edge_map[eid].head
+                     for eid, pair in self.pairs.items() if pair is not kept.pairs[eid]}
+            self.node = dict(kept.node) if heads else kept.node
+            for vid in [vid for vid in self.order if vid in heads]:
+                self.node[vid] = self._lower(net, vid, *kept.node[vid][2:4])
+            return
         self.node: dict[str, tuple] = {}
         self.ops = 0
         lowered: dict[int, tuple] = {}
@@ -438,22 +470,25 @@ class _Plan:
             if vertex.activation is None:
                 self.node[vid] = ((), (0, 1), None, None, None, f"vertex {vid}")
                 continue
-            ins, num, den = [], 0, 1
-            for e in net.in_edges[vid]:
-                w, b = map(_int_first, theta.params[e.id])
-                ins.append((e.tail, e.id, w.numerator, w.denominator))
-                if b:
-                    num, den = _add(num, den, b.numerator, b.denominator)
-            bias = _reduced(num, den)
             key = id(vertex.activation)
             if key not in lowered:
                 lowered[key] = vertex.activation.lower()
-            act, slope = lowered[key]
-            self.node[vid] = (
-                tuple(ins), (bias.numerator, bias.denominator), act, slope,
-                f"preactivation {vid}", f"vertex {vid}",
-            )
-            self.ops += 3 * len(ins) + 1
+            self.node[vid] = self._lower(net, vid, *lowered[key])
+            self.ops += 3 * len(net.in_edges[vid]) + 1
+
+    def _lower(self, net: Network, vid: str, act: Callable | None, slope: Callable | None) -> tuple:
+        """The entry of non-source vertex ``vid`` under ``pairs``."""
+        ins, num, den = [], 0, 1
+        for e in net.in_edges[vid]:
+            w, b = map(_int_first, self.pairs[e.id])
+            ins.append((e.tail, e.id, w.numerator, w.denominator))
+            if b:
+                num, den = _add(num, den, b.numerator, b.denominator)
+        bias = _reduced(num, den)
+        return (
+            tuple(ins), (bias.numerator, bias.denominator), act, slope,
+            f"preactivation {vid}", f"vertex {vid}",
+        )
 
     def inflow(self, vid: str, y: Mapping) -> tuple[int, int]:
         """``b_v + sum of w * y_u`` over v's in-edges as an unreduced
@@ -474,19 +509,26 @@ class _Plan:
     def settle(self, vid: str, x_v, y: Mapping, max_bits: int) -> tuple:
         """(preactivation, value, value bits) of v's local equation
         ``act_v(x_v + inflow)`` with the tails at ``y``; a source is ``x_v``.
-        The preactivation is reduced once, where its bits are checked."""
+        The preactivation is reduced once, where its bits are checked.  An
+        ``int``'s bits are counted here, as ``check_bits`` would count them."""
         _, _, act, _, pre_where, where = self.node[vid]
-        z = x_v if type(x_v) is int else _int_first(x_v)
-        if pre_where is None:
-            return z, z, check_bits(z, max_bits, where)
-        num, den = self.inflow(vid, y)
-        if den == 1 and type(z) is int:
-            z += num
-        else:
-            z = _reduced(*_add(num, den, z.numerator, z.denominator))
-        check_bits(z, max_bits, pre_where)
-        value = z if act is None else act(z)
-        return z, value, check_bits(value, max_bits, where)
+        pre = x_v if type(x_v) is int else _int_first(x_v)
+        if pre_where is not None:
+            num, den = self.inflow(vid, y)
+            if den == 1 and type(pre) is int:
+                pre += num
+            else:
+                pre = _reduced(*_add(num, den, pre.numerator, pre.denominator))
+            bits = pre.bit_length() + 1 if type(pre) is int else bit_length(pre)
+            if bits > max_bits:
+                raise BitBudgetError(bits, max_bits, pre_where)
+            if act is None:
+                return pre, pre, bits
+        value = pre if act is None else act(pre)
+        bits = value.bit_length() + 1 if type(value) is int else bit_length(value)
+        if bits > max_bits:
+            raise BitBudgetError(bits, max_bits, where)
+        return pre, value, bits
 
     def run(self, x: Mapping, max_bits: int) -> tuple[dict, dict, dict]:
         """One forward pass: values, preactivations and value bits by vertex,
@@ -570,16 +612,29 @@ def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]
     return out
 
 
-def _aux_index(net: Network, dataset: Sequence[Sample]) -> tuple[tuple[str, ...] | None, ...]:
-    """The certificate's index of ``dataset``, by position: the vertices, in
-    topological order, where an auxiliary sample's local equations can
-    differ from those of the first auxiliary sample with a vector label.
-    Those are the vertices where x or the label differs from that sample's,
-    and the heads of the relabelled ones.  Main samples and samples with a
+def _aux_index(net: Network, dataset: Sequence[Sample]) -> tuple[tuple | None, ...]:
+    """The certificate's index of ``dataset``, by position.  An auxiliary
+    sample with a vector label gets ``(stale, x, y)``: ``stale`` lists the
+    vertices, in topological order, where its local equations can differ
+    from those of the first such sample, namely where x or the label differs
+    from that sample's and the heads of the relabelled vertices; ``x`` and
+    ``y`` are its input and label in engine form (``_int_first``), each
+    distinct value object lowered once.  Main samples and samples with a
     scalar label get None.  It depends on neither theta nor the bit budget."""
     rank = {vid: k for k, vid in enumerate(net.topo_order)}
     first: Sample | None = None
-    index: list[tuple[str, ...] | None] = []
+    lowered: dict[int, int | Fraction] = {}
+
+    def lower(vector: Mapping) -> dict:
+        out = {}
+        for vid, q in vector.items():
+            low = lowered.get(id(q))
+            if low is None:
+                low = lowered[id(q)] = _int_first(q)
+            out[vid] = low
+        return out
+
+    index: list[tuple | None] = []
     for sample in dataset:
         y = sample.label
         if sample.flag != 0 or not isinstance(y, Mapping):
@@ -590,7 +645,8 @@ def _aux_index(net: Network, dataset: Sequence[Sample]) -> tuple[tuple[str, ...]
         relabelled = _differing(y, first.label)
         stale = _differing(sample.x, first.x) | relabelled
         stale = stale.union(*(net.heads[u] for u in relabelled if u in rank))
-        index.append(tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__)))
+        stale = tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__))
+        index.append((stale, lower(sample.x), lower(y)))
     return tuple(index)
 
 
@@ -600,33 +656,36 @@ def _aux_verdicts(
     dataset: Sequence[Sample],
     plan: _Plan,
     max_bits: int,
-    index: Sequence[tuple[str, ...] | None],
+    index: Sequence[tuple | None],
 ) -> Iterator[tuple[Sample, bool | None]]:
     """Yield every sample in dataset order with whether it reproduces its
     label vector under the plan's theta, by the certificate of the module
-    docstring, ``index`` being ``_aux_index(net, dataset)``; main samples
-    yield None and are not evaluated.  A sample whose label is not a vector
-    gets a full forward pass, so its error is that of a full pass too.
+    docstring, ``index`` being ``_aux_index(net, dataset)``, whose engine
+    vectors it reads; main samples yield None and are not evaluated.  A
+    sample whose label is not a vector gets a full forward pass, so its
+    error is that of a full pass too.
     """
     settle = plan.settle
-    ref: set[str] | None = None  # the reference's index entry
+    ref: set[str] | None = None  # the reference's stale vertices
     rank: dict[str, int] = {}
-    for sample, stale in zip(dataset, index):
+    for sample, entry in zip(dataset, index):
         if sample.flag != 0:
             yield sample, None
             continue
-        if ref is not None and stale is not None:
+        if entry is None:  # a scalar label, refused after its full pass
+            plan.run(sample.x, max_bits)
+            check_label(spec, sample)
+        stale, x, y = entry
+        if ref is not None:
             if ref:
                 stale = sorted(ref.union(stale), key=rank.__getitem__)
-            x, y = sample.x, sample.label
             for vid in stale:
                 if settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
                     break
             else:
                 yield sample, True
                 continue
-        values = plan.run(sample.x, max_bits)[0]
-        ok = sample_loss(net, spec, values, sample) == 0
+        ok = _vector_matches(net, plan.run(x, max_bits)[0], y)
         if ok and ref is None:
             ref = set(stale)
             if ref:
@@ -651,21 +710,22 @@ def loss_total(
     bit-budget error are those of one full forward pass per sample.
     Each main sample's one-copy loss, and the running total after each
     addition to it, are checked against ``max_bits``.  The certificate's
-    index is built for this call.
+    index and the plan are built for this call.
     """
-    return _loss_total(net, theta, dataset, spec, max_bits, _aux_index(net, dataset))
+    index = _aux_index(net, dataset)
+    return _loss_total(net, spec, dataset, _Plan(net, theta), max_bits, index)
 
 
 def _loss_total(
     net: Network,
-    theta: Theta,
-    dataset: Sequence[Sample],
     spec: LossSpec,
+    dataset: Sequence[Sample],
+    plan: _Plan,
     max_bits: int,
-    index: Sequence[tuple[str, ...] | None],
+    index: Sequence[tuple | None],
 ) -> Fraction:
-    """``loss_total`` with the certificate's index of ``dataset`` given."""
-    plan = _Plan(net, theta)
+    """``loss_total`` on a plan of theta, with the certificate's index of
+    ``dataset`` given."""
     total = Fraction(0)
     for i, (sample, ok) in enumerate(_aux_verdicts(net, spec, dataset, plan, max_bits, index)):
         if ok is None:

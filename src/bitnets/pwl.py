@@ -31,6 +31,7 @@ from .network import (
     Sample,
     Theta,
     _loss_total,
+    _Plan,
     gradients,
 )
 from .rationals import DEFAULT_MAX_BITS, format_rational, round_to_dyadic
@@ -232,18 +233,28 @@ def verify_witness(
     The witness encoding length is the byte length of the canonical
     serialized theta, counted from digit counts without rendering it; it
     must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
-    length.  Within the bound, the exact total loss (``loss_total``, with
-    an ``ErmInstance``'s kept certificate index) is compared against
-    gamma.  Always returns a three-way verdict.
+    length; ``enc_bound`` (C1, C2) must be two non-negative ``int`` values,
+    else ``ValueError``.  Within the bound, the exact total loss
+    (``loss_total``, with an ``ErmInstance``'s kept certificate index) is
+    compared against gamma.  A witness is a trained vector, not a shift of
+    theta*, so it is lowered whole: the instance's theta* plan is neither
+    built nor read.  Always returns a three-way verdict.
     """
     from .instances import instance_size, theta_size
 
-    c1, c2 = enc_bound
+    try:
+        c1, c2 = enc_bound
+    except (TypeError, ValueError):
+        c1 = c2 = None
+    if not all(type(c) is int and c >= 0 for c in (c1, c2)):
+        raise ValueError(f"enc_bound must be two non-negative integers, got {enc_bound!r}")
     cap = c1 * instance_size(inst) ** c2
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    loss = _loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits, _index_of(inst))
+    index = _index_of(inst)
+    plan = _Plan(inst.network, theta)
+    loss = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index)
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

@@ -20,8 +20,9 @@ distinguished edge to a fresh target and have no forcing samples.
 
 Auxiliary samples are scored by the local-equation certificate of
 :mod:`bitnets.network`, inside ``loss_total``.  An ``ErmInstance`` keeps
-the certificate's index, so checking one instance at many theta builds
-it once.
+the certificate's index and its theta* plan, so checking one instance
+at many shifted theta builds the index once and lowers only the
+vertices a shift touches.
 """
 
 from __future__ import annotations
@@ -145,8 +146,13 @@ class ErmInstance:
 
     An instance is not changed after it is built, nor are its samples'
     vectors: the checks above hold only for the fields they saw, and the
-    certificate's index is built from the dataset on first use and kept.
-    ``dataclasses.replace`` makes a new instance with its own index.
+    certificate's index (with the samples' vectors in engine form) is
+    built from the dataset on first use and kept.  So is the plan of
+    theta*, which ``check_zero_aux_loss`` and ``decide_at_theta_star``
+    lend to the plan of the theta they check: a vertex is lowered again
+    only where an in-edge's (weight, bias) pair is not the tuple object
+    the kept plan lowered.  ``dataclasses.replace`` makes a new instance
+    with its own index and plan.
     """
 
     network: Network
@@ -164,6 +170,10 @@ class ErmInstance:
     def _index(self) -> tuple:
         return _aux_index(self.network, self.dataset)
 
+    @cached_property
+    def _plan(self) -> _Plan:
+        return _Plan(self.network, self.theta_star)
+
 
 def _index_of(inst) -> tuple:
     """The certificate's index of ``inst``: kept on an ``ErmInstance``, built
@@ -171,6 +181,16 @@ def _index_of(inst) -> tuple:
     if isinstance(inst, ErmInstance):
         return inst._index
     return _aux_index(inst.network, inst.dataset)
+
+
+def _plan_of(inst, theta: Theta) -> _Plan:
+    """``theta`` lowered on ``inst``'s network: an ``ErmInstance`` lends its
+    kept theta* plan, whose entries serve every vertex whose in-edge pairs
+    are the very tuples of theta* it lowered; any other object gets a whole
+    plan for this call."""
+    if isinstance(inst, ErmInstance):
+        return _Plan(inst.network, theta, inst._plan)
+    return _Plan(inst.network, theta)
 
 
 @dataclass(frozen=True)
@@ -421,7 +441,7 @@ def check_zero_aux_loss(
     sample in dataset order.
     """
     net = inst.network
-    plan = _Plan(net, theta)
+    plan = _plan_of(inst, theta)
     for sample, ok in _aux_verdicts(net, inst.loss, inst.dataset, plan, max_bits, _index_of(inst)):
         if ok is False:
             return False, sample
@@ -431,9 +451,9 @@ def check_zero_aux_loss(
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """YES (True) iff the instance's total loss at theta*, ``loss_total``,
     is at most gap[0]."""
-    total = _loss_total(
-        inst.network, inst.theta_star, inst.dataset, inst.loss, max_bits, _index_of(inst)
-    )
+    index = _index_of(inst)
+    plan = _plan_of(inst, inst.theta_star)
+    total = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index)
     return total <= inst.gap[0]
 
 

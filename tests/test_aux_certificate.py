@@ -404,6 +404,228 @@ class TestLossTotal:
                 assert len(runs) == 1 + n_main
 
 
+CAPS = (2, 3, 5, 16, 1 << 20)
+
+
+def namespace(inst):
+    """The instance's fields on a plain object, which keeps no plan or index."""
+    return SimpleNamespace(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
+
+
+def same_values(theta):
+    """theta with every pair a new tuple of equal values, integral ones as ``int``."""
+    def new(q):
+        return q.numerator if q.denominator == 1 else Fraction(q.numerator, q.denominator)
+    return Theta({eid: (new(w), new(b)) for eid, (w, b) in theta.params.items()})
+
+
+def reuse_cases(rng, inst):
+    """theta*, weight and bias shifts on two random edges, one shift on each
+    of three edges at once, and theta* rebuilt from new pairs."""
+    theta = inst.theta_star
+    eids = [e.id for e in inst.network.edges]
+    multi = theta
+    for eid in rng.sample(eids, min(3, len(eids))):
+        multi = shifted(multi, eid, rng.choice(("weight", "bias")), rng.choice(DELTAS))
+    return single_shifts(rng, inst, 2) + [multi, same_values(theta)]
+
+
+def assert_matches_namespace(inst, thetas, caps=CAPS):
+    """Checks on ``inst``, which keeps its theta* plan, equal those on its
+    namespace copy, twice over, with decide at theta* after each."""
+    copy = namespace(inst)
+    for _ in range(2):
+        for theta in thetas:
+            for cap in caps:
+                assert outcome(check_zero_aux_loss, inst, theta, cap) == outcome(
+                    check_zero_aux_loss, copy, theta, cap
+                )
+                assert outcome(decide_at_theta_star, inst, cap) == outcome(
+                    decide_at_theta_star, copy, cap
+                )
+
+
+def assert_theta_star_matches_reference(inst):
+    for cap in CAPS:
+        assert outcome(decide_at_theta_star, inst, cap) == outcome(ref_decide, inst, cap)
+        assert outcome(check_zero_aux_loss, inst, inst.theta_star, cap) == outcome(
+            ref_check, inst, inst.theta_star, cap
+        )
+
+
+@pytest.fixture
+def lowered(monkeypatch):
+    """The vertices each new plan lowers, one list per plan."""
+    plans = []
+    lower, init = bitnets.network._Plan._lower, bitnets.network._Plan.__init__
+
+    def counting_init(plan, *args):
+        plans.append([])
+        init(plan, *args)
+
+    def counting_lower(plan, net, vid, *args):
+        plans[-1].append(vid)
+        return lower(plan, net, vid, *args)
+
+    monkeypatch.setattr(bitnets.network._Plan, "__init__", counting_init)
+    monkeypatch.setattr(bitnets.network._Plan, "_lower", counting_lower)
+    return plans
+
+
+class TestKeptPlan:
+    """An ``ErmInstance`` keeps its theta* plan; a plan of another theta
+    reuses a vertex's entry only when its in-edge pairs are the kept tuples."""
+
+    def test_matches_namespace_copy(self):
+        rng = random.Random(68)
+        for _ in range(8):
+            inst = compiled(rng)
+            assert_matches_namespace(inst, reuse_cases(rng, inst))
+
+    def test_parsed_and_reordered_copies_match_their_namespaces(self):
+        rng = random.Random(69)
+        for _ in range(4):
+            inst = compiled(rng)
+            parsed = parse_instance(serialize_instance(inst))
+            assert_matches_namespace(parsed, reuse_cases(rng, parsed))
+            aux = [s for s in inst.dataset if s.flag == 0]
+            rng.shuffle(aux)
+            shuffled = dataclasses.replace(
+                inst, dataset=tuple(aux) + tuple(s for s in inst.dataset if s.flag == 1)
+            )
+            assert_matches_namespace(shuffled, reuse_cases(rng, shuffled))
+
+    def test_theta_star_params_replaced_after_the_plan_is_kept(self):
+        rng = random.Random(70)
+        for _ in range(6):
+            inst = compiled(rng)
+            original = inst.theta_star.params
+            shifts = reuse_cases(rng, inst)
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            assert "_plan" in vars(inst)
+            for theta in shifts[1:]:
+                object.__setattr__(inst.theta_star, "params", theta.params)
+                assert_theta_star_matches_reference(inst)
+                # a shift of the theta* the plan was kept for still reuses it
+                object.__setattr__(inst.theta_star, "params", original)
+                assert_matches_namespace(inst, [theta, inst.theta_star], (5, 1 << 20))
+
+    def test_theta_star_params_changed_in_place(self):
+        rng = random.Random(71)
+        for _ in range(4):
+            inst = compiled(rng)
+            assert decide_at_theta_star(inst) == ref_decide(inst)
+            params = inst.theta_star.params
+            for eid in rng.sample(sorted(params), 2):
+                w, b = params[eid]
+                params[eid] = (w + rng.choice(DELTAS), b)
+                assert_theta_star_matches_reference(inst)
+
+    def test_lowers_only_the_heads_of_changed_pairs(self, lowered):
+        rng = random.Random(72)
+        inst = compiled(rng)
+        net, theta = inst.network, inst.theta_star
+        lowered.clear()  # the compiler's own plan
+        decide_at_theta_star(inst)
+        assert [len(vids) for vids in lowered] == [len(net.vertices) - 1, 0]
+        for e in rng.sample(net.edges, 4):
+            lowered.clear()
+            check_zero_aux_loss(inst, shifted(theta, e.id, "bias", Fraction(1)))
+            assert lowered == [[e.head]]
+        lowered.clear()
+        pair = rng.sample(net.edges, 2)
+        check_zero_aux_loss(inst, shifted(shifted(theta, pair[0].id, "weight", Fraction(1)),
+                                          pair[1].id, "weight", Fraction(1)))
+        heads = {e.head for e in pair}
+        assert lowered == [[vid for vid in net.topo_order if vid in heads]]
+        lowered.clear()
+        check_zero_aux_loss(inst, same_values(theta))
+        assert lowered == [[vid for vid in net.topo_order if net.in_edges[vid]]]
+
+    def test_namespace_copies_and_witnesses_lower_whole_plans(self, lowered):
+        inst = compiled(random.Random(73))
+        n = sum(1 for v in inst.network.vertices if v.activation is not None)
+        lowered.clear()
+        decide_at_theta_star(namespace(inst))
+        verify_witness(inst, inst.theta_star, Fraction(0))
+        assert [len(vids) for vids in lowered] == [n, n]
+        assert "_plan" not in vars(inst)
+
+
+def integer_instance():
+    """s -> h (sigma = T^2, w 1, b 1) -> t (identity, w 2, b 0), every value
+    integral.  Sample 0 is zero at every vertex and is the reference; samples
+    1 and 2 give h the preactivations 8 and -46 (5 and 7 bits) and the values
+    64 and 2116 (8 and 13 bits)."""
+    s, h = Vertex("s", "source"), Vertex("h", "hidden", PolyActivation(monomial(2)))
+    t = Vertex("t", "target", IdentityActivation())
+    net = Network([s, h, t], [Edge("s->h", "s", "h"), Edge("h->t", "h", "t")])
+    theta = Theta({"s->h": (Fraction(1), Fraction(1)), "h->t": (Fraction(2), Fraction(0))})
+
+    def aux(s_in, h_in, note):
+        pre = s_in + 1 + h_in
+        y = {"s": Fraction(s_in), "h": Fraction(pre * pre), "t": Fraction(2 * pre * pre)}
+        return Sample({"s": Fraction(s_in), "h": Fraction(h_in)}, y, 0, 2, note)
+
+    dataset = (
+        aux(0, -1, "zero"),
+        aux(5, 2, "pre 8"),
+        aux(-40, -7, "pre -46"),
+        Sample({"s": Fraction(3)}, Fraction(32), 1, 1, "main"),
+    )
+    return ErmInstance(net, theta, dataset, LossSpec("square", target="t"), (0, 1), {})
+
+
+def vectors(inst):
+    """Every sample's x and label, with the type of each value."""
+    def typed(vector):
+        if not isinstance(vector, Mapping):
+            return type(vector), vector
+        return sorted((k, type(q), q) for k, q in vector.items())
+    return [(typed(s.x), typed(s.label)) for s in inst.dataset]
+
+
+class TestIntegerBudgetParity:
+    """Bit budgets on an all-integer net, at caps between a preactivation's
+    bit length and its value's: the errors a ``Fraction`` count gives."""
+
+    # (cap, sample, error): the first failing check of one full pass
+    FORWARD = [
+        (4, 1, ("bits", 5, 4, "preactivation h")),   # pre 8
+        (5, 1, ("bits", 8, 5, "vertex h")),          # value 64
+        (7, 1, ("bits", 8, 7, "vertex h")),
+        (8, 1, ("bits", 9, 8, "preactivation t")),   # pre 128
+        (6, 2, ("bits", 7, 6, "vertex s")),          # s = -40
+        (7, 2, ("bits", 13, 7, "vertex h")),         # value 2116
+        (12, 2, ("bits", 13, 12, "vertex h")),
+        (13, 2, ("bits", 14, 13, "preactivation t")),
+    ]
+
+    @pytest.mark.parametrize("cap, k, error", FORWARD)
+    def test_forward(self, cap, k, error):
+        inst = integer_instance()
+        assert outcome(forward, inst.network, inst.theta_star, inst.dataset[k].x, cap) == error
+
+    # sample 1 peaks at 9 bits, so below that cap the check stops there
+    @pytest.mark.parametrize("cap, k, error", [c for c in FORWARD if c[1] == 1 or c[0] >= 9])
+    def test_check_and_decide(self, cap, k, error):
+        inst = integer_instance()
+        built = vectors(inst)
+        for copy in (inst, parse_instance(serialize_instance(inst))):
+            parsed = vectors(copy)
+            for theta in (copy.theta_star, same_values(copy.theta_star)):
+                got = outcome(check_zero_aux_loss, copy, theta, cap)
+                assert got == outcome(ref_check, copy, theta, cap) == error
+                assert outcome(decide_at_theta_star, copy, cap) == outcome(ref_decide, copy, cap)
+            assert vectors(copy) == parsed
+        assert vectors(inst) == built
+
+    def test_passes_at_the_peak(self):
+        inst = integer_instance()
+        assert check_zero_aux_loss(inst, inst.theta_star, 14) == (True, None)
+        assert outcome(check_zero_aux_loss, inst, inst.theta_star, 13)[0] == "bits"
+
+
 class TestScalarAuxLabel:
     """An auxiliary sample with a scalar label.  ``ErmInstance`` refuses to
     hold one, so the fields go round it: a plain namespace for the library

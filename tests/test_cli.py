@@ -207,6 +207,23 @@ class TestVerifyAndStep:
         assert run.stderr.startswith(f"error: $.vertices[{at}].activation: ")
         assert "Traceback" not in run.stderr
 
+    @pytest.mark.parametrize("bound", [("4", "-1"), ("-1", "2"), ("-3", "-3")])
+    def test_negative_enc_bound_is_usage_error(self, witness, bound, capsys):
+        inst_path, theta_path = witness
+        assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0", "--enc-bound", *bound]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            f"error: enc_bound must be two non-negative integers, got ({bound[0]}, {bound[1]})\n"
+        )
+
+    def test_zero_enc_bound_rejects_the_encoding(self, witness, capsys):
+        inst_path, theta_path = witness
+        assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
+                     "--gamma", "0", "--enc-bound", "0", "2"]) == 1
+        assert capsys.readouterr().out.startswith("reject(encoding too long)\n")
+
     def test_pwl_step(self, tmp_path, capsys):
         from fractions import Fraction
 
@@ -309,6 +326,31 @@ class TestUsage:
 
     def test_missing_file(self):
         assert main(["slp", "eval", "/nonexistent/file.slp"]) == 2
+
+
+class TestMaxBitsOption:
+    COMMANDS = [
+        ["slp", "eval", "p.slp"],
+        ["slp", "bit", "p.slp", "--j", "0"],
+        ["slp", "sign", "p.slp"],
+        ["net", "eval", "inst.json"],
+        ["net", "grad", "inst.json"],
+        ["pwl", "step", "inst.json", "--eta", "1"],
+        ["bench", "depth-growth", "--activation", "relu", "--max-depth", "1"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+    @pytest.mark.parametrize("value", ["-5", "0", "x", "1.5"])
+    def test_must_be_a_positive_integer(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [f"--max-bits={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --max-bits: expected a positive integer, got {value!r}" in err
+
+    def test_one_bit_is_a_budget(self, slp_file, capsys):
+        assert main(["slp", "eval", slp_file, "--max-bits", "1"]) == 3
+        assert "cap 1" in capsys.readouterr().err
 
 
 class TestMoreUsageErrors:

@@ -399,6 +399,20 @@ class TestWitnessVerifier:
         assert verdict.encoding_length > verdict.encoding_cap
         assert verdict.loss is None
 
+    @pytest.mark.parametrize(
+        "bound", [(4, -1), (-1, 2), (True, 2), (4.0, 2), (Fraction(4), 2), (4,), (4, 2, 1), "42", 4]
+    )
+    def test_enc_bound_must_be_two_non_negative_ints(self, bound):
+        # raised before |I| is measured: object() has no fields to measure
+        with pytest.raises(ValueError, match="enc_bound must be two non-negative integers"):
+            verify_witness(object(), Theta({}), Fraction(0), enc_bound=bound)
+
+    def test_enc_bound_may_be_a_list_or_zero(self):
+        inst = tiny_instance()
+        assert verify_witness(inst, inst.theta_star, Fraction(0), [4, 2]).accepted
+        verdict = verify_witness(inst, inst.theta_star, Fraction(0), (0, 0))
+        assert verdict.verdict == REJECT_ENCODING and verdict.encoding_cap == 0
+
     def test_boundary_of_loss_threshold(self):
         inst = tiny_instance()
         theta = Theta({"e": (Fraction(1), Fraction(0))})  # loss 1/2 exactly
