@@ -34,8 +34,9 @@ A plan lives for its call, except that ``reductions.ErmInstance`` keeps
 its theta* plan: a plan of another theta built against it takes the
 kept entry of every vertex whose in-edge (weight, bias) pairs are the
 very tuple objects the kept plan lowered, and lowers the others again,
-so a one-edge shift lowers one vertex.  Matching by identity, not
-value, needs no comparison of rationals and still holds if theta*'s
+so a one-edge shift lowers one vertex.  It records those vertices, in
+topological order, as ``changed``.  Matching by identity, not value,
+needs no comparison of rationals and still holds if theta*'s
 parameters are replaced.
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
@@ -71,11 +72,25 @@ compare ``int`` with ``int``; the samples are not touched.
 builds it on first use and keeps it for every later theta, which relies
 on the rule that an instance and its samples are not changed after they
 are built.
+
+An ``ErmInstance`` also keeps a theta* record: P*, the peak bits of the
+preactivations and values that one certificate run of its kept plan saw
+at ``DEFAULT_MAX_BITS``, if every auxiliary sample passed (no record
+otherwise).  A plan built against the kept plan then, under a budget of
+at least P*, checks only its ``changed`` vertices: a sample before the
+reference checks all of them, and a later one those in its own stale
+list or the reference's.  A vertex outside ``changed`` has the entry
+theta* had, so every sample's local equation, preactivation and value
+there are the ones that held at theta* within P* bits; a changed vertex
+outside both lists shares the reference's local equation, which passed.
+A failed local check still gets a full pass.  A one-edge shift so costs
+a membership test and at most one local equation per auxiliary sample,
+and one full pass; theta* itself, after the record, none.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Generator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -447,7 +462,9 @@ class _Plan:
     ``pairs`` is a copy of ``theta.params``, the (weight, bias) tuples the
     plan lowered.  Given ``kept``, a plan of the same network, a vertex takes
     ``kept``'s entry when each of its in-edge pairs *is* the tuple object
-    ``kept`` lowered, and is lowered again otherwise, in topological order.
+    ``kept`` lowered, and is lowered again otherwise, in topological order;
+    ``changed`` lists the vertices lowered again, in that order.  A whole
+    plan, built without ``kept``, has ``changed`` None: all of them.
     """
 
     def __init__(self, net: Network, theta: Theta, kept: _Plan | None = None) -> None:
@@ -458,10 +475,12 @@ class _Plan:
             self.ops = kept.ops
             heads = {net.edge_map[eid].head
                      for eid, pair in self.pairs.items() if pair is not kept.pairs[eid]}
+            self.changed = tuple(vid for vid in self.order if vid in heads)
             self.node = dict(kept.node) if heads else kept.node
-            for vid in [vid for vid in self.order if vid in heads]:
+            for vid in self.changed:
                 self.node[vid] = self._lower(net, vid, *kept.node[vid][2:4])
             return
+        self.changed: tuple[str, ...] | None = None
         self.node: dict[str, tuple] = {}
         self.ops = 0
         lowered: dict[int, tuple] = {}
@@ -657,15 +676,25 @@ def _aux_verdicts(
     plan: _Plan,
     max_bits: int,
     index: Sequence[tuple | None],
-) -> Iterator[tuple[Sample, bool | None]]:
+    star: int | None = None,
+) -> Generator[tuple[Sample, bool | None], None, int | None]:
     """Yield every sample in dataset order with whether it reproduces its
     label vector under the plan's theta, by the certificate of the module
     docstring, ``index`` being ``_aux_index(net, dataset)``, whose engine
     vectors it reads; main samples yield None and are not evaluated.  A
     sample whose label is not a vector gets a full forward pass, so its
     error is that of a full pass too.
+
+    ``star`` is the theta* record P* of the kept plan that ``plan`` was
+    built against, if it has one.  With it and ``max_bits >= star`` a
+    sample checks only the vertices the plan lowered again.  Otherwise the
+    run returns its own peak bits over the preactivations and values it
+    saw if every auxiliary sample passed, and None if one failed.
     """
     settle = plan.settle
+    changed = plan.changed
+    narrow = star is not None and changed is not None and max_bits >= star
+    peak = None if narrow else 1
     ref: set[str] | None = None  # the reference's stale vertices
     rank: dict[str, int] = {}
     for sample, entry in zip(dataset, index):
@@ -676,21 +705,40 @@ def _aux_verdicts(
             plan.run(sample.x, max_bits)
             check_label(spec, sample)
         stale, x, y = entry
-        if ref is not None:
-            if ref:
-                stale = sorted(ref.union(stale), key=rank.__getitem__)
-            for vid in stale:
-                if settle(vid, x.get(vid, 0), y, max_bits)[1] != y.get(vid, 0):
+        if narrow:
+            check = changed if ref is None else [
+                vid for vid in changed if vid in stale or vid in ref]
+        elif ref is None:
+            check = None
+        elif ref:
+            check = sorted(ref.union(stale), key=rank.__getitem__)
+        else:
+            check = stale
+        ok = None
+        if check is not None:
+            for vid in check:
+                pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
+                if value != y.get(vid, 0):
                     break
+                if peak is not None:
+                    if bits > peak:
+                        peak = bits
+                    if pre is not value and bit_length(pre) > peak:
+                        peak = bit_length(pre)
             else:
-                yield sample, True
-                continue
-        ok = _vector_matches(net, plan.run(x, max_bits)[0], y)
+                ok = True
+        if ok is None:  # no check yet, or a failed one: the full pass decides
+            values, pre, bits = plan.run(x, max_bits)
+            ok = _vector_matches(net, values, y)
+            if peak is not None:
+                peak = max(peak, max(bits.values(), default=1),
+                           max(map(bit_length, pre.values()), default=1)) if ok else None
         if ok and ref is None:
             ref = set(stale)
-            if ref:
+            if ref and not narrow:
                 rank = {vid: k for k, vid in enumerate(plan.order)}
         yield sample, ok
+    return peak
 
 
 def loss_total(
@@ -723,11 +771,13 @@ def _loss_total(
     plan: _Plan,
     max_bits: int,
     index: Sequence[tuple | None],
+    star: int | None = None,
 ) -> Fraction:
     """``loss_total`` on a plan of theta, with the certificate's index of
-    ``dataset`` given."""
+    ``dataset`` and the theta* record of ``plan``'s kept plan given."""
     total = Fraction(0)
-    for i, (sample, ok) in enumerate(_aux_verdicts(net, spec, dataset, plan, max_bits, index)):
+    verdicts = _aux_verdicts(net, spec, dataset, plan, max_bits, index, star)
+    for i, (sample, ok) in enumerate(verdicts):
         if ok is None:
             values = plan.run(sample.x, max_bits)[0]
             loss = sample_loss(net, spec, values, sample)

@@ -34,7 +34,7 @@ from .network import (
     _Plan,
     gradients,
 )
-from .rationals import DEFAULT_MAX_BITS, format_rational, round_to_dyadic
+from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, round_to_dyadic
 from .reductions import _index_of
 
 
@@ -221,6 +221,24 @@ class WitnessVerdict:
         return self.verdict == ACCEPT
 
 
+def _encoding_cap(c1: int, size: int, c2: int) -> int:
+    """``c1 * size**c2`` for a size >= 1, or ``ValueError`` when its
+    ``bit_length`` exceeds ``DEFAULT_MAX_BITS``.  The power is built only
+    after its bit length is bounded from those of ``c1`` and ``size``, so a
+    huge exponent is refused at once rather than computed."""
+    if c1 == 0:
+        return 0
+    # the product has at least (c1.bit_length() - 1) + c2 * (size.bit_length() - 1) + 1
+    # binary digits; bit_length counts one more, for the denominator 1
+    if c1.bit_length() + c2 * (size.bit_length() - 1) + 1 <= DEFAULT_MAX_BITS:
+        cap = c1 * size**c2  # at most 3 * DEFAULT_MAX_BITS bits
+        if bit_length(cap) <= DEFAULT_MAX_BITS:
+            return cap
+    raise ValueError(
+        f"encoding cap C1 * |I|**C2 has more than {DEFAULT_MAX_BITS} bits (|I| = {size})"
+    )
+
+
 def verify_witness(
     inst,
     theta: Theta,
@@ -234,7 +252,9 @@ def verify_witness(
     serialized theta, counted from digit counts without rendering it; it
     must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
     length; ``enc_bound`` (C1, C2) must be two non-negative ``int`` values,
-    else ``ValueError``.  Within the bound, the exact total loss
+    and the cap must have at most ``DEFAULT_MAX_BITS`` bits whatever
+    ``max_bits`` the loss runs under, else ``ValueError``.  Within the
+    bound, the exact total loss
     (``loss_total``, with an ``ErmInstance``'s kept certificate index) is
     compared against gamma.  A witness is a trained vector, not a shift of
     theta*, so it is lowered whole: the instance's theta* plan is neither
@@ -248,7 +268,7 @@ def verify_witness(
         c1 = c2 = None
     if not all(type(c) is int and c >= 0 for c in (c1, c2)):
         raise ValueError(f"enc_bound must be two non-negative integers, got {enc_bound!r}")
-    cap = c1 * instance_size(inst) ** c2
+    cap = _encoding_cap(c1, instance_size(inst), c2)
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)

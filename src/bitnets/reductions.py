@@ -20,9 +20,9 @@ distinguished edge to a fresh target and have no forcing samples.
 
 Auxiliary samples are scored by the local-equation certificate of
 :mod:`bitnets.network`, inside ``loss_total``.  An ``ErmInstance`` keeps
-the certificate's index and its theta* plan, so checking one instance
-at many shifted theta builds the index once and lowers only the
-vertices a shift touches.
+the certificate's index, its theta* plan and theta*'s record, so
+checking one instance at many shifted theta builds the index once,
+lowers only the vertices a shift touches and checks only those.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .network import (
     gradients,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
-from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
+from .rationals import DEFAULT_MAX_BITS, BitBudgetError, bit_length, format_rational
 from .slp import Gate, NormalizedSlp, Slp, normalize_bn, parse_slp
 
 _IDENTITY = IdentityActivation()
@@ -148,11 +148,16 @@ class ErmInstance:
     vectors: the checks above hold only for the fields they saw, and the
     certificate's index (with the samples' vectors in engine form) is
     built from the dataset on first use and kept.  So is the plan of
-    theta*, which ``check_zero_aux_loss`` and ``decide_at_theta_star``
-    lend to the plan of the theta they check: a vertex is lowered again
-    only where an in-edge's (weight, bias) pair is not the tuple object
-    the kept plan lowered.  ``dataclasses.replace`` makes a new instance
-    with its own index and plan.
+    theta* (a compiled instance keeps its compiler's), which
+    ``check_zero_aux_loss`` and ``decide_at_theta_star`` lend to the plan
+    of the theta they check: a vertex is lowered again only where an
+    in-edge's (weight, bias) pair is not the tuple object the kept plan
+    lowered.  Beside them the first check keeps theta*'s record: the peak
+    bits P* of one certificate run of the kept plan, if every auxiliary
+    sample passed.  Under a budget of at least P* a check then looks only
+    at the vertices its plan lowered again (see :mod:`bitnets.network`).
+    ``dataclasses.replace`` makes a new instance with its own index, plan
+    and record.
     """
 
     network: Network
@@ -174,6 +179,22 @@ class ErmInstance:
     def _plan(self) -> _Plan:
         return _Plan(self.network, self.theta_star)
 
+    @cached_property
+    def _star(self) -> int | None:
+        """The theta* record: P* from one certificate run of ``_plan`` at
+        ``DEFAULT_MAX_BITS``, or None if a sample failed or a value overflowed."""
+        verdicts = _aux_verdicts(
+            self.network, self.loss, self.dataset, self._plan, DEFAULT_MAX_BITS, self._index
+        )
+        try:
+            while next(verdicts)[1] is not False:
+                pass
+        except StopIteration as done:
+            return done.value
+        except BitBudgetError:
+            pass
+        return None
+
 
 def _index_of(inst) -> tuple:
     """The certificate's index of ``inst``: kept on an ``ErmInstance``, built
@@ -183,14 +204,15 @@ def _index_of(inst) -> tuple:
     return _aux_index(inst.network, inst.dataset)
 
 
-def _plan_of(inst, theta: Theta) -> _Plan:
-    """``theta`` lowered on ``inst``'s network: an ``ErmInstance`` lends its
-    kept theta* plan, whose entries serve every vertex whose in-edge pairs
-    are the very tuples of theta* it lowered; any other object gets a whole
-    plan for this call."""
+def _certificate(inst, theta: Theta) -> tuple[_Plan, tuple, int | None]:
+    """``theta`` lowered on ``inst``'s network, the certificate's index and
+    the theta* record P*.  An ``ErmInstance`` lends its kept theta* plan,
+    whose entries serve every vertex whose in-edge pairs are the very tuples
+    of theta* it lowered, its index and its record; any other object gets a
+    whole plan and an index for this call, and no record."""
     if isinstance(inst, ErmInstance):
-        return _Plan(inst.network, theta, inst._plan)
-    return _Plan(inst.network, theta)
+        return _Plan(inst.network, theta, inst._plan), inst._index, inst._star
+    return _Plan(inst.network, theta), _aux_index(inst.network, inst.dataset), None
 
 
 @dataclass(frozen=True)
@@ -304,14 +326,14 @@ def _put(vec: dict[str, Fraction], vid: str, value: Fraction) -> None:
 
 def _aux_samples(
     net: Network,
-    theta_star: Theta,
+    plan: _Plan,
     sigma: RationalPoly,
     alpha1: int,
     replication: int,
 ) -> list[Sample]:
-    """The forcing samples: baseline, one per identity-head edge, and one
-    per sigma-edge and shift value.  Each appears ``replication`` times
-    (encoded as the sample count).
+    """The forcing samples under ``plan``, theta*'s plan: baseline, one per
+    identity-head edge, and one per sigma-edge and shift value.  Each
+    appears ``replication`` times (encoded as the sample count).
 
     A sample with labels y and preactivations pre gets the input
     ``x_v = pre_v - sum over in-edges (u,v) of (w * y_u + b)``.  Every
@@ -323,7 +345,6 @@ def _aux_samples(
     is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
     base_y = {vid: sigma_at[0] if s else Fraction(0) for vid, s in is_sigma.items()}
     base_label = _sparse(base_y)
-    plan = _Plan(net, theta_star)
 
     def x_at(vid: str, labels: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
         return _as_fraction(pre.get(vid, 0) - _reduced(*plan.inflow(vid, labels)))
@@ -354,7 +375,7 @@ def _aux_samples(
             bump = sigma_alpha1 if is_sigma[e.tail] else Fraction(1)
             y = {
                 e.tail: bump,
-                e.head: theta_star.weight(e.id) * (bump - base_y[e.tail]),
+                e.head: plan.pairs[e.id][0] * (bump - base_y[e.tail]),
             }
             pre = {
                 e.tail: Fraction(alpha1) if is_sigma[e.tail] else bump,
@@ -386,12 +407,15 @@ def _forcing_instance(
     net = Network(builder.vertices, builder.edges)
     theta_star = Theta(builder.theta)
     alpha1 = _pick_alpha1(sigma)
-    dataset = _aux_samples(net, theta_star, sigma, alpha1, gap[1] + 1)
+    plan = _Plan(net, theta_star)
+    dataset = _aux_samples(net, plan, sigma, alpha1, gap[1] + 1)
     dataset.append(
         Sample(_sparse({"v0": prog.constant}), label, flag=1, count=gap[1], note="main")
     )
     provenance = _provenance(prog, sigma, builder.lam) | provenance | {"alpha1": alpha1}
-    return ErmInstance(net, theta_star, tuple(dataset), loss(target), gap, provenance)
+    inst = ErmInstance(net, theta_star, tuple(dataset), loss(target), gap, provenance)
+    vars(inst)["_plan"] = plan  # kept, so theta* is lowered once per compiled instance
+    return inst
 
 
 def compile_erm(
@@ -440,9 +464,10 @@ def check_zero_aux_loss(
     bit-budget errors are those of one full forward pass per auxiliary
     sample in dataset order.
     """
-    net = inst.network
-    plan = _plan_of(inst, theta)
-    for sample, ok in _aux_verdicts(net, inst.loss, inst.dataset, plan, max_bits, _index_of(inst)):
+    plan, index, star = _certificate(inst, theta)
+    for sample, ok in _aux_verdicts(
+        inst.network, inst.loss, inst.dataset, plan, max_bits, index, star
+    ):
         if ok is False:
             return False, sample
     return True, None
@@ -451,9 +476,8 @@ def check_zero_aux_loss(
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """YES (True) iff the instance's total loss at theta*, ``loss_total``,
     is at most gap[0]."""
-    index = _index_of(inst)
-    plan = _plan_of(inst, inst.theta_star)
-    total = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index)
+    plan, index, star = _certificate(inst, inst.theta_star)
+    total = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index, star)
     return total <= inst.gap[0]
 
 

@@ -43,7 +43,7 @@ from bitnets.network import (
 )
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.pwl import ACCEPT, REJECT_LOSS, verify_witness
-from bitnets.rationals import BitBudgetError, check_bits
+from bitnets.rationals import BitBudgetError, bit_length, check_bits
 from bitnets.reductions import (
     ErmInstance,
     check_zero_aux_loss,
@@ -525,7 +525,7 @@ class TestKeptPlan:
         rng = random.Random(72)
         inst = compiled(rng)
         net, theta = inst.network, inst.theta_star
-        lowered.clear()  # the compiler's own plan
+        # the compiler's plan of theta* is the kept one, so theta* is lowered once
         decide_at_theta_star(inst)
         assert [len(vids) for vids in lowered] == [len(net.vertices) - 1, 0]
         for e in rng.sample(net.edges, 4):
@@ -543,13 +543,205 @@ class TestKeptPlan:
         assert lowered == [[vid for vid in net.topo_order if net.in_edges[vid]]]
 
     def test_namespace_copies_and_witnesses_lower_whole_plans(self, lowered):
-        inst = compiled(random.Random(73))
+        inst = parse_instance(serialize_instance(compiled(random.Random(73))))
         n = sum(1 for v in inst.network.vertices if v.activation is not None)
-        lowered.clear()
         decide_at_theta_star(namespace(inst))
         verify_witness(inst, inst.theta_star, Fraction(0))
-        assert [len(vids) for vids in lowered] == [n, n]
+        # the compiler's plan, then one whole plan each; a parsed copy keeps none
+        assert [len(vids) for vids in lowered] == [n, n, n]
         assert "_plan" not in vars(inst)
+
+
+def ref_peak(inst):
+    """P* densely: the peak bits of the preactivations and values of a full
+    pass of every auxiliary sample at theta*."""
+    peak = 1
+    for sample in inst.dataset:
+        if sample.flag == 0:
+            trace = forward(inst.network, inst.theta_star, sample.x)
+            peak = max(peak, trace.max_bits, *map(bit_length, trace.preactivations.values()))
+    return peak
+
+
+def assert_matches_copy_and_reference(inst, theta, caps):
+    """``check_zero_aux_loss`` at theta, then ``decide_at_theta_star`` with
+    theta*'s params replaced by theta's, on ``inst`` (which keeps its theta*
+    plan and record), on its namespace copy and by the dense reference."""
+    copy = namespace(inst)
+    for cap in caps:
+        expected = outcome(ref_check, inst, theta, cap)
+        assert outcome(check_zero_aux_loss, inst, theta, cap) == expected
+        assert outcome(check_zero_aux_loss, copy, theta, cap) == expected
+    original = inst.theta_star.params
+    object.__setattr__(inst.theta_star, "params", theta.params)
+    try:
+        for cap in caps:
+            expected = outcome(ref_decide, inst, cap)
+            assert outcome(decide_at_theta_star, inst, cap) == expected
+            assert outcome(decide_at_theta_star, copy, cap) == expected
+    finally:
+        object.__setattr__(inst.theta_star, "params", original)
+
+
+def distinct_heads(rng, inst, k):
+    """``k`` random edges, no two into the same vertex."""
+    by_head = {}
+    for e in inst.network.edges:
+        by_head.setdefault(e.head, []).append(e.id)
+    return [rng.choice(by_head[v]) for v in rng.sample(sorted(by_head), min(k, len(by_head)))]
+
+
+class TestThetaStarRecord:
+    """An ``ErmInstance`` keeps P*, the peak bits its certificate saw when
+    theta*'s kept plan passed every auxiliary sample; at caps of at least P*
+    a check looks only at the vertices its plan lowered again."""
+
+    def test_record_is_the_dense_peak_and_caps_around_it_agree(self):
+        rng = random.Random(74)
+        for trial in range(4):
+            p = random_slp(rng, rng.randint(1, 4))
+            inst = compile_erm(p, SIGMAS[trial % 3], rng.randint(0, 3), (0, 2))
+            if trial % 2:
+                inst = parse_instance(serialize_instance(inst))
+            star = inst._star
+            assert star == ref_peak(inst)
+            assert outcome(check_zero_aux_loss, inst, inst.theta_star, star - 1)[0] == "bits"
+            for theta in reuse_cases(rng, inst):
+                assert_matches_copy_and_reference(inst, theta, (star - 1, star, 1 << 20))
+
+    def test_multi_edge_shift_failing_the_first_aux_sample(self):
+        """A bias shift changes the first sample's preactivation at its head,
+        so that sample fails; the loss at the shifted theta* goes on past it."""
+        rng = random.Random(75)
+        for trial in range(6):
+            p = random_slp(rng, rng.randint(2, 5))
+            inst = compile_erm(p, SIGMAS[trial % 3], rng.randint(0, 3), (0, 2))
+            if trial % 2:
+                inst = parse_instance(serialize_instance(inst))
+            theta = inst.theta_star
+            for eid, coord in zip(distinct_heads(rng, inst, 3), ("bias", "weight", "bias")):
+                theta = shifted(theta, eid, coord, rng.choice(DELTAS))
+            first = next(s for s in inst.dataset if s.flag == 0)
+            assert check_zero_aux_loss(inst, theta) == (False, first)
+            assert inst._star is not None
+            assert_matches_copy_and_reference(inst, theta, (inst._star, 1 << 20))
+
+    def test_sample_after_a_later_reference_checks_that_reference_list(self):
+        # s -> h (identity, w 1, b 0); the shift to (0, 1) fails every sample
+        # with y_s = 0 and passes the one with y_s = 1, which becomes the
+        # reference; the copy of the first sample after it differs from the
+        # first one nowhere, so only the reference's list shows it fails
+        s, h = Vertex("s", "source"), Vertex("h", "target", IdentityActivation())
+        net = Network([s, h], [Edge("s->h", "s", "h")])
+        theta = Theta({"s->h": (Fraction(1), Fraction(0))})
+        dataset = (
+            Sample({}, {}, 0, 2, "zero"),
+            Sample({"s": Fraction(1)}, {"s": Fraction(1), "h": Fraction(1)}, 0, 3, "one"),
+            Sample({}, {}, 0, 5, "zero again"),
+            Sample({"s": Fraction(1)}, Fraction(1), 1, 1, "main"),
+        )
+        inst = ErmInstance(net, theta, dataset, LossSpec("square", target="h"), (6, 8), {})
+        shift = Theta({"s->h": (Fraction(0), Fraction(1))})
+        assert inst._star == 2
+        assert check_zero_aux_loss(inst, shift) == (False, dataset[0])
+        assert_matches_copy_and_reference(inst, shift, (2, 16, 1 << 20))
+        object.__setattr__(inst.theta_star, "params", shift.params)
+        assert loss_total(net, shift, dataset, inst.loss) == 7
+        assert decide_at_theta_star(inst) is False
+
+    def test_a_preactivation_can_set_the_peak(self):
+        # h = sigma(pre) with sigma(z) = z**2 / 2**40 - z, which is 0 at 0 and
+        # at 2**40; the second sample gives h the preactivation 2**40, so only
+        # that preactivation's 42 bits bound what a narrowed check may skip
+        sigma = RationalPoly((Fraction(0), Fraction(-1), Fraction(1, 1 << 40)))
+        s, h = Vertex("s", "source"), Vertex("h", "hidden", PolyActivation(sigma))
+        t = Vertex("t", "target", IdentityActivation())
+        net = Network([s, h, t], [Edge("s->h", "s", "h"), Edge("h->t", "h", "t")])
+        theta = Theta({"s->h": (Fraction(1), Fraction(0)), "h->t": (Fraction(1), Fraction(0))})
+        dataset = (
+            Sample({}, {}, 0, 2, "zero"),
+            Sample({"h": Fraction(1 << 40)}, {}, 0, 2, "big preactivation"),
+        )
+        inst = ErmInstance(net, theta, dataset, LossSpec("square", target="t"), (0, 1), {})
+        assert inst._star == ref_peak(inst) == 42
+        shift = theta.with_param("h->t", weight=Fraction(2))
+        assert outcome(check_zero_aux_loss, inst, shift, 41) == ("bits", 42, 41, "preactivation h")
+        assert_matches_copy_and_reference(inst, shift, (41, 42, 1 << 20))
+
+    def test_theta_star_failing_an_aux_sample_has_no_record(self):
+        rng = random.Random(76)
+        for _ in range(4):
+            inst = compiled(rng)
+            k = rng.choice([i for i, s in enumerate(inst.dataset) if s.flag == 0])
+            target = inst.network.targets[0]
+            label = dict(inst.dataset[k].label)
+            label[target] = label.get(target, 0) + 1
+            data = list(inst.dataset)
+            data[k] = dataclasses.replace(data[k], label=label)
+            broken = dataclasses.replace(inst, dataset=tuple(data))
+            assert broken._star is None
+            assert check_zero_aux_loss(broken, broken.theta_star) == (False, data[k])
+            for theta in single_shifts(rng, broken, 2):
+                assert_matches_copy_and_reference(broken, theta, (5, 16, 1 << 20))
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Local equations evaluated outside a full pass, and full passes."""
+    counts = {"local": 0, "passes": 0}
+    settle, run = bitnets.network._Plan.settle, bitnets.network._Plan.run
+    in_pass = []
+
+    def counting_settle(plan, *args):
+        counts["local"] += not in_pass
+        return settle(plan, *args)
+
+    def counting_run(plan, *args):
+        counts["passes"] += 1
+        in_pass.append(True)
+        try:
+            return run(plan, *args)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(bitnets.network._Plan, "settle", counting_settle)
+    monkeypatch.setattr(bitnets.network._Plan, "run", counting_run)
+    return counts
+
+
+class TestNarrowedCost:
+    def test_single_edge_shift_checks_one_vertex_per_scanned_sample(self, evaluated):
+        rng = random.Random(77)
+        for trial in range(6):
+            inst = compiled(rng)
+            if trial % 2:
+                inst = parse_instance(serialize_instance(inst))
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            aux = [s for s in inst.dataset if s.flag == 0]
+            for e in rng.sample(inst.network.edges, min(4, len(inst.network.edges))):
+                for coord in ("weight", "bias"):
+                    theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
+                    evaluated.update(local=0, passes=0)
+                    ok, violated = check_zero_aux_loss(inst, theta)
+                    assert not ok
+                    scanned = next(i for i, s in enumerate(aux) if s is violated) + 1
+                    assert evaluated["local"] <= scanned and evaluated["passes"] == 1
+
+    def test_theta_star_after_the_first_check_reads_the_record(self, evaluated):
+        rng = random.Random(78)
+        for trial in range(4):
+            inst = compiled(rng)
+            if trial % 2:
+                inst = parse_instance(serialize_instance(inst))
+            n_main = sum(1 for s in inst.dataset if s.flag == 1)
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            expected = ref_decide(inst)
+            evaluated.update(local=0, passes=0)
+            assert decide_at_theta_star(inst) == expected
+            assert evaluated == {"local": 0, "passes": n_main}
+            evaluated.update(local=0, passes=0)
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            assert evaluated == {"local": 0, "passes": 0}
 
 
 def integer_instance():
@@ -701,3 +893,30 @@ def program_and_shift(draw):
 def test_single_shift_verdict_matches_reference(case):
     inst, theta = case
     assert check_zero_aux_loss(inst, theta) == ref_check(inst, theta)
+
+
+@st.composite
+def paper_sized_shift(draw):
+    """A parsed ``compile_erm`` file of up to 16 gates, at most 6 of them
+    ``mul``, under one of the three sigma, and one weight or bias shift of
+    its theta*."""
+    gates, muls = [], 0
+    for i in range(1, draw(st.integers(1, 16)) + 1):
+        op = draw(st.sampled_from(("add", "sub", "mul") if muls < 6 else ("add", "sub")))
+        muls += op == "mul"
+        gates.append(Gate(op, draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))))
+    sigma = draw(st.sampled_from(SIGMAS))
+    inst = parse_instance(serialize_instance(compile_erm(Slp(Fraction(1), tuple(gates)), sigma, 0)))
+    eid = draw(st.sampled_from([e.id for e in inst.network.edges]))
+    coord = draw(st.sampled_from(("weight", "bias")))
+    return inst, shifted(inst.theta_star, eid, coord, draw(st.sampled_from(DELTAS)))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(paper_sized_shift())
+def test_single_shift_at_the_papers_sizes_is_rejected(case):
+    inst, theta = case
+    ok, violated = check_zero_aux_loss(inst, theta)
+    expected = ref_check(inst, theta)
+    assert not ok and not expected[0]
+    assert violated is expected[1]

@@ -128,8 +128,9 @@ class TestCompileAndNet:
         ]) == 2
 
 
-def run_capped(*argv):
-    """``bitnets <argv>`` in a child process whose address space is capped at 1 GiB."""
+def run_capped(*argv, timeout=120):
+    """``bitnets <argv>`` in a child process whose address space is capped at 1 GiB,
+    killed after ``timeout`` seconds."""
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -138,7 +139,7 @@ def run_capped(*argv):
     return subprocess.run(
         [sys.executable, "-c", "import sys; from bitnets.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=timeout, preexec_fn=cap_address_space,
         env={**os.environ, "PYTHONPATH": src},
     )
 
@@ -223,6 +224,26 @@ class TestVerifyAndStep:
         assert main(["verify", "erm", str(inst_path), "--theta", str(theta_path),
                      "--gamma", "0", "--enc-bound", "0", "2"]) == 1
         assert capsys.readouterr().out.startswith("reject(encoding too long)\n")
+
+    def test_huge_enc_bound_exponent_is_refused_at_once(self, witness):
+        """C1 * |I|**C2 with C2 = 10**9 would have about 10**10 bits: it is a
+        usage error (exit 2), found from bit lengths before any power is built."""
+        inst_path, theta_path = witness
+        run = run_capped("verify", "erm", str(inst_path), "--theta", str(theta_path),
+                         "--gamma", "0", "--enc-bound", "1", "1000000000", timeout=30)
+        size = instance_size(parse_instance(inst_path.read_bytes()))
+        assert run.returncode == 2 and run.stdout == ""
+        assert run.stderr == (
+            f"error: encoding cap C1 * |I|**C2 has more than {1 << 20} bits (|I| = {size})\n"
+        )
+
+    def test_zero_c1_with_huge_exponent_is_cap_zero(self, witness):
+        inst_path, theta_path = witness
+        run = run_capped("verify", "erm", str(inst_path), "--theta", str(theta_path),
+                         "--gamma", "0", "--enc-bound", "0", "1000000000", timeout=30)
+        assert run.returncode == 1 and run.stderr == ""
+        assert run.stdout.startswith("reject(encoding too long)\nenc-length ")
+        assert run.stdout.endswith(" cap 0\n")
 
     def test_pwl_step(self, tmp_path, capsys):
         from fractions import Fraction

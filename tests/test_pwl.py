@@ -31,6 +31,7 @@ from bitnets.pwl import (
     relu,
     verify_witness,
 )
+from bitnets.rationals import DEFAULT_MAX_BITS, bit_length
 from bitnets.reductions import ErmInstance
 
 
@@ -411,6 +412,30 @@ class TestWitnessVerifier:
         inst = tiny_instance()
         assert verify_witness(inst, inst.theta_star, Fraction(0), [4, 2]).accepted
         verdict = verify_witness(inst, inst.theta_star, Fraction(0), (0, 0))
+        assert verdict.verdict == REJECT_ENCODING and verdict.encoding_cap == 0
+
+    @pytest.mark.parametrize("c2", [0, 1, DEFAULT_MAX_BITS // 16])  # |I| < 2**16
+    def test_encoding_cap_has_at_most_the_default_bits(self, c2):
+        """C1 = 2**m lands the cap on exactly DEFAULT_MAX_BITS bits, or one more;
+        the loss's own max_bits plays no part."""
+        inst = tiny_instance()
+        from bitnets.instances import instance_size
+
+        power = instance_size(inst) ** c2
+        c1 = 1 << (DEFAULT_MAX_BITS - bit_length(power))
+        assert bit_length(c1 * power) == DEFAULT_MAX_BITS
+        for max_bits in (8, DEFAULT_MAX_BITS):
+            verdict = verify_witness(inst, inst.theta_star, Fraction(0), (c1, c2), max_bits)
+            assert verdict.accepted and verdict.encoding_cap == c1 * power
+            with pytest.raises(ValueError, match=f"has more than {DEFAULT_MAX_BITS} bits"):
+                verify_witness(inst, inst.theta_star, Fraction(0), (2 * c1, c2), max_bits)
+
+    @pytest.mark.parametrize("c2", [10**9, 1 << 40])
+    def test_huge_exponent_is_refused_or_zero_without_the_power(self, c2):
+        inst = tiny_instance()
+        with pytest.raises(ValueError, match="encoding cap C1 \\* \\|I\\|\\*\\*C2 has more than"):
+            verify_witness(inst, inst.theta_star, Fraction(0), (1, c2))
+        verdict = verify_witness(inst, inst.theta_star, Fraction(0), (0, c2))
         assert verdict.verdict == REJECT_ENCODING and verdict.encoding_cap == 0
 
     def test_boundary_of_loss_threshold(self):
