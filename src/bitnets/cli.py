@@ -224,7 +224,7 @@ def cmd_verify_erm(args) -> int:
         inst, theta, parse_rational(args.gamma), tuple(args.enc_bound)
     )
     print(verdict.verdict)
-    print(f"enc-length {verdict.encoding_length} cap {verdict.encoding_cap}")
+    print(f"enc-length {verdict.encoding_length} cap {format_rational(verdict.encoding_cap)}")
     if verdict.loss is not None:
         print(f"loss {format_rational(verdict.loss)}")
     return EXIT_OK if verdict.accepted else EXIT_NO

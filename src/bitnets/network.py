@@ -28,69 +28,56 @@ adjoint, on the gradient accumulators after the last sample, and on
 each main sample's loss and the running loss total.  A sum is held as
 an unreduced (numerator, denominator) pair over the lcm of its terms'
 denominators and reduced only at the check that reads it, so every
-value and bit count is the reduced one.
-
-A plan lives for its call, except that ``reductions.ErmInstance`` keeps
-its theta* plan: a plan of another theta built against it takes the
-kept entry of every vertex whose in-edge (weight, bias) pairs are the
-very tuple objects the kept plan lowered, and lowers the others again,
-so a one-edge shift lowers one vertex.  It records those vertices, in
-topological order, as ``changed``.  Matching by identity, not value,
-needs no comparison of rationals and still holds if theta*'s
-parameters are replaced.
+value and bit count is the reduced one.  A plan lives for its call,
+except the theta* plan a certificate keeps (below).
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
 and the instance writer ask it for ``lower()``, ``step_family``,
 ``is_continuous`` and ``to_doc()`` rather than test its type.
 
-Auxiliary samples are scored by a local-equation certificate rather
-than one forward pass each.  A sample reproduces its label vector y iff
-every vertex satisfies ``act_v(x_v + sum of (w * y_u + b)) == y_v``
-(``x_v == y_v`` at a source) with the tails' labels substituted, by
-induction over the topological order.  The first auxiliary sample that
-passes a full forward pass is the reference.  Every other one shares
-its local equation at each vertex where neither x, y nor a tail's y
-differs, so only the remaining few vertices are checked, in
-topological order and with the bit checks of a forward pass: on a
-compiled instance, O(|E|·mu) exact arithmetic for all of them rather
-than O(|samples|·|E|).  A sample that fails its local check gets a full
+Auxiliary samples are scored by a local-equation certificate
+(``_Certificate``) rather than one forward pass each.  A sample
+reproduces its label vector y iff every vertex satisfies
+``act_v(x_v + sum of (w * y_u + b)) == y_v`` (``x_v == y_v`` at a
+source) with the tails' labels substituted, by induction over the
+topological order.  The first auxiliary sample that passes a full
+forward pass is the reference.  The certificate's index lists, once
+per dataset and whatever theta or budget, each auxiliary sample's stale
+vertices: where its x or y differs from the first auxiliary sample with
+a vector label, and the heads of the relabelled ones; it also holds the
+sample's x and y in engine form, so checks compare ``int`` with ``int``.
+A sample checks the union of its list and the reference's (its own alone
+when the reference's is empty), in topological order and with the bit
+checks of a forward pass; at every other vertex it shares the
+reference's passing local equation.  On a compiled instance that is
+O(|E|·mu) exact arithmetic for all of them rather than
+O(|samples|·|E|).  A sample that fails its local check gets a full
 forward pass, which keeps verdicts and bit-budget errors exactly those
 of the full passes.
 
-Which vertices a sample checks depends on the dataset and the network,
-not on theta, so the certificate's index (``_aux_index``) lists them
-once, against the first auxiliary sample with a vector label: for each
-sample, the vertices where x or y differs from that sample's and the
-heads of the relabelled ones.  When the reference's own list is empty
-(it is that sample, or equals it), a sample checks its own list;
-otherwise it checks the union of its list and the reference's, a
-superset of the vertices where it differs from the reference whose
-extra vertices share the reference's passing local equation.  The index
-also holds each such sample's x and label in engine form, so the checks
-compare ``int`` with ``int``; the samples are not touched.
-``loss_total`` builds the index per call.  ``reductions.ErmInstance``
-builds it on first use and keeps it for every later theta, which relies
-on the rule that an instance and its samples are not changed after they
-are built.
-
-An ``ErmInstance`` also keeps a theta* record: P*, the peak bits of the
-preactivations and values that one certificate run of its kept plan saw
-at ``DEFAULT_MAX_BITS``, if every auxiliary sample passed (no record
-otherwise).  A plan built against the kept plan then, under a budget of
-at least P*, checks only its ``changed`` vertices: a sample before the
-reference checks all of them, and a later one those in its own stale
-list or the reference's.  A vertex outside ``changed`` has the entry
-theta* had, so every sample's local equation, preactivation and value
-there are the ones that held at theta* within P* bits; a changed vertex
-outside both lists shares the reference's local equation, which passed.
-A failed local check still gets a full pass.  A one-edge shift so costs
-a membership test and at most one local equation per auxiliary sample,
-and one full pass; theta* itself, after the record, none.
+A certificate given theta* (``reductions.ErmInstance`` keeps one) keeps
+theta*'s plan.  A plan of another theta built against it takes the kept
+entry of every vertex whose in-edge (weight, bias) pairs are the very
+tuple objects the kept plan lowered and lowers the others again, listed
+in topological order as ``changed``: a one-edge shift lowers one vertex.
+Matching by identity needs no comparison of rationals and still holds if
+theta*'s parameters are replaced.  The first check, whatever its theta,
+also makes the record P*: the peak bits of the preactivations and values
+one run of the kept plan saw at ``DEFAULT_MAX_BITS``, if every auxiliary
+sample passed (no record otherwise).  Under a budget of at least P* a check then looks only
+at ``changed``, a sample past the reference only at those in its list or
+the reference's: elsewhere every local equation, preactivation and value
+is one that held at theta* within P* bits, or the reference's, which
+passed.  A one-edge shift so costs at most one local equation per
+auxiliary sample and one full pass; theta* itself, after the record,
+none.  All of this relies on the rule that an instance and its samples
+are not changed after they are built.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -631,114 +618,141 @@ def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]
     return out
 
 
-def _aux_index(net: Network, dataset: Sequence[Sample]) -> tuple[tuple | None, ...]:
-    """The certificate's index of ``dataset``, by position.  An auxiliary
-    sample with a vector label gets ``(stale, x, y)``: ``stale`` lists the
-    vertices, in topological order, where its local equations can differ
-    from those of the first such sample, namely where x or the label differs
-    from that sample's and the heads of the relabelled vertices; ``x`` and
-    ``y`` are its input and label in engine form (``_int_first``), each
-    distinct value object lowered once.  Main samples and samples with a
-    scalar label get None.  It depends on neither theta nor the bit budget."""
-    rank = {vid: k for k, vid in enumerate(net.topo_order)}
-    first: Sample | None = None
-    lowered: dict[int, int | Fraction] = {}
+class _Certificate:
+    """The certificate of the module docstring for ``dataset`` on ``net``,
+    main samples scored by ``spec``.  ``index`` is built on first use.
+    Given ``theta_star``, ``plan`` keeps theta*'s plan ``kept`` (unless one
+    was handed over) and makes the record ``star`` on its first call;
+    without it the certificate keeps no plan and no record."""
 
-    def lower(vector: Mapping) -> dict:
-        out = {}
-        for vid, q in vector.items():
-            low = lowered.get(id(q))
-            if low is None:
-                low = lowered[id(q)] = _int_first(q)
-            out[vid] = low
-        return out
+    def __init__(self, net: Network, dataset: Sequence[Sample], spec: LossSpec,
+                 theta_star: Theta | None = None) -> None:
+        self.net, self.dataset, self.spec, self.theta_star = net, dataset, spec, theta_star
+        self.kept: _Plan | None = None
+        self.star: int | None = None
+        self.recorded = False
 
-    index: list[tuple | None] = []
-    for sample in dataset:
-        y = sample.label
-        if sample.flag != 0 or not isinstance(y, Mapping):
-            index.append(None)
-            continue
-        if first is None:
-            first = sample
-        relabelled = _differing(y, first.label)
-        stale = _differing(sample.x, first.x) | relabelled
-        stale = stale.union(*(net.heads[u] for u in relabelled if u in rank))
-        stale = tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__))
-        index.append((stale, lower(sample.x), lower(y)))
-    return tuple(index)
+    @cached_property
+    def index(self) -> tuple[tuple | None, ...]:
+        """By dataset position: an auxiliary sample with a vector label gets
+        ``(stale, x, y)``, its stale vertices in topological order and its
+        input and label in engine form (``_int_first``), each distinct value
+        object lowered once; any other sample gets None."""
+        net = self.net
+        rank = {vid: k for k, vid in enumerate(net.topo_order)}
+        first: Sample | None = None
+        lowered: dict[int, int | Fraction] = {}
 
+        def lower(vector: Mapping) -> dict:
+            out = {}
+            for vid, q in vector.items():
+                low = lowered.get(id(q))
+                if low is None:
+                    low = lowered[id(q)] = _int_first(q)
+                out[vid] = low
+            return out
 
-def _aux_verdicts(
-    net: Network,
-    spec: LossSpec,
-    dataset: Sequence[Sample],
-    plan: _Plan,
-    max_bits: int,
-    index: Sequence[tuple | None],
-    star: int | None = None,
-) -> Generator[tuple[Sample, bool | None], None, int | None]:
-    """Yield every sample in dataset order with whether it reproduces its
-    label vector under the plan's theta, by the certificate of the module
-    docstring, ``index`` being ``_aux_index(net, dataset)``, whose engine
-    vectors it reads; main samples yield None and are not evaluated.  A
-    sample whose label is not a vector gets a full forward pass, so its
-    error is that of a full pass too.
+        index: list[tuple | None] = []
+        for sample in self.dataset:
+            y = sample.label
+            if sample.flag != 0 or not isinstance(y, Mapping):
+                index.append(None)
+                continue
+            if first is None:
+                first = sample
+            relabelled = _differing(y, first.label)
+            stale = _differing(sample.x, first.x) | relabelled
+            stale = stale.union(*(net.heads[u] for u in relabelled if u in rank))
+            stale = tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__))
+            index.append((stale, lower(sample.x), lower(y)))
+        return tuple(index)
 
-    ``star`` is the theta* record P* of the kept plan that ``plan`` was
-    built against, if it has one.  With it and ``max_bits >= star`` a
-    sample checks only the vertices the plan lowered again.  Otherwise the
-    run returns its own peak bits over the preactivations and values it
-    saw if every auxiliary sample passed, and None if one failed.
-    """
-    settle = plan.settle
-    changed = plan.changed
-    narrow = star is not None and changed is not None and max_bits >= star
-    peak = None if narrow else 1
-    ref: set[str] | None = None  # the reference's stale vertices
-    rank: dict[str, int] = {}
-    for sample, entry in zip(dataset, index):
-        if sample.flag != 0:
-            yield sample, None
-            continue
-        if entry is None:  # a scalar label, refused after its full pass
-            plan.run(sample.x, max_bits)
-            check_label(spec, sample)
-        stale, x, y = entry
-        if narrow:
-            check = changed if ref is None else [
-                vid for vid in changed if vid in stale or vid in ref]
-        elif ref is None:
-            check = None
-        elif ref:
-            check = sorted(ref.union(stale), key=rank.__getitem__)
-        else:
-            check = stale
-        ok = None
-        if check is not None:
-            for vid in check:
-                pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
-                if value != y.get(vid, 0):
-                    break
-                if peak is not None:
-                    if bits > peak:
-                        peak = bits
-                    if pre is not value and bit_length(pre) > peak:
-                        peak = bit_length(pre)
+    def plan(self, theta: Theta) -> _Plan:
+        """``theta`` lowered against the kept theta* plan, or whole without
+        theta*."""
+        if self.theta_star is None:
+            return _Plan(self.net, theta)
+        if not self.recorded:
+            self.recorded = True
+            if self.kept is None:
+                self.kept = _Plan(self.net, self.theta_star)
+            with suppress(BitBudgetError):
+                self.violated(self.kept, DEFAULT_MAX_BITS)
+        return _Plan(self.net, theta, self.kept)
+
+    def verdicts(self, plan: _Plan, max_bits: int) -> Iterator[tuple[Sample, bool | None]]:
+        """Yield every sample in dataset order with whether it reproduces its
+        label vector under ``plan``'s theta; main samples yield None and are
+        not evaluated.  A sample whose label is not a vector gets a full
+        forward pass, so its error is that of a full pass too.  A run of
+        ``kept`` that every auxiliary sample passes sets ``star``."""
+        net, settle = self.net, plan.settle
+        changed = plan.changed if self.star is not None and max_bits >= self.star else None
+        peak = 1 if plan is self.kept else None
+        ref: set[str] | None = None  # the reference's stale vertices
+        for sample, entry in zip(self.dataset, self.index):
+            if sample.flag != 0:
+                yield sample, None
+                continue
+            if entry is None:  # a scalar label, refused after its full pass
+                plan.run(sample.x, max_bits)
+                check_label(self.spec, sample)
+            stale, x, y = entry
+            if ref is None:  # all of changed, or a full pass
+                check = changed
+            elif changed is None and not ref:
+                check = stale
             else:
-                ok = True
-        if ok is None:  # no check yet, or a failed one: the full pass decides
-            values, pre, bits = plan.run(x, max_bits)
-            ok = _vector_matches(net, values, y)
-            if peak is not None:
-                peak = max(peak, max(bits.values(), default=1),
-                           max(map(bit_length, pre.values()), default=1)) if ok else None
-        if ok and ref is None:
-            ref = set(stale)
-            if ref and not narrow:
-                rank = {vid: k for k, vid in enumerate(plan.order)}
-        yield sample, ok
-    return peak
+                check = [vid for vid in (plan.order if changed is None else changed)
+                         if vid in stale or vid in ref]
+            ok = None
+            if check is not None:
+                for vid in check:
+                    pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
+                    if value != y.get(vid, 0):
+                        break
+                    if peak is not None:
+                        if bits > peak:
+                            peak = bits
+                        if pre is not value and bit_length(pre) > peak:
+                            peak = bit_length(pre)
+                else:
+                    ok = True
+            if ok is None:  # no check yet, or a failed one: the full pass decides
+                values, pre, bits = plan.run(x, max_bits)
+                ok = _vector_matches(net, values, y)
+                if peak is not None:
+                    peaks = (*bits.values(), *map(bit_length, pre.values()))
+                    peak = max(peak, *peaks) if ok else None
+            if ok and ref is None:
+                ref = set(stale)
+            yield sample, ok
+        if peak is not None:
+            self.star = peak
+
+    def violated(self, plan: _Plan, max_bits: int) -> Sample | None:
+        """The first auxiliary sample that does not reproduce its label
+        vector under ``plan``'s theta, or None."""
+        for sample, ok in self.verdicts(plan, max_bits):
+            if ok is False:
+                return sample
+        return None
+
+    def loss(self, plan: _Plan, max_bits: int) -> Fraction:
+        """``loss_total`` under ``plan``'s theta."""
+        total = Fraction(0)
+        for i, (sample, ok) in enumerate(self.verdicts(plan, max_bits)):
+            if ok is None:
+                values = plan.run(sample.x, max_bits)[0]
+                loss = sample_loss(self.net, self.spec, values, sample)
+                check_bits(loss, max_bits, f"loss of sample {i}")
+                total += sample.count * loss
+            elif ok:
+                continue
+            else:
+                total += sample.count
+            check_bits(total, max_bits, f"loss total after sample {i}")
+        return total
 
 
 def loss_total(
@@ -752,43 +766,13 @@ def loss_total(
 
     Each main sample gets a full forward pass; each auxiliary (flag 0)
     sample adds its ``count`` when the certificate of the module
-    docstring finds it does not reproduce its label vector.  On a
-    compiled instance that costs O(|E|·mu) exact arithmetic for all
-    auxiliary samples, mu being sigma's degree.  The total and any
-    bit-budget error are those of one full forward pass per sample.
-    Each main sample's one-copy loss, and the running total after each
-    addition to it, are checked against ``max_bits``.  The certificate's
-    index and the plan are built for this call.
+    docstring finds it does not reproduce its label vector.  The total
+    and any bit-budget error are those of one full forward pass per
+    sample.  Each main sample's one-copy loss, and the running total
+    after each addition to it, are checked against ``max_bits``.  The
+    call keeps nothing: its certificate and plan are built for it alone.
     """
-    index = _aux_index(net, dataset)
-    return _loss_total(net, spec, dataset, _Plan(net, theta), max_bits, index)
-
-
-def _loss_total(
-    net: Network,
-    spec: LossSpec,
-    dataset: Sequence[Sample],
-    plan: _Plan,
-    max_bits: int,
-    index: Sequence[tuple | None],
-    star: int | None = None,
-) -> Fraction:
-    """``loss_total`` on a plan of theta, with the certificate's index of
-    ``dataset`` and the theta* record of ``plan``'s kept plan given."""
-    total = Fraction(0)
-    verdicts = _aux_verdicts(net, spec, dataset, plan, max_bits, index, star)
-    for i, (sample, ok) in enumerate(verdicts):
-        if ok is None:
-            values = plan.run(sample.x, max_bits)[0]
-            loss = sample_loss(net, spec, values, sample)
-            check_bits(loss, max_bits, f"loss of sample {i}")
-            total += sample.count * loss
-        elif ok:
-            continue
-        else:
-            total += sample.count
-        check_bits(total, max_bits, f"loss total after sample {i}")
-    return total
+    return _Certificate(net, dataset, spec).loss(_Plan(net, theta), max_bits)
 
 
 @dataclass(frozen=True)

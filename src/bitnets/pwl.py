@@ -30,12 +30,11 @@ from .network import (
     NetworkError,
     Sample,
     Theta,
-    _loss_total,
     _Plan,
     gradients,
 )
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, round_to_dyadic
-from .reductions import _index_of
+from .reductions import _cert_of
 
 
 @dataclass(frozen=True)
@@ -254,11 +253,11 @@ def verify_witness(
     length; ``enc_bound`` (C1, C2) must be two non-negative ``int`` values,
     and the cap must have at most ``DEFAULT_MAX_BITS`` bits whatever
     ``max_bits`` the loss runs under, else ``ValueError``.  Within the
-    bound, the exact total loss
-    (``loss_total``, with an ``ErmInstance``'s kept certificate index) is
-    compared against gamma.  A witness is a trained vector, not a shift of
-    theta*, so it is lowered whole: the instance's theta* plan is neither
-    built nor read.  Always returns a three-way verdict.
+    bound, the exact total loss (``loss_total``, on the certificate of
+    :mod:`bitnets.network` that an ``ErmInstance`` keeps) is compared
+    against gamma.  A witness is a trained vector, not a shift of theta*,
+    so it is lowered whole: the certificate's index is built or read, its
+    theta* plan and record are not.  Always returns a three-way verdict.
     """
     from .instances import instance_size, theta_size
 
@@ -272,9 +271,7 @@ def verify_witness(
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    index = _index_of(inst)
-    plan = _Plan(inst.network, theta)
-    loss = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index)
+    loss = _cert_of(inst).loss(_Plan(inst.network, theta), max_bits)
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

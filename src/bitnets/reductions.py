@@ -19,10 +19,7 @@ and gradient (backprop sign / bit) instances, which append one free
 distinguished edge to a fresh target and have no forcing samples.
 
 Auxiliary samples are scored by the local-equation certificate of
-:mod:`bitnets.network`, inside ``loss_total``.  An ``ErmInstance`` keeps
-the certificate's index, its theta* plan and theta*'s record, so
-checking one instance at many shifted theta builds the index once,
-lowers only the vertices a shift touches and checks only those.
+:mod:`bitnets.network`, which an ``ErmInstance`` keeps.
 """
 
 from __future__ import annotations
@@ -47,16 +44,14 @@ from .network import (
     Theta,
     Vertex,
     _as_fraction,
-    _aux_index,
-    _aux_verdicts,
-    _loss_total,
+    _Certificate,
     _Plan,
     _reduced,
     check_label,
     gradients,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
-from .rationals import DEFAULT_MAX_BITS, BitBudgetError, bit_length, format_rational
+from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
 from .slp import Gate, NormalizedSlp, Slp, normalize_bn, parse_slp
 
 _IDENTITY = IdentityActivation()
@@ -146,18 +141,9 @@ class ErmInstance:
 
     An instance is not changed after it is built, nor are its samples'
     vectors: the checks above hold only for the fields they saw, and the
-    certificate's index (with the samples' vectors in engine form) is
-    built from the dataset on first use and kept.  So is the plan of
-    theta* (a compiled instance keeps its compiler's), which
-    ``check_zero_aux_loss`` and ``decide_at_theta_star`` lend to the plan
-    of the theta they check: a vertex is lowered again only where an
-    in-edge's (weight, bias) pair is not the tuple object the kept plan
-    lowered.  Beside them the first check keeps theta*'s record: the peak
-    bits P* of one certificate run of the kept plan, if every auxiliary
-    sample passed.  Under a budget of at least P* a check then looks only
-    at the vertices its plan lowered again (see :mod:`bitnets.network`).
-    ``dataclasses.replace`` makes a new instance with its own index, plan
-    and record.
+    instance keeps the certificate of :mod:`bitnets.network`, built on
+    first use with its theta*.  ``dataclasses.replace`` makes a new
+    instance with a new certificate.
     """
 
     network: Network
@@ -172,47 +158,16 @@ class ErmInstance:
         _check_gap(self.gap)
 
     @cached_property
-    def _index(self) -> tuple:
-        return _aux_index(self.network, self.dataset)
-
-    @cached_property
-    def _plan(self) -> _Plan:
-        return _Plan(self.network, self.theta_star)
-
-    @cached_property
-    def _star(self) -> int | None:
-        """The theta* record: P* from one certificate run of ``_plan`` at
-        ``DEFAULT_MAX_BITS``, or None if a sample failed or a value overflowed."""
-        verdicts = _aux_verdicts(
-            self.network, self.loss, self.dataset, self._plan, DEFAULT_MAX_BITS, self._index
-        )
-        try:
-            while next(verdicts)[1] is not False:
-                pass
-        except StopIteration as done:
-            return done.value
-        except BitBudgetError:
-            pass
-        return None
+    def _cert(self) -> _Certificate:
+        return _Certificate(self.network, self.dataset, self.loss, self.theta_star)
 
 
-def _index_of(inst) -> tuple:
-    """The certificate's index of ``inst``: kept on an ``ErmInstance``, built
-    for this call on any other object, whose fields may have been swapped."""
+def _cert_of(inst) -> _Certificate:
+    """The certificate ``inst`` keeps if it is an ``ErmInstance``; any other
+    object, whose fields may have been swapped, gets one that keeps nothing."""
     if isinstance(inst, ErmInstance):
-        return inst._index
-    return _aux_index(inst.network, inst.dataset)
-
-
-def _certificate(inst, theta: Theta) -> tuple[_Plan, tuple, int | None]:
-    """``theta`` lowered on ``inst``'s network, the certificate's index and
-    the theta* record P*.  An ``ErmInstance`` lends its kept theta* plan,
-    whose entries serve every vertex whose in-edge pairs are the very tuples
-    of theta* it lowered, its index and its record; any other object gets a
-    whole plan and an index for this call, and no record."""
-    if isinstance(inst, ErmInstance):
-        return _Plan(inst.network, theta, inst._plan), inst._index, inst._star
-    return _Plan(inst.network, theta), _aux_index(inst.network, inst.dataset), None
+        return inst._cert
+    return _Certificate(inst.network, inst.dataset, inst.loss)
 
 
 @dataclass(frozen=True)
@@ -414,7 +369,7 @@ def _forcing_instance(
     )
     provenance = _provenance(prog, sigma, builder.lam) | provenance | {"alpha1": alpha1}
     inst = ErmInstance(net, theta_star, tuple(dataset), loss(target), gap, provenance)
-    vars(inst)["_plan"] = plan  # kept, so theta* is lowered once per compiled instance
+    inst._cert.kept = plan  # so theta* is lowered once per compiled instance
     return inst
 
 
@@ -464,21 +419,16 @@ def check_zero_aux_loss(
     bit-budget errors are those of one full forward pass per auxiliary
     sample in dataset order.
     """
-    plan, index, star = _certificate(inst, theta)
-    for sample, ok in _aux_verdicts(
-        inst.network, inst.loss, inst.dataset, plan, max_bits, index, star
-    ):
-        if ok is False:
-            return False, sample
-    return True, None
+    cert = _cert_of(inst)
+    violated = cert.violated(cert.plan(theta), max_bits)
+    return violated is None, violated
 
 
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """YES (True) iff the instance's total loss at theta*, ``loss_total``,
     is at most gap[0]."""
-    plan, index, star = _certificate(inst, inst.theta_star)
-    total = _loss_total(inst.network, inst.loss, inst.dataset, plan, max_bits, index, star)
-    return total <= inst.gap[0]
+    cert = _cert_of(inst)
+    return cert.loss(cert.plan(inst.theta_star), max_bits) <= inst.gap[0]
 
 
 def compile_backprop(

@@ -502,7 +502,7 @@ class TestKeptPlan:
             original = inst.theta_star.params
             shifts = reuse_cases(rng, inst)
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
-            assert "_plan" in vars(inst)
+            assert inst._cert.kept is not None
             for theta in shifts[1:]:
                 object.__setattr__(inst.theta_star, "params", theta.params)
                 assert_theta_star_matches_reference(inst)
@@ -549,7 +549,7 @@ class TestKeptPlan:
         verify_witness(inst, inst.theta_star, Fraction(0))
         # the compiler's plan, then one whole plan each; a parsed copy keeps none
         assert [len(vids) for vids in lowered] == [n, n, n]
-        assert "_plan" not in vars(inst)
+        assert inst._cert.kept is None
 
 
 def ref_peak(inst):
@@ -603,7 +603,8 @@ class TestThetaStarRecord:
             inst = compile_erm(p, SIGMAS[trial % 3], rng.randint(0, 3), (0, 2))
             if trial % 2:
                 inst = parse_instance(serialize_instance(inst))
-            star = inst._star
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)  # makes the record
+            star = inst._cert.star
             assert star == ref_peak(inst)
             assert outcome(check_zero_aux_loss, inst, inst.theta_star, star - 1)[0] == "bits"
             for theta in reuse_cases(rng, inst):
@@ -623,8 +624,8 @@ class TestThetaStarRecord:
                 theta = shifted(theta, eid, coord, rng.choice(DELTAS))
             first = next(s for s in inst.dataset if s.flag == 0)
             assert check_zero_aux_loss(inst, theta) == (False, first)
-            assert inst._star is not None
-            assert_matches_copy_and_reference(inst, theta, (inst._star, 1 << 20))
+            assert inst._cert.star is not None
+            assert_matches_copy_and_reference(inst, theta, (inst._cert.star, 1 << 20))
 
     def test_sample_after_a_later_reference_checks_that_reference_list(self):
         # s -> h (identity, w 1, b 0); the shift to (0, 1) fails every sample
@@ -642,8 +643,8 @@ class TestThetaStarRecord:
         )
         inst = ErmInstance(net, theta, dataset, LossSpec("square", target="h"), (6, 8), {})
         shift = Theta({"s->h": (Fraction(0), Fraction(1))})
-        assert inst._star == 2
         assert check_zero_aux_loss(inst, shift) == (False, dataset[0])
+        assert inst._cert.star == 2
         assert_matches_copy_and_reference(inst, shift, (2, 16, 1 << 20))
         object.__setattr__(inst.theta_star, "params", shift.params)
         assert loss_total(net, shift, dataset, inst.loss) == 7
@@ -663,9 +664,9 @@ class TestThetaStarRecord:
             Sample({"h": Fraction(1 << 40)}, {}, 0, 2, "big preactivation"),
         )
         inst = ErmInstance(net, theta, dataset, LossSpec("square", target="t"), (0, 1), {})
-        assert inst._star == ref_peak(inst) == 42
         shift = theta.with_param("h->t", weight=Fraction(2))
         assert outcome(check_zero_aux_loss, inst, shift, 41) == ("bits", 42, 41, "preactivation h")
+        assert inst._cert.star == ref_peak(inst) == 42
         assert_matches_copy_and_reference(inst, shift, (41, 42, 1 << 20))
 
     def test_theta_star_failing_an_aux_sample_has_no_record(self):
@@ -679,8 +680,8 @@ class TestThetaStarRecord:
             data = list(inst.dataset)
             data[k] = dataclasses.replace(data[k], label=label)
             broken = dataclasses.replace(inst, dataset=tuple(data))
-            assert broken._star is None
             assert check_zero_aux_loss(broken, broken.theta_star) == (False, data[k])
+            assert broken._cert.recorded and broken._cert.star is None
             for theta in single_shifts(rng, broken, 2):
                 assert_matches_copy_and_reference(broken, theta, (5, 16, 1 << 20))
 
@@ -826,7 +827,7 @@ class TestScalarAuxLabel:
     @pytest.fixture
     def raw(self):
         inst = compile_erm(parse_slp("const 1\nadd 0 0\n"), SIGMAS[0], 0)
-        assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)  # keeps an index
+        assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)  # keeps a certificate
         data = list(inst.dataset)
         data[1] = dataclasses.replace(data[1], label=Fraction(0))
         return SimpleNamespace(**{**vars(inst), "dataset": tuple(data)})
@@ -838,7 +839,7 @@ class TestScalarAuxLabel:
         assert outcome(ref_decide, raw) == expected
 
     def test_namespace_copy_is_judged_on_its_own_dataset(self):
-        # the copy carries the original's kept index in its fields; it
+        # the copy carries the original's kept certificate in its fields; it
         # relabels the target in a sample that agrees with the baseline
         # there and at the target's tails, so no index of the original
         # lists the target for that sample
@@ -920,3 +921,67 @@ def test_single_shift_at_the_papers_sizes_is_rejected(case):
     expected = ref_check(inst, theta)
     assert not ok and not expected[0]
     assert violated is expected[1]
+
+
+@st.composite
+def call_orders(draw):
+    """A compiled or parsed instance under one of the three sigma, four theta
+    (theta*, a single shift, a three-edge shift and theta* rebuilt from new
+    pairs) and 3 to 8 calls on it, each a function, a theta and a cap."""
+    n = draw(st.integers(1, 3))
+    gates = tuple(
+        Gate(draw(st.sampled_from(("add", "sub", "mul"))), draw(st.integers(0, i - 1)),
+             draw(st.integers(0, i - 1)))
+        for i in range(1, n + 1)
+    )
+    prog, sigma = Slp(Fraction(1), gates), draw(st.sampled_from(SIGMAS))
+    if draw(st.booleans()):
+        inst = compile_erm(prog, sigma, draw(st.integers(0, 3)))
+    else:
+        inst = compile_hinge_posslp(prog, sigma)
+    if draw(st.booleans()):
+        inst = parse_instance(serialize_instance(inst))
+    theta, eids = inst.theta_star, [e.id for e in inst.network.edges]
+
+    def shift(base, eid):
+        coord = draw(st.sampled_from(("weight", "bias")))
+        return shifted(base, eid, coord, draw(st.sampled_from(DELTAS)))
+
+    multi = theta
+    for eid in draw(st.permutations(eids))[:3]:
+        multi = shift(multi, eid)
+    thetas = (theta, shift(theta, draw(st.sampled_from(eids))), multi, same_values(theta))
+    call = st.tuples(st.sampled_from(("check", "decide", "witness")), st.integers(0, 3),
+                     st.sampled_from((2, 16, 1 << 20)))
+    return inst, thetas, draw(st.lists(call, min_size=3, max_size=8))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(call_orders())
+def test_any_call_order_matches_reference(case):
+    """An instance builds its certificate's index, theta* plan and record on
+    whichever call comes first; every result equals the dense reference's.
+    ``decide_at_theta_star`` runs at a theta by replacing theta*'s params."""
+    inst, thetas, calls = case
+    gamma, original = Fraction(inst.gap[0]), inst.theta_star.params
+
+    def witness(theta, cap):
+        verdict = verify_witness(inst, theta, gamma, (4, 2), cap)
+        return verdict.verdict, verdict.loss
+
+    for fn, k, cap in calls:
+        theta = thetas[k]
+        if fn == "check":
+            expected = outcome(ref_check, inst, theta, cap)
+            assert outcome(check_zero_aux_loss, inst, theta, cap) == expected
+        elif fn == "decide":
+            object.__setattr__(inst.theta_star, "params", theta.params)
+            try:
+                assert outcome(decide_at_theta_star, inst, cap) == outcome(ref_decide, inst, cap)
+            finally:
+                object.__setattr__(inst.theta_star, "params", original)
+        else:
+            expected = outcome(ref_loss, inst, theta, cap)
+            if expected[0] == "ok":
+                expected = ("ok", (ACCEPT if expected[1] <= gamma else REJECT_LOSS, expected[1]))
+            assert outcome(witness, theta, cap) == expected

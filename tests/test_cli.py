@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import bitnets
 from bitnets.cli import main
 from bitnets.instances import instance_size, parse_instance, serialize_theta, theta_size
+from bitnets.rationals import parse_rational
 
 CHAIN16 = "const 1\nadd 0 0\nmul 1 1\nmul 2 2\n"
 
@@ -244,6 +246,26 @@ class TestVerifyAndStep:
         assert run.returncode == 1 and run.stderr == ""
         assert run.stdout.startswith("reject(encoding too long)\nenc-length ")
         assert run.stdout.endswith(" cap 0\n")
+
+    def test_cap_past_the_int_text_limit_is_printed_whole(self, tmp_path):
+        """A cap of more decimal digits than CPython's int-to-text limit (4300)
+        is printed in full: verdict, enc-length/cap and loss lines, exit 0."""
+        slp = tmp_path / "p.slp"
+        slp.write_text("const 1\nmul 0 0\nadd 1 0\nsub 2 1\n")
+        inst_path, theta_path = tmp_path / "c.json", tmp_path / "theta.json"
+        assert main(["compile", "erm", str(slp), "--sigma", "0,0,1", "--j", "0",
+                     "-o", str(inst_path)]) == 0
+        inst = parse_instance(inst_path.read_bytes())
+        theta_path.write_bytes(serialize_theta(inst.theta_star))
+        run = run_capped("verify", "erm", str(inst_path), "--theta", str(theta_path),
+                         "--gamma", "0", "--enc-bound", "1", "2000")
+        assert run.returncode == 0 and run.stderr == ""
+        verdict, bound, loss = run.stdout.splitlines()
+        assert verdict == "accept" and loss == "loss 0"
+        enc, cap = re.fullmatch(r"enc-length (\d+) cap (\d+)", bound).groups()
+        assert int(enc) == theta_size(inst.theta_star)
+        assert len(cap) > 4300
+        assert parse_rational(cap) == instance_size(inst) ** 2000
 
     def test_pwl_step(self, tmp_path, capsys):
         from fractions import Fraction
