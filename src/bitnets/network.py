@@ -40,20 +40,34 @@ Auxiliary samples are scored by a local-equation certificate
 reproduces its label vector y iff every vertex satisfies
 ``act_v(x_v + sum of (w * y_u + b)) == y_v`` (``x_v == y_v`` at a
 source) with the tails' labels substituted, by induction over the
-topological order.  The first auxiliary sample that passes a full
-forward pass is the reference.  The certificate's index lists, once
-per dataset and whatever theta or budget, each auxiliary sample's stale
-vertices: where its x or y differs from the first auxiliary sample with
-a vector label, and the heads of the relabelled ones; it also holds the
-sample's x and y in engine form, so checks compare ``int`` with ``int``.
-A sample checks the union of its list and the reference's (its own alone
-when the reference's is empty), in topological order and with the bit
-checks of a forward pass; at every other vertex it shares the
+topological order.  The first auxiliary sample that passes is the
+reference.  The certificate's index lists, once per dataset and whatever
+theta or budget, each auxiliary sample's stale vertices: where its x or
+y differs from the first auxiliary sample with a vector label, and the
+heads of the relabelled ones.  It holds the sample's x and y in engine
+form, so checks compare ``int`` with ``int``, and it inverts the lists:
+for each vertex, the dataset positions of the samples whose list holds
+it.  A sample checks the union of its list and the reference's (its own
+alone when the reference's is empty), in topological order and with the
+bit checks of a forward pass; at every other vertex it shares the
 reference's passing local equation.  On a compiled instance that is
 O(|E|·mu) exact arithmetic for all of them rather than
-O(|samples|·|E|).  A sample that fails its local check gets a full
-forward pass, which keeps verdicts and bit-budget errors exactly those
-of the full passes.
+O(|samples|·|E|).
+
+A sample whose local check fails at v is violated.  Its forward pass
+then resumes at v, with every vertex before v at its label, and runs
+only for its bit checks, so that its bit-budget error is the one a full
+pass raises.  That is exact because a full pass would give each vertex u
+before v its label (u holds its local equation) within the budget:
+
+- under a budget of at least the record P* (below), an unchanged u's
+  local equation is theta*'s for this sample, so its bits are at most
+  P*; a changed one was checked in this call, or equals the
+  reference's, which was checked in this call;
+- otherwise u's local equation was checked in this call, or it equals
+  the reference's, whose full pass in this call passed.
+
+The run that makes the record keeps full passes, whose bits it records.
 
 A certificate given theta* (``reductions.ErmInstance`` keeps one) keeps
 theta*'s plan.  A plan of another theta built against it takes the kept
@@ -64,14 +78,18 @@ Matching by identity needs no comparison of rationals and still holds if
 theta*'s parameters are replaced.  The first check, whatever its theta,
 also makes the record P*: the peak bits of the preactivations and values
 one run of the kept plan saw at ``DEFAULT_MAX_BITS``, if every auxiliary
-sample passed (no record otherwise).  Under a budget of at least P* a check then looks only
-at ``changed``, a sample past the reference only at those in its list or
-the reference's: elsewhere every local equation, preactivation and value
-is one that held at theta* within P* bits, or the reference's, which
-passed.  A one-edge shift so costs at most one local equation per
-auxiliary sample and one full pass; theta* itself, after the record,
-none.  All of this relies on the rule that an instance and its samples
-are not changed after they are built.
+sample passed (no record otherwise).  Under a budget of at least P* a
+check then looks only at ``changed``, a sample past the reference only
+at those in its list or the reference's: elsewhere every local equation,
+preactivation and value is one that held at theta* within P* bits, or
+the reference's, which passed.  When no changed vertex is in the
+reference's list, a sample past it that no changed vertex lists has
+nothing to check, so the check visits only the listed samples, the main
+ones and those with a scalar label.  A one-edge shift so costs at most
+one local equation per sample it visits and one pass resumed at the
+changed vertex; theta* itself, after the record, none.  All of this
+relies on the rule that an instance and its samples are not changed
+after they are built.
 """
 
 from __future__ import annotations
@@ -267,6 +285,11 @@ class Network:
         return tuple(order)
 
     @cached_property
+    def topo_position(self) -> dict[str, int]:
+        """Each vertex's position in ``topo_order``, built on first use."""
+        return {vid: k for k, vid in enumerate(self.topo_order)}
+
+    @cached_property
     def heads(self) -> dict[str, set[str]]:
         """The out-neighbours of every vertex, built on first use: only the
         auxiliary-sample certificate and the compiler read them."""
@@ -451,18 +474,25 @@ class _Plan:
     ``kept``'s entry when each of its in-edge pairs *is* the tuple object
     ``kept`` lowered, and is lowered again otherwise, in topological order;
     ``changed`` lists the vertices lowered again, in that order.  A whole
-    plan, built without ``kept``, has ``changed`` None: all of them.
+    plan, built without ``kept``, has ``changed`` None: all of them.  Against
+    ``kept`` only the pairs that are not its objects are checked, as
+    ``theta.check_against`` would check them, with the same error.
     """
 
     def __init__(self, net: Network, theta: Theta, kept: _Plan | None = None) -> None:
-        theta.check_against(net)
-        self.order = net.topo_order
+        self.order, self.position = net.topo_order, net.topo_position
         self.pairs = dict(theta.params)
+        if kept is None or self.pairs.keys() != kept.pairs.keys():
+            theta.check_against(net)  # against kept, raises: an edge is missing or unknown
         if kept is not None:
             self.ops = kept.ops
-            heads = {net.edge_map[eid].head
-                     for eid, pair in self.pairs.items() if pair is not kept.pairs[eid]}
-            self.changed = tuple(vid for vid in self.order if vid in heads)
+            heads = set()
+            for eid, pair in self.pairs.items():
+                if pair is not kept.pairs[eid]:
+                    if type(pair) is not tuple or len(pair) != 2:
+                        theta.check_against(net)  # raises this pair's error
+                    heads.add(net.edge_map[eid].head)
+            self.changed = tuple(sorted(heads, key=self.position.__getitem__))
             self.node = dict(kept.node) if heads else kept.node
             for vid in self.changed:
                 self.node[vid] = self._lower(net, vid, *kept.node[vid][2:4])
@@ -536,14 +566,19 @@ class _Plan:
             raise BitBudgetError(bits, max_bits, where)
         return pre, value, bits
 
-    def run(self, x: Mapping, max_bits: int) -> tuple[dict, dict, dict]:
+    def run(self, x: Mapping, max_bits: int, start: str | None = None,
+            prefix: Mapping | None = None) -> tuple[dict, dict, dict]:
         """One forward pass: values, preactivations and value bits by vertex,
-        in topological order."""
-        values: dict = {}
+        in topological order.  Given ``start``, the pass resumes there: every
+        vertex before it takes its value from ``prefix`` (missing means 0) and
+        is neither settled nor bit-checked, nor listed in the preactivations
+        and bits."""
+        values: dict = {} if prefix is None else dict(prefix)
         pre: dict = {}
         bits: dict = {}
         settle = self.settle
-        for vid in self.order:
+        order = self.order if start is None else self.order[self.position[start]:]
+        for vid in order:
             pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
         return values, pre, bits
 
@@ -633,13 +668,15 @@ class _Certificate:
         self.recorded = False
 
     @cached_property
-    def index(self) -> tuple[tuple | None, ...]:
-        """By dataset position: an auxiliary sample with a vector label gets
-        ``(stale, x, y)``, its stale vertices in topological order and its
-        input and label in engine form (``_int_first``), each distinct value
-        object lowered once; any other sample gets None."""
-        net = self.net
-        rank = {vid: k for k, vid in enumerate(net.topo_order)}
+    def index(self) -> tuple[tuple, dict[str, tuple[int, ...]], tuple[int, ...]]:
+        """``(entries, listed, others)``.  By dataset position, ``entries``
+        gives an auxiliary sample with a vector label ``(stale, x, y)``, its
+        stale vertices in topological order and its input and label in engine
+        form (``_int_first``), each distinct value object lowered once; any
+        other sample gets None.  ``listed[v]`` holds, in dataset order, the
+        positions whose stale vertices include v; ``others`` the positions
+        whose entry is None."""
+        net, position = self.net, self.net.topo_position
         first: Sample | None = None
         lowered: dict[int, int | Fraction] = {}
 
@@ -652,20 +689,24 @@ class _Certificate:
                 out[vid] = low
             return out
 
-        index: list[tuple | None] = []
-        for sample in self.dataset:
+        entries: list[tuple | None] = []
+        listed: dict[str, list[int]] = {}
+        for i, sample in enumerate(self.dataset):
             y = sample.label
             if sample.flag != 0 or not isinstance(y, Mapping):
-                index.append(None)
+                entries.append(None)
                 continue
             if first is None:
                 first = sample
             relabelled = _differing(y, first.label)
             stale = _differing(sample.x, first.x) | relabelled
-            stale = stale.union(*(net.heads[u] for u in relabelled if u in rank))
-            stale = tuple(sorted((v for v in stale if v in rank), key=rank.__getitem__))
-            index.append((stale, lower(sample.x), lower(y)))
-        return tuple(index)
+            stale = stale.union(*(net.heads[u] for u in relabelled if u in position))
+            stale = tuple(sorted((v for v in stale if v in position), key=position.__getitem__))
+            for vid in stale:
+                listed.setdefault(vid, []).append(i)
+            entries.append((stale, lower(sample.x), lower(y)))
+        others = tuple(i for i, entry in enumerate(entries) if entry is None)
+        return tuple(entries), {vid: tuple(ps) for vid, ps in listed.items()}, others
 
     def plan(self, theta: Theta) -> _Plan:
         """``theta`` lowered against the kept theta* plan, or whole without
@@ -680,22 +721,27 @@ class _Certificate:
                 self.violated(self.kept, DEFAULT_MAX_BITS)
         return _Plan(self.net, theta, self.kept)
 
-    def verdicts(self, plan: _Plan, max_bits: int) -> Iterator[tuple[Sample, bool | None]]:
-        """Yield every sample in dataset order with whether it reproduces its
-        label vector under ``plan``'s theta; main samples yield None and are
-        not evaluated.  A sample whose label is not a vector gets a full
-        forward pass, so its error is that of a full pass too.  A run of
-        ``kept`` that every auxiliary sample passes sets ``star``."""
+    def verdicts(self, plan: _Plan, max_bits: int) -> Iterator[int]:
+        """Yield, in dataset order, the positions of the main samples, which
+        are not evaluated, and of the auxiliary samples that do not reproduce
+        their label vector under ``plan``'s theta; a sample that does is not
+        yielded.  A sample whose label is not a vector gets a full forward
+        pass, so its error is that of a full pass too.  A run of ``kept`` that
+        every auxiliary sample passes sets ``star``."""
+        entries, listed, others = self.index
         net, settle = self.net, plan.settle
         changed = plan.changed if self.star is not None and max_bits >= self.star else None
         peak = 1 if plan is self.kept else None
         ref: set[str] | None = None  # the reference's stale vertices
-        for sample, entry in zip(self.dataset, self.index):
-            if sample.flag != 0:
-                yield sample, None
-                continue
-            if entry is None:  # a scalar label, refused after its full pass
-                plan.run(sample.x, max_bits)
+        todo = iter(range(len(entries)))  # the positions still to visit
+        while (i := next(todo, None)) is not None:
+            entry = entries[i]
+            if entry is None:
+                sample = self.dataset[i]
+                if sample.flag != 0:
+                    yield i
+                    continue
+                plan.run(sample.x, max_bits)  # a scalar label, refused after its full pass
                 check_label(self.spec, sample)
             stale, x, y = entry
             if ref is None:  # all of changed, or a full pass
@@ -710,6 +756,9 @@ class _Certificate:
                 for vid in check:
                     pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
                     if value != y.get(vid, 0):
+                        if peak is None:  # the pass resumes at vid, for its bit checks
+                            plan.run(x, max_bits, vid, y)
+                            ok = False
                         break
                     if peak is not None:
                         if bits > peak:
@@ -718,39 +767,44 @@ class _Certificate:
                             peak = bit_length(pre)
                 else:
                     ok = True
-            if ok is None:  # no check yet, or a failed one: the full pass decides
+            if ok is None:  # no check yet, or a failed one of the record run
                 values, pre, bits = plan.run(x, max_bits)
                 ok = _vector_matches(net, values, y)
                 if peak is not None:
                     peaks = (*bits.values(), *map(bit_length, pre.values()))
                     peak = max(peak, *peaks) if ok else None
-            if ok and ref is None:
+            if not ok:
+                yield i
+            elif ref is None:
                 ref = set(stale)
-            yield sample, ok
+                if changed is not None and ref.isdisjoint(changed):
+                    # past the reference only a sample listed under changed
+                    # checks anything; the others pass without work
+                    reach = set(others).union(*(listed.get(vid, ()) for vid in changed))
+                    todo = iter(sorted(j for j in reach if j > i))
         if peak is not None:
             self.star = peak
 
     def violated(self, plan: _Plan, max_bits: int) -> Sample | None:
         """The first auxiliary sample that does not reproduce its label
         vector under ``plan``'s theta, or None."""
-        for sample, ok in self.verdicts(plan, max_bits):
-            if ok is False:
-                return sample
+        for i in self.verdicts(plan, max_bits):
+            if self.dataset[i].flag == 0:
+                return self.dataset[i]
         return None
 
     def loss(self, plan: _Plan, max_bits: int) -> Fraction:
         """``loss_total`` under ``plan``'s theta."""
         total = Fraction(0)
-        for i, (sample, ok) in enumerate(self.verdicts(plan, max_bits)):
-            if ok is None:
+        for i in self.verdicts(plan, max_bits):
+            sample = self.dataset[i]
+            if sample.flag == 0:
+                total += sample.count
+            else:
                 values = plan.run(sample.x, max_bits)[0]
                 loss = sample_loss(self.net, self.spec, values, sample)
                 check_bits(loss, max_bits, f"loss of sample {i}")
                 total += sample.count * loss
-            elif ok:
-                continue
-            else:
-                total += sample.count
             check_bits(total, max_bits, f"loss total after sample {i}")
         return total
 
