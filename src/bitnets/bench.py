@@ -1,10 +1,10 @@
 """Depth-dependent gradient growth: squaring activation versus ReLU.
 
-Builds fully-connected chains of fixed width with seeded random
-weights scaled by 3 on every layer, evaluates the exact first-layer
-weight gradient under square loss against a zero label, and reports
-the gradient's bit-length together with a log10 magnitude proxy read
-off the bit-lengths.  Both activations at a given depth share the same
+Builds fully-connected chains of width ``WIDTH`` with seeded random
+weights scaled by ``WEIGHT_SCALE`` on every layer, evaluates the exact
+first-layer weight gradient under square loss against a zero label, and
+reports the gradient's bit-length together with a log10 magnitude proxy
+read off the bit-lengths.  Both activations at a given depth share the same
 weights and input, so the comparison isolates the nonlinearity.  The
 growth rates differ qualitatively: polynomial activations square the
 bit-length per layer while ReLU only adds to it.
@@ -40,6 +40,9 @@ ACTIVATIONS: dict[str, Activation] = {"square": PolyActivation(monomial(2)), "re
 
 CSV_COLUMNS = ("depth", "activation", "grad_bitlen", "log10_proxy", "runtime_ms")
 
+WIDTH = 4
+WEIGHT_SCALE = 3
+
 _LOG10_2 = math.log10(2)
 
 
@@ -65,19 +68,20 @@ def _random_fraction(rng) -> Fraction:
 
 
 def build_chain(
-    depth: int, width: int, activation: Activation, weight_scale: int, rng
+    depth: int, activation: Activation, rng
 ) -> tuple[Network, Theta, dict[str, Fraction], list[str]]:
-    """A width-wide fully-connected chain of the given depth plus a scalar head.
+    """A ``WIDTH``-wide fully-connected chain of the given depth plus a scalar
+    head, its weights scaled by ``WEIGHT_SCALE``.
 
     Returns the network, its randomized parameters, the random input
     vector and the first-layer edge ids (the coordinates the experiment
     differentiates).  The draw order is fixed, so one rng yields the
     same weights regardless of activation.
     """
-    vertices = [Vertex(f"s{i}", ROLE_SOURCE, None) for i in range(width)]
-    layers = [[f"s{i}" for i in range(width)]]
+    vertices = [Vertex(f"s{i}", ROLE_SOURCE, None) for i in range(WIDTH)]
+    layers = [[f"s{i}" for i in range(WIDTH)]]
     for layer in range(1, depth + 1):
-        ids = [f"h{layer}_{i}" for i in range(width)]
+        ids = [f"h{layer}_{i}" for i in range(WIDTH)]
         vertices.extend(Vertex(vid, ROLE_HIDDEN, activation) for vid in ids)
         layers.append(ids)
     vertices.append(Vertex("out", ROLE_TARGET, IdentityActivation()))
@@ -91,19 +95,17 @@ def build_chain(
             for head in cur:
                 eid = f"{tail}->{head}"
                 edges.append(Edge(eid, tail, head))
-                params[eid] = (weight_scale * _random_fraction(rng), Fraction(0))
+                params[eid] = (WEIGHT_SCALE * _random_fraction(rng), Fraction(0))
                 if tail.startswith("s"):
                     first_layer.append(eid)
 
-    x = {f"s{i}": _random_fraction(rng) for i in range(width)}
+    x = {f"s{i}": _random_fraction(rng) for i in range(WIDTH)}
     return Network(vertices, edges), Theta(params), x, first_layer
 
 
 def depth_growth_experiment(
     max_depth: int,
     activation: str,
-    width: int = 4,
-    weight_scale: int = 3,
     seed: int = 0,
     depths: list[int] | None = None,
     max_bits: int = DEFAULT_MAX_BITS,
@@ -121,9 +123,7 @@ def depth_growth_experiment(
     for depth in depths if depths is not None else range(max_depth + 1):
         # Seeded per (seed, depth) only: both activations see identical draws.
         rng = random.Random(f"{seed}/depth{depth}")
-        net, theta, x, first_layer = build_chain(
-            depth, width, ACTIVATIONS[activation], weight_scale, rng
-        )
+        net, theta, x, first_layer = build_chain(depth, ACTIVATIONS[activation], rng)
         dataset = [Sample(x, Fraction(0), flag=1)]
         spec = LossSpec("square", target="out")
         start = time.perf_counter()

@@ -47,27 +47,25 @@ y differs from the first auxiliary sample with a vector label, and the
 heads of the relabelled ones.  It holds the sample's x and y in engine
 form, so checks compare ``int`` with ``int``, and it inverts the lists:
 for each vertex, the dataset positions of the samples whose list holds
-it.  A sample checks the union of its list and the reference's (its own
-alone when the reference's is empty), in topological order and with the
-bit checks of a forward pass; at every other vertex it shares the
-reference's passing local equation.  On a compiled instance that is
-O(|E|·mu) exact arithmetic for all of them rather than
+it.  A sample settles local equations in topological order, with the bit
+checks of a forward pass.  Up to the reference it settles every vertex;
+past it, the union of its list and the reference's (its own alone when
+the reference's is empty), and at every other vertex it shares the
+reference's local equation, which held in this call.  On a compiled
+instance that is O(|E|·mu) exact arithmetic for all of them rather than
 O(|samples|·|E|).
 
 A sample whose local check fails at v is violated.  Its forward pass
 then resumes at v, with every vertex before v at its label, and runs
-only for its bit checks, so that its bit-budget error is the one a full
-pass raises.  That is exact because a full pass would give each vertex u
-before v its label (u holds its local equation) within the budget:
-
-- under a budget of at least the record P* (below), an unchanged u's
-  local equation is theta*'s for this sample, so its bits are at most
-  P*; a changed one was checked in this call, or equals the
-  reference's, which was checked in this call;
-- otherwise u's local equation was checked in this call, or it equals
-  the reference's, whose full pass in this call passed.
-
-The run that makes the record keeps full passes, whose bits it records.
+only for its bit checks.  That is exact: a full pass gives each vertex u
+before v its label, as u holds its local equation, and within the
+budget, as u's local equation was checked in this call, or equals the
+reference's, which was, or (under a budget of at least the record P*,
+below) is unchanged and so theta*'s for this sample, within P* bits.  By
+induction over the order, each settle before a failure sees the values a
+full pass sees and runs its bit checks, so a sample raises the bit-budget
+error of its full pass whether it passes or fails, and the run that
+makes the record reads P* off its settles.
 
 A certificate given theta* (``reductions.ErmInstance`` keeps one) keeps
 theta*'s plan.  A plan of another theta built against it takes the kept
@@ -77,19 +75,19 @@ in topological order as ``changed``: a one-edge shift lowers one vertex.
 Matching by identity needs no comparison of rationals and still holds if
 theta*'s parameters are replaced.  The first check, whatever its theta,
 also makes the record P*: the peak bits of the preactivations and values
-one run of the kept plan saw at ``DEFAULT_MAX_BITS``, if every auxiliary
-sample passed (no record otherwise).  Under a budget of at least P* a
-check then looks only at ``changed``, a sample past the reference only
-at those in its list or the reference's: elsewhere every local equation,
-preactivation and value is one that held at theta* within P* bits, or
-the reference's, which passed.  When no changed vertex is in the
-reference's list, a sample past it that no changed vertex lists has
-nothing to check, so the check visits only the listed samples, the main
-ones and those with a scalar label.  A one-edge shift so costs at most
-one local equation per sample it visits and one pass resumed at the
-changed vertex; theta* itself, after the record, none.  All of this
-relies on the rule that an instance and its samples are not changed
-after they are built.
+one run of the kept plan settled at ``DEFAULT_MAX_BITS``, if every
+auxiliary sample passed (no record otherwise).  Under a budget of at
+least P* a check then looks only at ``changed``, a sample past the
+reference only at those in its list or the reference's: elsewhere every
+local equation, preactivation and value is one that held at theta*
+within P* bits, or the reference's, which passed.  When no changed
+vertex is in the reference's list, a sample past it that no changed
+vertex lists has nothing to check, so the check visits only the listed
+samples, the main ones and those with a scalar label.  A one-edge shift
+so costs at most one local equation per sample it visits and one pass
+resumed at the changed vertex; theta* itself, after the record, none.
+All of this relies on the rule that an instance and its samples are not
+changed after they are built.
 """
 
 from __future__ import annotations
@@ -601,15 +599,6 @@ def forward(
     )
 
 
-def _vector_matches(
-    net: Network, values: Mapping[str, Fraction], label: Mapping[str, Fraction]
-) -> bool:
-    for v in net.vertices:
-        if values[v.id] != label.get(v.id, 0):
-            return False
-    return True
-
-
 def check_label(spec: LossSpec, sample: Sample) -> None:
     """Require a label that fits how ``spec`` scores ``sample``: a vector when
     the sample is equality-checked, a scalar under square or hinge loss."""
@@ -630,7 +619,8 @@ def sample_loss(
     """Exact per-sample loss (one copy, ignoring ``count``)."""
     check_label(spec, sample)
     if sample.flag == 0 or spec.kind == "vector-equality":
-        return Fraction(0 if _vector_matches(net, values, sample.label) else 1)
+        label = sample.label
+        return Fraction(0 if all(values[v.id] == label.get(v.id, 0) for v in net.vertices) else 1)
     pred = values[spec.target]
     if spec.kind == "square":
         diff = pred - Fraction(sample.label)
@@ -725,12 +715,17 @@ class _Certificate:
         """Yield, in dataset order, the positions of the main samples, which
         are not evaluated, and of the auxiliary samples that do not reproduce
         their label vector under ``plan``'s theta; a sample that does is not
-        yielded.  A sample whose label is not a vector gets a full forward
-        pass, so its error is that of a full pass too.  A run of ``kept`` that
-        every auxiliary sample passes sets ``star``."""
+        yielded.  An auxiliary sample settles the local equations of its check
+        set in topological order: before the reference the whole scope
+        (``plan.order``, or ``changed`` under the record), after it the
+        scope's vertices in its list or the reference's.  A failed one
+        resumes the pass there.  A sample whose label is not a vector gets a
+        full forward pass, so its error is that of a full pass too.  A run of
+        ``kept`` that every auxiliary sample passes sets ``star``."""
         entries, listed, others = self.index
-        net, settle = self.net, plan.settle
+        settle = plan.settle
         changed = plan.changed if self.star is not None and max_bits >= self.star else None
+        scope = plan.order if changed is None else changed
         peak = 1 if plan is self.kept else None
         ref: set[str] | None = None  # the reference's stale vertices
         todo = iter(range(len(entries)))  # the positions still to visit
@@ -744,44 +739,32 @@ class _Certificate:
                 plan.run(sample.x, max_bits)  # a scalar label, refused after its full pass
                 check_label(self.spec, sample)
             stale, x, y = entry
-            if ref is None:  # all of changed, or a full pass
-                check = changed
+            if ref is None:
+                check = scope
             elif changed is None and not ref:
                 check = stale
             else:
-                check = [vid for vid in (plan.order if changed is None else changed)
-                         if vid in stale or vid in ref]
-            ok = None
-            if check is not None:
-                for vid in check:
-                    pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
-                    if value != y.get(vid, 0):
-                        if peak is None:  # the pass resumes at vid, for its bit checks
-                            plan.run(x, max_bits, vid, y)
-                            ok = False
-                        break
-                    if peak is not None:
-                        if bits > peak:
-                            peak = bits
-                        if pre is not value and bit_length(pre) > peak:
-                            peak = bit_length(pre)
-                else:
-                    ok = True
-            if ok is None:  # no check yet, or a failed one of the record run
-                values, pre, bits = plan.run(x, max_bits)
-                ok = _vector_matches(net, values, y)
+                check = [vid for vid in scope if vid in stale or vid in ref]
+            for vid in check:
+                pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
+                if value != y.get(vid, 0):
+                    plan.run(x, max_bits, vid, y)  # the pass resumes at vid, for its bit checks
+                    peak = None
+                    yield i
+                    break
                 if peak is not None:
-                    peaks = (*bits.values(), *map(bit_length, pre.values()))
-                    peak = max(peak, *peaks) if ok else None
-            if not ok:
-                yield i
-            elif ref is None:
-                ref = set(stale)
-                if changed is not None and ref.isdisjoint(changed):
-                    # past the reference only a sample listed under changed
-                    # checks anything; the others pass without work
-                    reach = set(others).union(*(listed.get(vid, ()) for vid in changed))
-                    todo = iter(sorted(j for j in reach if j > i))
+                    if bits > peak:
+                        peak = bits
+                    if pre is not value and bit_length(pre) > peak:
+                        peak = bit_length(pre)
+            else:
+                if ref is None:
+                    ref = set(stale)
+                    if changed is not None and ref.isdisjoint(changed):
+                        # past the reference only a sample listed under changed
+                        # checks anything; the others pass without work
+                        reach = set(others).union(*(listed.get(vid, ()) for vid in changed))
+                        todo = iter(sorted(j for j in reach if j > i))
         if peak is not None:
             self.star = peak
 

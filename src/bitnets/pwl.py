@@ -247,7 +247,9 @@ def verify_witness(
 ) -> WitnessVerdict:
     """Check a candidate parameter vector against an instance.
 
-    The witness encoding length is the byte length of the canonical
+    A theta that is not one (weight, bias) pair per edge of the network
+    raises the located ``NetworkError`` of ``Theta.check_against`` before
+    its encoding is measured.  The witness encoding length is the byte length of the canonical
     serialized theta, counted from digit counts without rendering it; it
     must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
     length; ``enc_bound`` (C1, C2) must be two non-negative ``int`` values,
@@ -268,10 +270,11 @@ def verify_witness(
     if not all(type(c) is int and c >= 0 for c in (c1, c2)):
         raise ValueError(f"enc_bound must be two non-negative integers, got {enc_bound!r}")
     cap = _encoding_cap(c1, instance_size(inst), c2)
+    plan = _Plan(inst.network, theta)  # checks theta against the network
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    loss = _cert_of(inst).loss(_Plan(inst.network, theta), max_bits)
+    loss = _cert_of(inst).loss(plan, max_bits)
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

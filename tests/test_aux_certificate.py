@@ -398,10 +398,10 @@ class TestLossTotal:
             for copy in (inst, parse_instance(serialize_instance(inst))):
                 runs.clear()
                 assert check_zero_aux_loss(copy, copy.theta_star) == (True, None)
-                assert len(runs) == 1
+                assert len(runs) == 0
                 runs.clear()
                 loss_total(copy.network, copy.theta_star, copy.dataset, copy.loss)
-                assert len(runs) == 1 + n_main
+                assert len(runs) == n_main
 
 
 CAPS = (2, 3, 5, 16, 1 << 20)
@@ -921,6 +921,43 @@ class TestResumedPass:
             copy = dataclasses.replace(inst, dataset=data)
             shift = theta.with_param(eid, weight=Fraction(2))
             assert assert_reads_listed(copy, shift, head, evaluated) == local
+
+
+class TestUnnarrowedResume:
+    """Without a record, a sample up to the reference checks every vertex,
+    and a failed check resumes the pass where it failed."""
+
+    def test_bias_shift_resumes_at_its_head(self, passes):
+        """A bias shift that fails the first auxiliary sample resumes its pass
+        at the edge's head, in ``check_zero_aux_loss`` and ``loss_total``."""
+        rng = random.Random(83)
+        slp = parse_slp("const 1\nadd 0 0\nmul 1 1\nadd 2 1\n")
+        cases = [compile_erm(slp, monomial(2), 0)] + [compiled(rng) for _ in range(3)]
+        seen = 0
+        for inst in cases:
+            copy, net, order = namespace(inst), inst.network, inst.network.topo_order
+            aux = [s for s in inst.dataset if s.flag == 0]
+            for e in rng.sample(net.edges, 10):
+                theta = shifted(inst.theta_star, e.id, "bias", rng.choice(DELTAS))
+                fails = [s.flag == 0 and not ref_reproduces(inst, theta, s, 1 << 20)
+                         for s in inst.dataset]
+                if not fails[inst.dataset.index(aux[0])]:
+                    continue
+                seen += 1
+                checks = [outcome(ref_check, inst, theta, cap) for cap in CAPS]
+                loss = ref_loss(inst, theta)
+                resumed = len(order) - order.index(e.head)
+                passes.clear()
+                ok, violated = check_zero_aux_loss(copy, theta)
+                assert not ok and violated is aux[0]
+                assert passes == [resumed]
+                passes.clear()
+                assert loss_total(net, theta, inst.dataset, inst.loss) == loss
+                assert passes == [resumed if fail else len(order)
+                                  for s, fail in zip(inst.dataset, fails) if s.flag or fail]
+                for cap, check in zip(CAPS, checks):
+                    assert outcome(check_zero_aux_loss, copy, theta, cap) == check
+        assert seen >= 20
 
 
 def assert_reads_listed(inst, theta, head, evaluated):

@@ -32,7 +32,7 @@ from bitnets.pwl import (
     verify_witness,
 )
 from bitnets.rationals import DEFAULT_MAX_BITS, bit_length
-from bitnets.reductions import ErmInstance
+from bitnets.reductions import ErmInstance, check_zero_aux_loss
 
 
 class TestPwlEval:
@@ -437,6 +437,27 @@ class TestWitnessVerifier:
             verify_witness(inst, inst.theta_star, Fraction(0), (1, c2))
         verdict = verify_witness(inst, inst.theta_star, Fraction(0), (0, c2))
         assert verdict.verdict == REJECT_ENCODING and verdict.encoding_cap == 0
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"e": (Fraction(1), Fraction(0), Fraction(0))},
+            {"e": (Fraction(1),)},
+            {},
+            {"e": (Fraction(1), Fraction(0)), "f": (Fraction(1), Fraction(0))},
+        ],
+        ids=["3-tuple", "1-tuple", "missing", "extra"],
+    )
+    @pytest.mark.parametrize("bound", [(0, 0), (4, 2)])
+    def test_theta_is_checked_before_its_encoding(self, params, bound):
+        """A theta that is not one (weight, bias) pair per edge raises the
+        located error of ``check_zero_aux_loss``, whatever the cap."""
+        inst, theta = tiny_instance(), Theta(params)
+        with pytest.raises(NetworkError) as expected:
+            check_zero_aux_loss(inst, theta)
+        with pytest.raises(NetworkError) as err:
+            verify_witness(inst, theta, Fraction(0), bound)
+        assert (str(err.value), err.value.where) == (str(expected.value), expected.value.where)
 
     def test_boundary_of_loss_threshold(self):
         inst = tiny_instance()
