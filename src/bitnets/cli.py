@@ -24,7 +24,7 @@ from .instances import (
     serialize_instance,
     serialize_theta,
 )
-from .network import forward, gradients
+from .network import NetworkError, forward, gradients
 from .pac import LEARNERS, simulate_lower_bound
 from .product_identity import (
     RationalPoly,
@@ -432,6 +432,9 @@ def main(argv=None) -> int:
     except BitBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BIT_BUDGET
+    except NetworkError as exc:  # located like a SchemaError, e.g. at theta.<edge id>
+        print(f"error: {exc.where}: {exc}" if exc.where else f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, SchemaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

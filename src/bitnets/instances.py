@@ -348,8 +348,19 @@ def parse_instance(data: bytes | str) -> ErmInstance | BackpropInstance:
 
 
 def instance_size(inst: ErmInstance | BackpropInstance) -> int:
-    """|I|: the byte length of the canonical serialization."""
-    return len(serialize_instance(inst))
+    """|I|: the byte length of the canonical serialization.  An instance is
+    not changed after it is built, except its provenance, a mutable dict: the
+    length of the rest is counted on the first call and kept on the instance
+    as an ``int``, and the provenance's is added on every call.  Any other
+    object, whose fields may have been swapped, is counted whole."""
+    if not isinstance(inst, (ErmInstance, BackpropInstance)):
+        return len(serialize_instance(inst))
+    kept = vars(inst)
+    if "_size_sans_provenance" not in kept:
+        doc = instance_to_doc(inst)
+        doc["provenance"] = None
+        kept["_size_sans_provenance"] = len(canonical_bytes(doc)) - len(b"null")
+    return kept["_size_sans_provenance"] + len(canonical_bytes(inst.provenance))
 
 
 def _load(data: bytes | str) -> Any:

@@ -56,16 +56,21 @@ instance that is O(|E|·mu) exact arithmetic for all of them rather than
 O(|samples|·|E|).
 
 A sample whose local check fails at v is violated.  Its forward pass
-then resumes at v, with every vertex before v at its label, and runs
-only for its bit checks.  That is exact: a full pass gives each vertex u
-before v its label, as u holds its local equation, and within the
-budget, as u's local equation was checked in this call, or equals the
-reference's, which was, or (under a budget of at least the record P*,
-below) is unchanged and so theta*'s for this sample, within P* bits.  By
-induction over the order, each settle before a failure sees the values a
-full pass sees and runs its bit checks, so a sample raises the bit-budget
-error of its full pass whether it passes or fails, and the run that
-makes the record reads P* off its settles.
+then resumes at v, for its bit checks only, and settles just two kinds
+of vertex: those of the sample's check set from v on, whose checks did
+not run, and those with a tail whose value moved off its label.  Every
+other vertex keeps its label.  That is exact.  A vertex the pass does not
+settle is in the check set before v, where its check passed, or outside
+the set, where its local equation is the reference's, which held in this
+call, or (under a budget of at least the record P*, below) is unchanged
+and so theta*'s for this sample, which held within P* bits.  By
+induction over the order its tails keep their labels in a full pass, so
+a full pass gives it its label within the budget, and each settle sees
+the values a full pass sees and runs its bit checks: a sample raises the
+bit-budget error of its full pass whether it passes or fails, and the
+run that makes the record reads P* off its settles.  Before the
+reference and without the record the check set is the whole order, so
+the pass settles every vertex from v on.
 
 A certificate given theta* (``reductions.ErmInstance`` keeps one) keeps
 theta*'s plan.  A plan of another theta built against it takes the kept
@@ -85,7 +90,8 @@ vertex is in the reference's list, a sample past it that no changed
 vertex lists has nothing to check, so the check visits only the listed
 samples, the main ones and those with a scalar label.  A one-edge shift
 so costs at most one local equation per sample it visits and one pass
-resumed at the changed vertex; theta* itself, after the record, none.
+resumed at the changed vertex, which settles it and the vertices its
+change reaches; theta* itself, after the record, none.
 All of this relies on the rule that an instance and its samples are not
 changed after they are built.
 """
@@ -451,9 +457,14 @@ def _reduced(num: int, den: int) -> int | Fraction:
 
 
 def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
-    acc = 0
-    for c in coeffs:
-        acc = acc * z + c
+    """The polynomial with ``coeffs`` (leading first) at ``z``, 0 for none.
+    Horner's rule starts at the leading coefficient and adds no zero term."""
+    terms = iter(coeffs)
+    acc = next(terms, 0)
+    for c in terms:
+        acc *= z
+        if c:
+            acc += c
     return _int_first(acc)
 
 
@@ -565,19 +576,32 @@ class _Plan:
         return pre, value, bits
 
     def run(self, x: Mapping, max_bits: int, start: str | None = None,
-            prefix: Mapping | None = None) -> tuple[dict, dict, dict]:
+            prefix: Mapping | None = None, _due: tuple | None = None) -> tuple[dict, dict, dict]:
         """One forward pass: values, preactivations and value bits by vertex,
         in topological order.  Given ``start``, the pass resumes there: every
         vertex before it takes its value from ``prefix`` (missing means 0) and
         is neither settled nor bit-checked, nor listed in the preactivations
-        and bits."""
+        and bits.  Given also ``_due``, a pair of a set of vertices (updated
+        in place) and the network's ``heads``, the resumed pass settles only
+        the vertices in the set, to which it adds the heads of each settled
+        vertex whose value is not its ``prefix`` value; every other vertex is
+        treated like one before ``start``."""
         values: dict = {} if prefix is None else dict(prefix)
         pre: dict = {}
         bits: dict = {}
         settle = self.settle
         order = self.order if start is None else self.order[self.position[start]:]
+        if _due is None:
+            for vid in order:
+                pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+            return values, pre, bits
+        due, heads = _due
         for vid in order:
-            pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+            if vid in due:
+                pre[vid], value, bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+                if value != values.get(vid, 0):
+                    due.update(heads[vid])
+                values[vid] = value
         return values, pre, bits
 
 
@@ -719,11 +743,13 @@ class _Certificate:
         set in topological order: before the reference the whole scope
         (``plan.order``, or ``changed`` under the record), after it the
         scope's vertices in its list or the reference's.  A failed one
-        resumes the pass there.  A sample whose label is not a vector gets a
-        full forward pass, so its error is that of a full pass too.  A run of
-        ``kept`` that every auxiliary sample passes sets ``star``."""
+        resumes the pass there, settling the rest of the check set and the
+        vertices that a moved value reaches.  A sample whose label is not a
+        vector gets a full forward pass, so its error is that of a full pass
+        too.  A run of ``kept`` that every auxiliary sample passes sets
+        ``star``."""
         entries, listed, others = self.index
-        settle = plan.settle
+        settle, heads = plan.settle, self.net.heads
         changed = plan.changed if self.star is not None and max_bits >= self.star else None
         scope = plan.order if changed is None else changed
         peak = 1 if plan is self.kept else None
@@ -745,10 +771,12 @@ class _Certificate:
                 check = stale
             else:
                 check = [vid for vid in scope if vid in stale or vid in ref]
-            for vid in check:
+            for k, vid in enumerate(check):
                 pre, value, bits = settle(vid, x.get(vid, 0), y, max_bits)
                 if value != y.get(vid, 0):
-                    plan.run(x, max_bits, vid, y)  # the pass resumes at vid, for its bit checks
+                    # the pass resumes at vid, for its bit checks, where a check
+                    # is still due or a value moved
+                    plan.run(x, max_bits, vid, y, (set(check[k:]), heads))
                     peak = None
                     yield i
                     break

@@ -771,6 +771,21 @@ def dense_stale(inst):
     return aux, stale
 
 
+def resumed_pass(inst, theta, sample, due):
+    """Where ``sample``'s pass under ``theta`` resumes and how many vertices
+    it settles there, from one plain full pass: it resumes at the first
+    vertex whose value is off its label and settles, from there on, every
+    vertex in ``due`` and every vertex with a tail whose value is off its
+    label."""
+    net, order = inst.network, inst.network.topo_order
+    values = forward(net, theta, sample.x).values
+    moved = {vid for vid in order if values[vid] != sample.label.get(vid, 0)}
+    start = min(moved, key=order.index)
+    rest = order[order.index(start):]
+    return start, sum(
+        vid in due or any(e.tail in moved for e in net.in_edges[vid]) for vid in rest)
+
+
 @pytest.fixture
 def passes(monkeypatch):
     """The vertices settled inside each full or resumed pass, one count per pass."""
@@ -877,15 +892,15 @@ class TestResumedPass:
             if trial % 2:
                 inst = parse_instance(serialize_instance(inst))
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
-            order = inst.network.topo_order
             for e in rng.sample(inst.network.edges, min(4, len(inst.network.edges))):
                 for coord in ("weight", "bias"):
                     theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
                     expected = ref_check(inst, theta)
+                    start, settles = resumed_pass(inst, theta, expected[1], {e.head})
                     passes.clear()
                     ok, violated = check_zero_aux_loss(inst, theta)
                     assert not ok and violated is expected[1]
-                    assert passes == [len(order) - order.index(e.head)]
+                    assert start == e.head and passes == [settles]
 
     def test_narrowed_check_reads_only_listed_samples(self, evaluated):
         rng = random.Random(82)
@@ -959,6 +974,114 @@ class TestUnnarrowedResume:
                     assert outcome(check_zero_aux_loss, copy, theta, cap) == check
         assert seen >= 20
 
+
+
+def sized(rng):
+    """A compiled 3-7-gate instance under one of the three sigma, parsed or
+    not, with its auxiliary samples shuffled or not."""
+    p, sigma = random_slp(rng, rng.randint(3, 7)), rng.choice(SIGMAS)
+    if rng.random() < 0.3:
+        inst = compile_hinge_posslp(p, sigma)
+    else:
+        inst = compile_erm(p, sigma, rng.randint(0, 3))
+    if rng.random() < 0.5:
+        inst = parse_instance(serialize_instance(inst))
+    if rng.random() < 0.5:
+        aux = [s for s in inst.dataset if s.flag == 0]
+        rng.shuffle(aux)
+        inst = dataclasses.replace(
+            inst, dataset=tuple(aux) + tuple(s for s in inst.dataset if s.flag == 1))
+    return inst
+
+
+def pass_peak(inst, theta, sample):
+    """The peak bits of the preactivations and values of a full pass."""
+    trace = forward(inst.network, theta, sample.x)
+    return max(trace.max_bits, *map(bit_length, trace.preactivations.values()))
+
+
+class TestNarrowedResume:
+    """A violated sample's resumed pass settles only the rest of its check
+    list and the vertices with a tail whose value moved off its label, and
+    still raises the bit-budget error of a full pass.  Each count is derived
+    from one plain full pass (``resumed_pass``); the check list is theta*'s
+    changed vertex under the record, else every vertex up to the reference
+    and, past it, the sample's stale vertices and the reference's."""
+
+    def test_check_with_and_without_the_record(self, passes):
+        rng = random.Random(84)
+        seen = {"narrowed": 0, "unnarrowed": 0, "past the reference": 0}
+        for _ in range(10):
+            inst = sized(rng)
+            order = inst.network.topo_order
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            star = inst._cert.star
+            aux, stale = dense_stale(inst)
+            for e in rng.sample(inst.network.edges, min(3, len(inst.network.edges))):
+                for coord in ("weight", "bias"):
+                    theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
+                    ok, violated = ref_check(inst, theta)
+                    assert not ok
+                    k = next(j for j, s in enumerate(aux) if s is violated)
+                    peak = pass_peak(inst, theta, violated)
+                    for cap in sorted({peak - 1, peak, peak + 1, star - 1, 1 << 20} - {0, 1}):
+                        narrowed = cap >= star
+                        # the reference is aux[0], whose stale list is empty
+                        due = {e.head} if narrowed else stale[k] if k else set(order)
+                        settles = resumed_pass(inst, theta, violated, due)[1]
+                        expected = by_identity(outcome(ref_check, inst, theta, cap))
+                        passes.clear()
+                        assert by_identity(outcome(check_zero_aux_loss, inst, theta, cap)) == (
+                            expected)
+                        if expected[0] == "ok":
+                            assert passes == [settles]
+                            seen["narrowed" if narrowed else "unnarrowed"] += 1
+                            seen["past the reference"] += bool(k) and not narrowed
+        assert min(seen.values()) >= 5, seen
+
+    def test_loss_total_keeps_no_record(self, passes):
+        """Without a record, a sample up to the reference resumes a whole
+        pass from v; past it only its own and the reference's stale vertices
+        are due.  Half the weight shifts are checked with a failing auxiliary
+        sample moved to the front, so that the reference comes later."""
+        rng = random.Random(85)
+        seen = {"up to the reference": 0, "past the first sample": 0, "past a later one": 0}
+        for _ in range(6):
+            inst = sized(rng)
+            net, order = inst.network, inst.network.topo_order
+            e = rng.choice(net.edges)
+            for coord in ("weight", "bias"):
+                theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
+                case = inst
+                failing = [s for s in inst.dataset
+                           if s.flag == 0 and not ref_reproduces(inst, theta, s, 1 << 20)]
+                if coord == "weight" and failing and rng.random() < 0.5:
+                    front = rng.choice(failing)
+                    case = dataclasses.replace(
+                        inst, dataset=(front,) + tuple(s for s in inst.dataset if s is not front))
+                aux, stale = dense_stale(case)
+                counts, peak, ref = [], 2, None
+                for sample in case.dataset:
+                    if sample.flag:
+                        counts.append(len(order))
+                        continue
+                    k = next(j for j, s in enumerate(aux) if s is sample)
+                    if not any(s is sample for s in failing):
+                        ref = k if ref is None else ref
+                        continue
+                    due = set(order) if ref is None else stale[k] | stale[ref]
+                    counts.append(resumed_pass(case, theta, sample, due)[1])
+                    peak = max(peak, pass_peak(case, theta, sample))
+                    seen["up to the reference" if ref is None
+                         else "past a later one" if ref else "past the first sample"] += 1
+                for cap in (peak - 1, peak, 1 << 20):
+                    expected = outcome(ref_loss, case, theta, cap)
+                    passes.clear()
+                    assert outcome(loss_total, net, theta, case.dataset, case.loss, cap) == (
+                        expected)
+                    if expected[0] == "ok":
+                        assert passes == counts
+        assert min(seen.values()) >= 5, seen
 
 def assert_reads_listed(inst, theta, head, evaluated):
     """Under a record, ``decide_at_theta_star`` at a shift of theta* whose only

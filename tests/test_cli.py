@@ -268,23 +268,9 @@ class TestVerifyAndStep:
         assert parse_rational(cap) == instance_size(inst) ** 2000
 
     def test_pwl_step(self, tmp_path, capsys):
-        from fractions import Fraction
-
         from bitnets.instances import serialize_instance
-        from bitnets.network import Edge, IdentityActivation, LossSpec, Network, Sample, Theta, Vertex
-        from bitnets.pwl import relu
-        from bitnets.reductions import ErmInstance
 
-        net = Network(
-            [Vertex("s", "source"), Vertex("h", "hidden", relu()),
-             Vertex("t", "target", IdentityActivation())],
-            [Edge("e1", "s", "h"), Edge("e2", "h", "t")],
-        )
-        theta = Theta({"e1": (Fraction(1), Fraction(0)), "e2": (Fraction(1), Fraction(0))})
-        inst = ErmInstance(
-            net, theta, (Sample({"s": Fraction(2)}, Fraction(0)),),
-            LossSpec("square", target="t"), (0, 1), {},
-        )
+        inst = relu_instance()
         inst_path = tmp_path / "pwl.json"
         inst_path.write_bytes(serialize_instance(inst))
         out_path = tmp_path / "updated.json"
@@ -295,6 +281,67 @@ class TestVerifyAndStep:
         updated = parse_theta(out_path.read_bytes())
         assert updated.weight("e1") == -1
 
+
+
+def relu_instance():
+    """s -> h (relu) -> t (identity), one square-loss sample: a net ``pwl
+    step`` runs on."""
+    from fractions import Fraction
+
+    from bitnets.network import Edge, IdentityActivation, LossSpec, Network, Sample, Theta, Vertex
+    from bitnets.pwl import relu
+    from bitnets.reductions import ErmInstance
+
+    net = Network(
+        [Vertex("s", "source"), Vertex("h", "hidden", relu()),
+         Vertex("t", "target", IdentityActivation())],
+        [Edge("e1", "s", "h"), Edge("e2", "h", "t")],
+    )
+    theta = Theta({"e1": (Fraction(1), Fraction(0)), "e2": (Fraction(1), Fraction(0))})
+    return ErmInstance(net, theta, (Sample({"s": Fraction(2)}, Fraction(0)),),
+                       LossSpec("square", target="t"), (0, 1), {})
+
+
+class TestThetaFileFaults:
+    """A theta file that does not fit the instance's edges is reported at
+    ``theta`` (an edge missing or unknown) or ``theta.<edge id>`` (an entry
+    that is not a (w, b) pair), with exit 2 and nothing on stdout."""
+
+    @pytest.fixture(params=["verify", "step"])
+    def command(self, request, slp_file, tmp_path):
+        """The argv of ``verify erm`` on a compiled 3-gate instance or of
+        ``pwl step`` on a relu net, less the theta file, and theta*."""
+        from bitnets.instances import serialize_instance
+
+        inst_path = tmp_path / "c.json"
+        if request.param == "verify":
+            main(["compile", "erm", slp_file, "--sigma", "0,0,1", "--j", "4",
+                  "-o", str(inst_path)])
+            argv = ["verify", "erm", str(inst_path), "--gamma", "0"]
+        else:
+            inst_path.write_bytes(serialize_instance(relu_instance()))
+            argv = ["pwl", "step", str(inst_path), "--eta", "1/2"]
+        return argv, json.loads(serialize_theta(parse_instance(inst_path.read_bytes()).theta_star))
+
+    @pytest.mark.parametrize("fault", ["missing", "extra", "not a pair"])
+    def test_fault_is_located(self, command, fault, tmp_path, capsys):
+        argv, doc = command
+        first = min(doc)
+        if fault == "missing":
+            del doc[first]
+            expected = f"error: theta: missing parameters for edges [{first!r}]\n"
+        elif fault == "extra":
+            doc["ghost"] = {"w": "1", "b": "0"}
+            expected = "error: theta: parameters for unknown edges ['ghost']\n"
+        else:
+            doc[first] = ["1", "0"]
+            expected = f"error: theta.{first}: expected an object, got list\n"
+        theta_path = tmp_path / "t.json"
+        theta_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(argv + ["--theta", str(theta_path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == expected
 
 class TestPacAndBench:
     def test_pac_simulate_csv(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -108,6 +109,63 @@ class TestCanonicalForm:
                 for value in entry["y"].values():
                     assert value != "0"
 
+
+
+def sized_instances():
+    """Compiled ERM, hinge and backprop instances, a parsed copy, and two
+    built by hand, one of them with a non-ASCII, nested provenance."""
+    erm = erm_instance()
+    s, t = Vertex("s", "source"), Vertex("t", "target", IdentityActivation())
+    net = Network([s, t], [Edge("s->t", "s", "t")])
+    theta = Theta({"s->t": (Fraction(2, 3), Fraction(-1))})
+    sample = Sample({"s": Fraction(3)}, Fraction(1))
+    return [
+        erm,
+        compile_hinge_posslp(parse_slp("const 1\nmul 0 0\n"), SQUARE, copies=2),
+        compile_backprop(squaring_chain(2), SQUARE, "bit", bit_index=2),
+        compile_backprop(squaring_chain(2), SQUARE, "sign", promise=1),
+        parse_instance(serialize_instance(erm)),
+        ErmInstance(net, theta, (sample,), LossSpec("square", target="t"), (0, 1), {}),
+        BackpropInstance(net, theta, (sample,), LossSpec("square", target="t"), "bit", "s->t",
+                         None, 0, {"note": "é \"q\"", "n": [1, {"b": None, "a": 2.5}]}),
+    ]
+
+
+class TestInstanceSize:
+    """|I| is counted once per instance object, the provenance on every call."""
+
+    @pytest.mark.parametrize("k", range(7))
+    def test_equals_the_serialized_length_after_provenance_changes(self, k):
+        inst = sized_instances()[k]
+        assert instance_size(inst) == len(serialize_instance(inst))
+        inst.provenance["added"] = {"z": "ü", "a": [1, 2, "\u2028"]}
+        assert instance_size(inst) == len(serialize_instance(inst))
+        inst.provenance.clear()
+        assert instance_size(inst) == len(serialize_instance(inst))
+        inst.provenance["x"] = "\x00\\"
+        assert instance_size(inst) == len(serialize_instance(inst))
+        copy = dataclasses.replace(inst, provenance={"k": 12345})
+        assert instance_size(copy) == len(serialize_instance(copy))
+
+    def test_second_call_builds_no_document(self, monkeypatch):
+        import bitnets.instances
+
+        inst = erm_instance()
+        expected = len(serialize_instance(inst))
+        built = []
+        to_doc = bitnets.instances.instance_to_doc
+        monkeypatch.setattr(bitnets.instances, "instance_to_doc",
+                            lambda i: built.append(i) or to_doc(i))
+        assert instance_size(inst) == expected and len(built) == 1
+        inst.provenance["seen"] = True
+        assert instance_size(inst) == expected + len(',"seen":true') and len(built) == 1
+
+    def test_other_objects_are_counted_whole(self):
+        inst = erm_instance()
+        view = SimpleNamespace(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
+        assert instance_size(view) == len(serialize_instance(inst))
+        view.gap = (0, 10)
+        assert instance_size(view) == len(serialize_instance(inst)) + 1
 
 class TestSchemaErrors:
     def test_dangling_edge_endpoint_named(self):

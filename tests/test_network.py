@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitnets.network import (
     Edge,
@@ -15,11 +17,12 @@ from bitnets.network import (
     Sample,
     Theta,
     Vertex,
+    _horner,
     forward,
     gradients,
     loss_total,
 )
-from bitnets.product_identity import monomial
+from bitnets.product_identity import RationalPoly, monomial
 from bitnets.rationals import BitBudgetError
 
 SQUARE = PolyActivation(monomial(2))
@@ -32,6 +35,45 @@ def single_edge(activation) -> tuple[Network, str]:
         [Edge("e", "s", "t")],
     )
     return net, "e"
+
+
+rationals = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=10**4),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**20)),
+)
+polys = st.builds(
+    RationalPoly,
+    st.lists(st.one_of(st.just(0), st.just(Fraction(0)), rationals), max_size=7).map(tuple),
+)
+
+
+class TestHorner:
+    """``_horner`` takes the coefficients leading first, as ``lower()`` stores
+    them, starts at the leading one and skips the zero ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polys, st.one_of(rationals, rationals.map(Fraction)))
+    def test_value_and_type(self, poly, z):
+        coeffs = tuple(c.numerator if c.denominator == 1 else c
+                       for c in reversed(poly.coefficients))
+        value = _horner(coeffs, z)
+        expected = sum((c * Fraction(z) ** k for k, c in enumerate(poly.coefficients)), Fraction(0))
+        assert value == expected
+        assert type(value) is (int if expected.denominator == 1 else Fraction)
+        assert PolyActivation(poly).lower()[0](z) == value
+
+    @pytest.mark.parametrize("z", [0, 3, Fraction(-5, 2), Fraction(4)])
+    def test_empty_and_zero_polynomials(self, z):
+        assert RationalPoly((0, Fraction(0))).coefficients == ()
+        assert _horner((), z) == 0 and type(_horner((), z)) is int
+        assert _horner((0, 0), z) == 0 and type(_horner((Fraction(0), 0), z)) is int
+
+    def test_leading_rational_and_negative(self):
+        assert _horner((Fraction(-1, 3), 0, 0), Fraction(3, 2)) == Fraction(-3, 4)
+        assert _horner((Fraction(2, 3), 0, Fraction(1, 3)), 1) == 1
+        assert type(_horner((Fraction(2, 3), 0, Fraction(1, 3)), 1)) is int
+        assert _horner((-2, 0, 1, 0), Fraction(1, 2)) == Fraction(1, 4)
 
 
 class TestForward:
