@@ -28,7 +28,15 @@ adjoint, on the gradient accumulators after the last sample, and on
 each main sample's loss and the running loss total.  A sum is held as
 an unreduced (numerator, denominator) pair over the lcm of its terms'
 denominators and reduced only at the check that reads it, so every
-value and bit count is the reduced one.  A plan lives for its call,
+value and bit count is the reduced one.  The loss total is such a pair
+too, read only by its budget check until the end, so the check judges
+the pair's own size (its numerator's and denominator's bit lengths) and
+reduces it only when that is over the budget.  That is exact: reducing
+divides both by their gcd, so the reduced total has at most the pair's
+bits ((0, d) has at least 1, as 0 has), and a pair over the budget is
+reduced and judged as before, with the same error, bits and ``where``.
+The in-edges of one vertex share its bias gradient, summed once per
+vertex.  A plan lives for its call,
 except the theta* plan a certificate keeps (below).
 
 Every activation is an :class:`Activation`: the engine, ``pwl.gd_step``
@@ -634,6 +642,12 @@ def check_label(spec: LossSpec, sample: Sample) -> None:
         raise NetworkError(f"{spec.kind} loss needs a scalar label")
 
 
+def _check_target(net: Network, spec: LossSpec) -> None:
+    """Require ``spec``'s target, if it names one, to be a vertex of ``net``."""
+    if spec.target is not None and spec.target not in net.vertex_map:
+        raise NetworkError(f"loss target {spec.target!r} is not a vertex of the network", "target")
+
+
 def sample_loss(
     net: Network,
     spec: LossSpec,
@@ -805,19 +819,27 @@ class _Certificate:
         return None
 
     def loss(self, plan: _Plan, max_bits: int) -> Fraction:
-        """``loss_total`` under ``plan``'s theta."""
-        total = Fraction(0)
+        """``loss_total`` under ``plan``'s theta.  The running total is an
+        unreduced pair (an auxiliary sample's ``count`` adds ``count`` times
+        its denominator), judged after each sample by its own size and
+        reduced, then checked, only when that size exceeds ``max_bits``; it
+        is reduced once more at the end."""
+        _check_target(self.net, self.spec)
+        num, den = 0, 1
         for i in self.verdicts(plan, max_bits):
             sample = self.dataset[i]
             if sample.flag == 0:
-                total += sample.count
+                num += sample.count * den
             else:
                 values = plan.run(sample.x, max_bits)[0]
                 loss = sample_loss(self.net, self.spec, values, sample)
                 check_bits(loss, max_bits, f"loss of sample {i}")
-                total += sample.count * loss
-            check_bits(total, max_bits, f"loss total after sample {i}")
-        return total
+                num, den = _add(num, den, sample.count * loss.numerator, loss.denominator)
+            if abs(num).bit_length() + den.bit_length() > max_bits:
+                total = Fraction(num, den)
+                check_bits(total, max_bits, f"loss total after sample {i}")
+                num, den = total.numerator, total.denominator
+        return Fraction(num, den)
 
 
 def loss_total(
@@ -834,8 +856,12 @@ def loss_total(
     docstring finds it does not reproduce its label vector.  The total
     and any bit-budget error are those of one full forward pass per
     sample.  Each main sample's one-copy loss, and the running total
-    after each addition to it, are checked against ``max_bits``.  The
-    call keeps nothing: its certificate and plan are built for it alone.
+    after each addition to it, are checked against ``max_bits``; the total
+    is summed unreduced and reduced only where that check could fail, so
+    it raises where a total reduced after every addition would.  A target
+    of ``spec`` that is not a vertex of ``net`` raises ``NetworkError`` at
+    ``target``.  The call keeps nothing: its certificate and plan are built
+    for it alone.
     """
     return _Certificate(net, dataset, spec).loss(_Plan(net, theta), max_bits)
 
@@ -846,7 +872,9 @@ class GradientReport:
     returns them; ``pwl.GdStepReport`` is this report plus the step.
 
     ``hinge_kinks`` counts samples whose margin sat exactly on the hinge
-    kink; those contribute the subgradient value 0.
+    kink; those contribute the subgradient value 0.  The in-edges of one
+    vertex have one bias gradient, the sum of that vertex's deltas, so
+    ``bias_grad`` gives each of them the same value.
     """
 
     weight_grad: dict[str, Fraction]
@@ -867,16 +895,21 @@ def gradients(
 
     Only square and hinge losses are differentiable in the prediction;
     bit01 / vector-equality specs, auxiliary (flag 0) samples and vector
-    labels are rejected.  Adjoints propagate in reverse topological order.
-    After the last sample every accumulator is checked against ``max_bits``
-    (weight then bias, edge by edge); the reported ``max_bits`` is the
-    peak over vertex values, adjoints and weight gradients.
+    labels are rejected, as is a target that is not a vertex of ``net``
+    (``NetworkError`` at ``target``).  Adjoints propagate in reverse
+    topological order.  The in-edges of one vertex share its bias
+    gradient, which is summed and reduced once per vertex.  After the
+    last sample every accumulator is checked against ``max_bits`` (weight
+    then bias, edge by edge, so a bias gradient over the budget is
+    reported at its vertex's first in-edge); the reported ``max_bits`` is
+    the peak over vertex values, adjoints and weight gradients.
     """
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
     plan = _Plan(net, theta)
+    _check_target(net, spec)
     wgrad = dict.fromkeys(net.edge_map, (0, 1))
-    bgrad = dict.fromkeys(net.edge_map, (0, 1))
+    bsum = dict.fromkeys(plan.order, (0, 1))  # by head: its in-edges share it
     kinks = 0
     peak = 1
     ops = 0
@@ -921,16 +954,18 @@ def gradients(
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
             dn, dd = delta.numerator, delta.denominator
             sn = scale * dn
+            bsum[vid] = _add(*bsum[vid], sn, dd)
             for tail, eid, wn, wd in ins:
                 q = values[tail]
                 qn = q.numerator
                 if qn:
                     wgrad[eid] = _add(*wgrad[eid], sn * qn, dd * q.denominator)
-                bgrad[eid] = _add(*bgrad[eid], sn, dd)
                 adjoint[tail] = _add(*adjoint[tail], dn * wn, dd * wd)
+    bias = {vid: Fraction(*pair) for vid, pair in bsum.items()}
+    bgrad = {}
     for eid, pair in wgrad.items():
         wgrad[eid] = Fraction(*pair)
         peak = max(peak, check_bits(wgrad[eid], max_bits, f"weight gradient {eid}"))
-        bgrad[eid] = Fraction(*bgrad[eid])
+        bgrad[eid] = bias[net.edge_map[eid].head]
         check_bits(bgrad[eid], max_bits, f"bias gradient {eid}")
     return GradientReport(wgrad, bgrad, kinks, peak, ops)

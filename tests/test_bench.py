@@ -1,15 +1,23 @@
 """Depth-growth experiment: schema, determinism, qualitative separation."""
 
 import math
+import random
 from fractions import Fraction
+
+import pytest
 
 from bitnets.bench import (
     CSV_COLUMNS,
     GrowthRow,
+    build_chain,
     depth_growth_experiment,
     log10_magnitude_proxy,
     rows_to_csv,
 )
+from bitnets.network import LossSpec, PolyActivation, Sample, gradients
+from bitnets.product_identity import RationalPoly, monomial
+from bitnets.pwl import leaky_relu, relu
+from bitnets.rationals import bit_length
 
 
 class TestLogProxy:
@@ -83,3 +91,35 @@ class TestGrowth:
         rows = depth_growth_experiment(64, "relu", seed=0, depths=list(range(1, 65, 7)))
         for r in rows:
             assert r.grad_bitlen <= 400 * r.depth + 400
+
+
+def first_layer_bits(activation, depths):
+    """The first-layer weight-gradient bits on the seed-0 chain, by depth."""
+    out = []
+    for depth in depths:
+        net, theta, x, first = build_chain(depth, activation, random.Random(f"0/depth{depth}"))
+        report = gradients(net, theta, [Sample(x, Fraction(0))], LossSpec("square", target="out"))
+        out.append(max(bit_length(report.weight_grad[e]) for e in first))
+    return out
+
+
+class TestGrowthLaw:
+    """Polynomial activations multiply the gradient's bits by deg sigma per
+    layer; piecewise-linear ones add a bounded number of bits per layer."""
+
+    @pytest.mark.parametrize("activation, degree, max_depth", [
+        (PolyActivation(monomial(2)), 2, 6),
+        (PolyActivation(monomial(3)), 3, 5),
+        (PolyActivation(RationalPoly((Fraction(1), Fraction(-2), Fraction(3, 2)))), 2, 6),
+    ], ids=["T^2", "T^3", "1-2T+3/2T^2"])
+    def test_polynomial_bits_grow_by_the_degree_per_layer(self, activation, degree, max_depth):
+        bits = first_layer_bits(activation, range(2, max_depth + 1))
+        for prev, cur in zip(bits, bits[1:]):
+            assert abs(cur / prev - degree) <= 0.2
+
+    @pytest.mark.parametrize("activation", [relu(), leaky_relu(Fraction(1, 10))],
+                             ids=["relu", "leaky-relu-1/10"])
+    def test_piecewise_linear_bits_grow_additively(self, activation):
+        bits = first_layer_bits(activation, range(7))
+        for depth, b in enumerate(bits):
+            assert b <= bits[0] + 300 * depth

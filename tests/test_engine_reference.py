@@ -266,6 +266,20 @@ class TestAccumulatorBudget:
         assert gradients(*case, 13).max_bits == 12
         assert_engine_matches(*case, caps=(3, 12, 13))
 
+    def test_a_shared_bias_gradient_trips_at_its_heads_first_in_edge(self):
+        # h's parallel in-edges z and m from a share the bias gradient
+        # 2**10 * 3 (13 bits); each weight gradient 2**10 * 3/2 has 12, so
+        # the budget trips at m, the first of them in edge order
+        net = Network([Vertex("a", "source"), Vertex("h", "target", IdentityActivation())],
+                      [Edge("z", "a", "h"), Edge("m", "a", "h")])
+        theta = Theta({"z": (Fraction(1), Fraction(0)), "m": (Fraction(1), Fraction(0))})
+        dataset = (Sample({"a": Fraction(1, 2)}, Fraction(-2), count=1 << 10),)
+        case = (net, theta, dataset, LossSpec("square", target="h"))
+        assert outcome(gradients, *case, 12) == ("bits", 13, 12, "bias gradient m")
+        report = gradients(*case, 13)
+        assert report.bias_grad == {"m": 3072, "z": 3072} and report.max_bits == 12
+        assert_engine_matches(*case, caps=(3, 12, 13))
+
 
 class TestLossBudget:
     """``loss_total`` checks each main sample's one-copy loss and the
@@ -287,6 +301,15 @@ class TestLossBudget:
         assert outcome(loss_total, *case, 13) == ("bits", 14, 13, "loss total after sample 0")
         assert loss_total(*case, 14) == 4608
         assert_engine_matches(*case, caps=(6, 13, 14))
+
+    def test_the_total_is_judged_reduced(self):
+        # two copies each lose 1/2 (3 bits): the total 1 has 2 bits, though
+        # the sum 2/2 over the common denominator has 4
+        net, theta, (sample,), spec = one_edge(1, 1, 0, 1)
+        case = (net, theta, (sample, sample), spec)
+        assert outcome(loss_total, *case, 3) == ("loss", 1)
+        assert outcome(loss_total, *case, 2) == ("bits", 3, 2, "loss of sample 0")
+        assert_engine_matches(*case, caps=(2, 3, 4))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -335,6 +358,47 @@ def assert_engine_matches_at_peaks(net, theta, dataset, spec):
     return report.max_bits
 
 
+def total_bits(net, theta, dataset, spec):
+    """The bits of the reduced running loss total after each addition."""
+    total, out = Fraction(0), []
+    for s in dataset:
+        loss = sample_loss(net, spec, ref_forward(net, theta, s.x, 1 << 30).values, s)
+        if s.flag or loss:
+            total += s.count * loss
+            out.append(bits(total))
+    return out
+
+
+def assert_loss_matches_at_totals(net, theta, dataset, spec):
+    """Compare ``loss_total`` at each running total's bits and one less;
+    returns the locations of the errors raised."""
+    seen = set()
+    for cap in around(*total_bits(net, theta, dataset, spec)):
+        result = outcome(loss_total, net, theta, dataset, spec, cap)
+        assert result == outcome(ref_loss, net, theta, dataset, spec, cap)
+        if result[0] == "bits":
+            seen.add(result[3].rsplit(" ", 1)[0])
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_loss_total_matches_reference_at_each_running_total(mode):
+    """Random DAGs with two auxiliary samples put in at random positions,
+    one that reproduces its label and one that likely does not."""
+    rng = random.Random(f"totals-{mode}")
+    seen = set()
+    for _ in range(20):
+        net, theta, dataset, spec = random_case(rng, mode, rng.choice(("square", "hinge")))
+        x = dataset[0].x
+        values = ref_forward(net, theta, x, 1 << 30).values
+        dataset = list(dataset)
+        for label in ({v: q for v, q in values.items() if q}, {}):
+            aux = Sample(x, label, flag=0, count=rng.randint(1, 3))
+            dataset.insert(rng.randint(0, len(dataset)), aux)
+        seen |= assert_loss_matches_at_totals(net, theta, tuple(dataset), spec)
+    assert "loss total after sample" in seen
+
+
 PWL_ACTIVATIONS = (relu(), leaky_relu(Fraction(1, 10)), IdentityActivation())
 
 
@@ -369,6 +433,14 @@ def test_pwl_shaped_nets_match_reference_along_two_steps(seed):
         if step < 2:
             theta = gd_step(net, theta, dataset, spec, Fraction(1, 64)).theta
     assert peak > 10_000  # theta_2 puts the checks on big operands
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_pwl_shaped_loss_totals_match_reference_at_theta_two(seed):
+    net, theta, dataset, spec = layered_case(random.Random(seed))
+    for _ in range(2):
+        theta = gd_step(net, theta, dataset, spec, Fraction(1, 64)).theta
+    assert "loss total after sample" in assert_loss_matches_at_totals(net, theta, dataset, spec)
 
 
 def star(weights, biases, xs):

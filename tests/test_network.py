@@ -401,6 +401,24 @@ class TestValidationErrors:
                 call()
             assert str(err.value) == message
 
+    @pytest.mark.parametrize("call", ["loss_total", "gradients", "gd_step"])
+    def test_loss_target_outside_the_network_is_located(self, call):
+        from bitnets.pwl import gd_step
+
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        data = [Sample({"s": Fraction(1)}, Fraction(1))]
+        spec = LossSpec("square", target="ghost")
+        calls = {
+            "loss_total": lambda: loss_total(net, theta, data, spec),
+            "gradients": lambda: gradients(net, theta, data, spec),
+            "gd_step": lambda: gd_step(net, theta, data, spec, Fraction(1, 2)),
+        }
+        with pytest.raises(NetworkError) as err:
+            calls[call]()
+        assert str(err.value) == "loss target 'ghost' is not a vertex of the network"
+        assert err.value.where == "target"
+
     def test_loss_spec_rejects_non_integer_bit_index(self):
         for j in ("3", 1.5, True, Fraction(3)):
             with pytest.raises(NetworkError) as err:
