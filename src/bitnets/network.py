@@ -28,7 +28,13 @@ adjoint, on the gradient accumulators after the last sample, and on
 each main sample's loss and the running loss total.  A sum is held as
 an unreduced (numerator, denominator) pair over the lcm of its terms'
 denominators and reduced only at the check that reads it, so every
-value and bit count is the reduced one.  The loss total is such a pair
+value and bit count is the reduced one.  Every such pair is reduced by
+:func:`bitnets.rationals.reduce_pair`, which takes the power of two out of
+the gcd with bit operations and runs ``math.gcd`` only against the
+denominator's odd part: the values are mostly dyadic, and most of a
+denominator is often its power of two.  A reduced pair is unique, so the
+result, and with it every bit count and error, is the one
+``Fraction(num, den)`` gives.  The loss total is such a pair
 too, read only by its budget check until the end, so the check judges
 the pair's own size (its numerator's and denominator's bit lengths) and
 reduces it only when that is over the budget.  That is exact: reducing
@@ -111,16 +117,17 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 
 from .product_identity import RationalPoly
 from .rationals import (
     DEFAULT_MAX_BITS,
     BitBudgetError,
+    add_pair,
     bit_extract,
     bit_length,
     check_bits,
     format_rational,
+    reduce_pair,
 )
 
 ROLE_SOURCE = "source"
@@ -447,23 +454,6 @@ def _as_fraction(q: int | Fraction) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
-def _add(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
-    """``num/den + tn/td`` over the lcm of the (positive) denominators, unreduced."""
-    if td == den:
-        return num + tn, den
-    if td == 1:
-        return num + tn * den, den
-    if den == 1:
-        return num * td + tn, td
-    g = gcd(den, td)
-    return num * (td // g) + tn * (den // g), den // g * td
-
-
-def _reduced(num: int, den: int) -> int | Fraction:
-    """The pair ``num/den`` reduced once, as an ``int`` when integral."""
-    return num if den == 1 else _int_first(Fraction(num, den))
-
-
 def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
     """The polynomial with ``coeffs`` (leading first) at ``z``, 0 for none.
     Horner's rule starts at the leading coefficient and adds no zero term."""
@@ -536,8 +526,8 @@ class _Plan:
             w, b = map(_int_first, self.pairs[e.id])
             ins.append((e.tail, e.id, w.numerator, w.denominator))
             if b:
-                num, den = _add(num, den, b.numerator, b.denominator)
-        bias = _reduced(num, den)
+                num, den = add_pair(num, den, b.numerator, b.denominator)
+        bias = reduce_pair(num, den)
         return (
             tuple(ins), (bias.numerator, bias.denominator), act, slope,
             f"preactivation {vid}", f"vertex {vid}",
@@ -556,7 +546,7 @@ class _Plan:
                 if td == den:  # all-integer nets stay here, without a call
                     num += wn * qn
                 else:
-                    num, den = _add(num, den, wn * qn, td)
+                    num, den = add_pair(num, den, wn * qn, td)
         return num, den
 
     def settle(self, vid: str, x_v, y: Mapping, max_bits: int) -> tuple:
@@ -571,7 +561,7 @@ class _Plan:
             if den == 1 and type(pre) is int:
                 pre += num
             else:
-                pre = _reduced(*_add(num, den, pre.numerator, pre.denominator))
+                pre = reduce_pair(*add_pair(num, den, pre.numerator, pre.denominator))
             bits = pre.bit_length() + 1 if type(pre) is int else bit_length(pre)
             if bits > max_bits:
                 raise BitBudgetError(bits, max_bits, pre_where)
@@ -822,8 +812,9 @@ class _Certificate:
         """``loss_total`` under ``plan``'s theta.  The running total is an
         unreduced pair (an auxiliary sample's ``count`` adds ``count`` times
         its denominator), judged after each sample by its own size and
-        reduced, then checked, only when that size exceeds ``max_bits``; it
-        is reduced once more at the end."""
+        reduced by ``reduce_pair``, then checked, only when that size
+        exceeds ``max_bits``; it is reduced once more at the end and
+        returned as a ``Fraction``."""
         _check_target(self.net, self.spec)
         num, den = 0, 1
         for i in self.verdicts(plan, max_bits):
@@ -834,12 +825,12 @@ class _Certificate:
                 values = plan.run(sample.x, max_bits)[0]
                 loss = sample_loss(self.net, self.spec, values, sample)
                 check_bits(loss, max_bits, f"loss of sample {i}")
-                num, den = _add(num, den, sample.count * loss.numerator, loss.denominator)
+                num, den = add_pair(num, den, sample.count * loss.numerator, loss.denominator)
             if abs(num).bit_length() + den.bit_length() > max_bits:
-                total = Fraction(num, den)
+                total = reduce_pair(num, den)
                 check_bits(total, max_bits, f"loss total after sample {i}")
                 num, den = total.numerator, total.denominator
-        return Fraction(num, den)
+        return _as_fraction(reduce_pair(num, den))
 
 
 def loss_total(
@@ -897,12 +888,13 @@ def gradients(
     bit01 / vector-equality specs, auxiliary (flag 0) samples and vector
     labels are rejected, as is a target that is not a vertex of ``net``
     (``NetworkError`` at ``target``).  Adjoints propagate in reverse
-    topological order.  The in-edges of one vertex share its bias
-    gradient, which is summed and reduced once per vertex.  After the
-    last sample every accumulator is checked against ``max_bits`` (weight
-    then bias, edge by edge, so a bias gradient over the budget is
-    reported at its vertex's first in-edge); the reported ``max_bits`` is
-    the peak over vertex values, adjoints and weight gradients.
+    topological order.  Each accumulator is an unreduced pair across the
+    samples, and the in-edges of one vertex share its bias gradient, one
+    pair per vertex.  After the last sample every accumulator is reduced
+    once by ``reduce_pair`` and checked against ``max_bits`` (weight then
+    bias, edge by edge, so a bias gradient over the budget is reported at
+    its vertex's first in-edge); the reported ``max_bits`` is the peak
+    over vertex values, adjoints and weight gradients.
     """
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
@@ -946,7 +938,7 @@ def gradients(
             ins, _, _, slope, pre_where, _ = plan.node[vid]
             if pre_where is None:
                 continue
-            a = _reduced(*adjoint[vid])
+            a = reduce_pair(*adjoint[vid])
             if a == 0:
                 continue
             delta = a if slope is None else _int_first(a * slope(pre[vid]))
@@ -954,17 +946,17 @@ def gradients(
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
             dn, dd = delta.numerator, delta.denominator
             sn = scale * dn
-            bsum[vid] = _add(*bsum[vid], sn, dd)
+            bsum[vid] = add_pair(*bsum[vid], sn, dd)
             for tail, eid, wn, wd in ins:
                 q = values[tail]
                 qn = q.numerator
                 if qn:
-                    wgrad[eid] = _add(*wgrad[eid], sn * qn, dd * q.denominator)
-                adjoint[tail] = _add(*adjoint[tail], dn * wn, dd * wd)
-    bias = {vid: Fraction(*pair) for vid, pair in bsum.items()}
+                    wgrad[eid] = add_pair(*wgrad[eid], sn * qn, dd * q.denominator)
+                adjoint[tail] = add_pair(*adjoint[tail], dn * wn, dd * wd)
+    bias = {vid: _as_fraction(reduce_pair(*pair)) for vid, pair in bsum.items()}
     bgrad = {}
     for eid, pair in wgrad.items():
-        wgrad[eid] = Fraction(*pair)
+        wgrad[eid] = _as_fraction(reduce_pair(*pair))
         peak = max(peak, check_bits(wgrad[eid], max_bits, f"weight gradient {eid}"))
         bgrad[eid] = bias[net.edge_map[eid].head]
         check_bits(bgrad[eid], max_bits, f"bias gradient {eid}")

@@ -33,7 +33,14 @@ from .network import (
     _Plan,
     gradients,
 )
-from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, round_to_dyadic
+from .rationals import (
+    DEFAULT_MAX_BITS,
+    add_pair,
+    bit_length,
+    format_rational,
+    reduce_pair,
+    round_to_dyadic,
+)
 from .reductions import _cert_of
 
 
@@ -180,6 +187,9 @@ def gd_step(
     identity, bit-bounded): its backward pass is polynomial-time in the
     bit model.  The report flags an activation that is not ``is_continuous``,
     since the derivative convention at its breakpoints is ours, not intrinsic.
+    Each parameter's ``q - eta * g`` is one unreduced pair, reduced once; the
+    in-edges of a vertex share one bias gradient, so ``eta`` times it is
+    formed once per vertex.  A zero gradient keeps its parameter.
     """
     inner = [v for v in net.vertices if v.activation is not None]
     for v in inner:
@@ -191,14 +201,26 @@ def gd_step(
     discontinuous = not all(v.activation.is_continuous for v in inner)
 
     eta = Fraction(eta)
+    en, ed = eta.numerator, eta.denominator
     report = gradients(net, theta, dataset, spec, max_bits)
+
+    def step(g: Fraction) -> tuple[int, int]:
+        """``-eta * g`` as an unreduced pair."""
+        return -en * g.numerator, ed * g.denominator
+
+    def descend(q: Fraction, delta: tuple[int, int]) -> Fraction:
+        """``q`` plus the pair ``delta``, reduced once."""
+        if not delta[0]:
+            return Fraction(q)
+        return Fraction(reduce_pair(*add_pair(q.numerator, q.denominator, *delta)))
+
+    bias_steps = {}  # by head vertex: its in-edges share one bias gradient
     updated: dict[str, tuple[Fraction, Fraction]] = {}
     for e in net.edges:
         w, b = theta.params[e.id]
-        updated[e.id] = (
-            w - eta * report.weight_grad[e.id],
-            b - eta * report.bias_grad[e.id],
-        )
+        if e.head not in bias_steps:
+            bias_steps[e.head] = step(report.bias_grad[e.id])
+        updated[e.id] = (descend(w, step(report.weight_grad[e.id])), descend(b, bias_steps[e.head]))
     fields = vars(report) | {"ops": report.ops + 4 * len(net.edges)}
     return GdStepReport(**fields, theta=Theta(updated), discontinuous=discontinuous)
 

@@ -7,7 +7,17 @@ denominator.  This module adds the handful of operations on top of that
 representation that the rest of the package needs and that must agree
 bit-for-bit everywhere: the ``p`` / ``p/q`` text encoding and its exact
 length, the size measure ``bit_length``, integer-exact bit extraction,
-and floor-style dyadic rounding.
+floor-style dyadic rounding, and the arithmetic of unreduced exact
+(numerator, denominator) pairs: ``add_pair`` and ``reduce_pair``, the one
+reduction of such a pair.
+
+The values this package computes are mostly dyadic: most of the bits of
+a denominator are often its power of two.  ``reduce_pair`` takes the
+power of two out of the gcd with bit operations (the 2-adic step of
+Stein's binary gcd) and runs ``math.gcd``, which is quadratic in the
+operands' length, only against the odd part of the denominator.  The
+reduced pair is unique, so the result is the one ``Fraction(num, den)``
+builds.
 
 Text conversion never touches interpreter state.  CPython refuses to
 convert integers of more than ``sys.get_int_max_str_digits()`` decimal
@@ -115,6 +125,72 @@ def _digit_count(n: int) -> int:
     return m
 
 
+#: Denominators of at most this many bits are reduced by one ``math.gcd``:
+#: up to about this size that is no slower than taking out the power of
+#: two first, and past it the plain gcd falls behind quadratically.
+_PLAIN_GCD_BITS = 128
+
+# A Fraction from a coprime pair with a positive denominator, without the
+# checks and the gcd that ``Fraction(num, den)`` runs.  This is private
+# stdlib API and it differs by version: 3.12 added the classmethod
+# ``_from_coprime_ints``.  On 3.10 and 3.11 the function below does what that
+# classmethod does, setting the two slots that every Fraction has.  There,
+# ``Fraction(num, den, _normalize=False)`` skips only the gcd, and on a pair
+# of a few bits it is no faster than ``Fraction(num, den)``.
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime = Fraction._from_coprime_ints
+else:
+
+    def _coprime(num: int, den: int) -> Fraction:
+        q = object.__new__(Fraction)
+        q._numerator = num
+        q._denominator = den
+        return q
+
+
+def add_pair(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
+    """``num/den + tn/td`` over the lcm of the (positive) denominators, unreduced."""
+    if td == den:
+        return num + tn, den
+    if td == 1:
+        return num + tn * den, den
+    if den == 1:
+        return num * td + tn, td
+    g = math.gcd(den, td)
+    return num * (td // g) + tn * (den // g), den // g * td
+
+
+def reduce_pair(num: int, den: int) -> int | Fraction:
+    """``num/den`` in lowest terms, for ``den > 0``: an ``int`` when it is
+    integral, else the ``Fraction`` that ``Fraction(num, den)`` gives.
+
+    With ``den = 2**a * odd`` the gcd is ``2**min(a, v2(num)) *
+    gcd(num, odd)``.  The powers of two are read off the lowest set bits
+    and shifted out, and ``math.gcd`` runs only when ``odd > 1``; the
+    Fraction is built from the coprime pair without a second gcd.  A
+    denominator of at most ``_PLAIN_GCD_BITS`` bits takes one plain gcd.
+    """
+    if den == 1:
+        return num
+    if den.bit_length() <= _PLAIN_GCD_BITS:
+        g = math.gcd(num, den)
+    elif not num:
+        return 0
+    else:
+        a = (den & -den).bit_length() - 1  # v2(den): den & -den is its lowest set bit
+        odd = den >> a
+        twos = min(a, (num & -num).bit_length() - 1)
+        num >>= twos
+        den >>= twos
+        g = 1 if odd == 1 else math.gcd(num, odd)
+    if g != 1:
+        num //= g
+        den //= g
+    if den == 1:
+        return num
+    return _coprime(num, den)
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical text encoding ``p`` or ``p/q``.
 
@@ -129,9 +205,10 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational literal: {text!r}")
     num = _text_to_int(m.group(1))
     den = _text_to_int(m.group(2)) if m.group(2) else 1
-    if den != 1 and math.gcd(abs(num), den) != 1:
+    q = reduce_pair(num, den)
+    if q.denominator != den:
         raise ValueError(f"rational literal not reduced: {text!r}")
-    return Fraction(num, den)
+    return q if type(q) is Fraction else Fraction(q)
 
 
 def format_rational(q: Fraction) -> str:
@@ -186,12 +263,19 @@ def round_to_dyadic(q: Fraction, k: int) -> Fraction:
     """Round down to the nearest multiple of ``2**-k``: ``2**-k * floor(q * 2**k)``.
 
     Floor is toward minus infinity, so negative values round away from
-    zero.  The result's denominator divides ``2**k``.
+    zero.  The result's denominator divides ``2**k``.  With ``q = n / (2**b
+    * odd)`` the floor is ``n * 2**(k - b)``, floored by a shift when
+    ``k < b``, then floor-divided by ``odd``; ``reduce_pair`` then shifts out
+    the common powers of two.
     """
     if k < 1:
         raise ValueError(f"precision k must be >= 1, got {k}")
-    scale = 1 << k
-    return Fraction(math.floor(Fraction(q) * scale), scale)
+    q = Fraction(q)
+    n, d = q.numerator, q.denominator
+    b = (d & -d).bit_length() - 1  # v2(d)
+    n = n << (k - b) if k >= b else n >> (b - k)
+    r = reduce_pair(n // (d >> b), 1 << k)
+    return r if type(r) is Fraction else Fraction(r)
 
 
 def check_bits(q: int | Fraction, cap: int, where: str = "") -> int:

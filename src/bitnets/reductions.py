@@ -46,12 +46,11 @@ from .network import (
     _as_fraction,
     _Certificate,
     _Plan,
-    _reduced,
     check_label,
     gradients,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
-from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational
+from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, reduce_pair
 from .slp import Gate, NormalizedSlp, Slp, normalize_bn, parse_slp
 
 _IDENTITY = IdentityActivation()
@@ -302,7 +301,7 @@ def _aux_samples(
     base_label = _sparse(base_y)
 
     def x_at(vid: str, labels: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
-        return _as_fraction(pre.get(vid, 0) - _reduced(*plan.inflow(vid, labels)))
+        return _as_fraction(pre.get(vid, 0) - reduce_pair(*plan.inflow(vid, labels)))
 
     base_x = _sparse({v.id: x_at(v.id, base_label, {}) for v in net.vertices})
 

@@ -8,7 +8,8 @@ topological order that adds every edge's ``w * f_u + b`` one at a time,
 and the reverse-mode loop over the same dicts.  Seeded random DAGs
 compare every field of the results, their types, and the
 ``BitBudgetError`` fields at small caps; nets shaped like the benchmark's
-piecewise-linear ones compare them on operands of thousands of bits.
+piecewise-linear ones compare them on operands of thousands of bits, over
+mixed and over power-of-two denominators.
 """
 
 import random
@@ -402,11 +403,12 @@ def test_loss_total_matches_reference_at_each_running_total(mode):
 PWL_ACTIVATIONS = (relu(), leaky_relu(Fraction(1, 10)), IdentityActivation())
 
 
-def layered_case(rng, width=4, depth=3, samples=4):
+def layered_case(rng, width=4, depth=3, samples=4, denoms=(1, 3, 7, 11, 1 << 20), bounded=()):
     """A fully connected layered net of ReLU / leaky / identity vertices and
-    an identity target, with 64-bit numerators over {1, 3, 7, 11, 2**20}."""
+    an identity target, with 64-bit numerators over ``denoms``; the hidden
+    vertices in ``bounded`` round their outputs to 48-bit dyadics."""
     def scalar():
-        return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.choice((1, 3, 7, 11, 1 << 20)))
+        return Fraction(rng.randint(-(1 << 63), 1 << 63), rng.choice(denoms))
 
     prev = [f"s{i}" for i in range(width)]
     vertices, edges = [Vertex(v, "source") for v in prev], []
@@ -416,7 +418,10 @@ def layered_case(rng, width=4, depth=3, samples=4):
             if v == "t":
                 vertices.append(Vertex(v, "target", IdentityActivation()))
             else:
-                vertices.append(Vertex(v, "hidden", rng.choice(PWL_ACTIVATIONS)))
+                act = rng.choice(PWL_ACTIVATIONS)
+                if v in bounded:
+                    act = BitBoundedActivation(act, 48)
+                vertices.append(Vertex(v, "hidden", act))
             edges += [Edge(f"{u}->{v}", u, v) for u in prev]
         prev = cur
     theta = Theta({e.id: (scalar(), scalar()) for e in edges})
@@ -441,6 +446,39 @@ def test_pwl_shaped_loss_totals_match_reference_at_theta_two(seed):
     for _ in range(2):
         theta = gd_step(net, theta, dataset, spec, Fraction(1, 64)).theta
     assert "loss total after sample" in assert_loss_matches_at_totals(net, theta, dataset, spec)
+
+
+def ref_gd_step(net, theta, dataset, spec, eta):
+    """theta - eta * the reference gradients, in stdlib ``Fraction`` arithmetic."""
+    report = ref_gradients(net, theta, dataset, spec, 1 << 30)
+    return Theta({eid: (w - eta * report.weight_grad[eid], b - eta * report.bias_grad[eid])
+                  for eid, (w, b) in theta.params.items()}), report.ops
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_dyadic_nets_match_reference_along_two_steps(seed):
+    """Power-of-two denominators and eta = 2**-6 make every sum's pair
+    mostly a power of two, which its reduction shifts out; one hidden vertex
+    is bit-bounded.  The engine and ``gd_step`` agree with the reference at
+    theta, theta_1 and theta_2, uncapped and at one bit under each peak."""
+    net, theta, dataset, spec = layered_case(
+        random.Random(f"dyadic-{seed}"), width=3, denoms=(1, 1 << 20), bounded=("h2_0",))
+    assert isinstance(net.vertex_map["h2_0"].activation, BitBoundedActivation)
+    eta = Fraction(1, 64)
+    for step in range(3):
+        peak = assert_engine_matches_at_peaks(net, theta, dataset, spec)
+        assert_loss_matches_at_totals(net, theta, dataset, spec)
+        if step == 2:
+            break
+        want, ref_ops = ref_gd_step(net, theta, dataset, spec, eta)
+        report = gd_step(net, theta, dataset, spec, eta)
+        assert report.theta == want and report.ops == ref_ops + 4 * len(net.edges)
+        assert all(type(q) is Fraction for pair in report.theta.params.values() for q in pair)
+        assert outcome(gd_step, net, theta, dataset, spec, eta, peak - 1) == outcome(
+            ref_gradients, net, theta, dataset, spec, peak - 1)
+        theta = report.theta
+    assert peak > 5_000
+    assert max(q.denominator.bit_length() for pair in theta.params.values() for q in pair) > 128
 
 
 def star(weights, biases, xs):

@@ -1,5 +1,7 @@
-"""Exact scalar operations: encoding, bit extraction, dyadic rounding."""
+"""Exact scalar operations: encoding, bit extraction, dyadic rounding,
+and the reduction of a (numerator, denominator) pair."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -16,6 +18,7 @@ from bitnets.rationals import (
     format_length,
     format_rational,
     parse_rational,
+    reduce_pair,
     round_to_dyadic,
 )
 
@@ -33,10 +36,18 @@ class TestTextEncoding:
             q = Fraction(rng.randint(-10**9, 10**9), rng.randint(1, 10**9))
             assert parse_rational(format_rational(q)) == q
 
-    @pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-2", "1.5", "", "x", "1/2/3"])
+    @pytest.mark.parametrize("bad", ["2/4", "1/0", "3/-2", "1.5", "", "x", "1/2/3", "0/5"])
     def test_rejects_noncanonical(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    def test_long_dyadic_literals_are_checked_reduced(self):
+        den = 1 << 900
+        assert parse_rational(f"-3/{den}") == Fraction(-3, den)
+        assert parse_rational(f"{3 * 7 ** 40}/{7 ** 41 + 4}") == Fraction(3 * 7 ** 40, 7 ** 41 + 4)
+        for bad in (f"{3 << 500}/{den}", f"{7 ** 40}/{7 ** 41 << 300}"):
+            with pytest.raises(ValueError, match="not reduced"):
+                parse_rational(bad)
 
     def test_unicode_minus_accepted(self):
         assert parse_rational("−1/3") == Fraction(-1, 3)
@@ -183,6 +194,74 @@ class TestDyadicRounding:
     def test_rejects_nonpositive_precision(self):
         with pytest.raises(ValueError):
             round_to_dyadic(Fraction(1), 0)
+
+    @pytest.mark.parametrize("k", [3, 200, 4096, 400_000])
+    def test_matches_the_plain_formula_up_to_large_precision(self, k):
+        rng = random.Random(k)
+        values = [Fraction(rng.getrandbits(300) - (1 << 299), rng.getrandbits(200) | 1),
+                  Fraction(-1, 3), Fraction(5, 1 << (k // 2)), Fraction(-7, 1 << (2 * k)),
+                  Fraction(rng.getrandbits(64), 3 << (k - 3)), Fraction(9), Fraction(0)]
+        for q in values:
+            got = round_to_dyadic(q, k)
+            assert type(got) is Fraction
+            assert got == Fraction(math.floor(q * 2**k), 2**k)
+
+
+def odd_numbers(max_bits):
+    """1 or an odd integer of up to ``max_bits`` bits."""
+    return st.one_of(st.just(1), st.integers(0, (1 << (max_bits - 1)) - 1).map(lambda n: 2 * n + 1))
+
+
+@st.composite
+def pairs(draw):
+    """(num, den) with den = 2**a * odd, a up to 4096, and num 0, negative or
+    huge; num often shares powers of two and an odd factor with den."""
+    shared = draw(odd_numbers(256))
+    odd = shared * draw(odd_numbers(2048))
+    den = odd << draw(st.integers(0, 4096))
+    m = draw(st.one_of(st.just(0), st.integers(-(1 << 64), 1 << 64),
+                       st.integers(-(1 << 8192), 1 << 8192)))
+    if draw(st.booleans()):
+        m *= shared
+    return m << draw(st.integers(0, 4096)), den
+
+
+class TestReducePair:
+    @given(pairs())
+    def test_equals_the_stdlib_reduction(self, pair):
+        got, want = reduce_pair(*pair), Fraction(*pair)
+        assert hash(got) == hash(want)
+        if want.denominator == 1:
+            assert type(got) is int and got == want.numerator
+        else:
+            assert type(got) is Fraction
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+            assert repr(got) == repr(want) and str(got) == str(want)
+
+    @pytest.mark.parametrize("num, den, want", [
+        (0, 1, 0), (0, 1 << 300, 0), (7, 1, 7), (-12, 4, -3), (6, 4, Fraction(3, 2)),
+        (-3 << 400, 9 << 450, Fraction(-1, 3 << 50)), (5 << 500, 1 << 200, 5 << 300),
+        (3 ** 200, 3 ** 199 << 200, Fraction(3, 1 << 200)),
+    ])
+    def test_examples(self, num, den, want):
+        got = reduce_pair(num, den)
+        assert got == want and type(got) is type(want)
+
+    def test_the_interpreters_coprime_constructor(self):
+        # the stdlib's constructor without a gcd is private and differs by
+        # version: the classmethod from 3.12 on, the slots set directly before
+        from bitnets import rationals
+
+        if sys.version_info >= (3, 12):
+            assert rationals._coprime == Fraction._from_coprime_ints
+        else:
+            assert not hasattr(Fraction, "_from_coprime_ints")
+            assert Fraction(-3, 4, _normalize=False) == rationals._coprime(-3, 4)
+        q = rationals._coprime(-3, 4)
+        assert type(q) is Fraction
+        assert (q.numerator, q.denominator, hash(q), repr(q)) == (
+            -3, 4, hash(Fraction(-3, 4)), "Fraction(-3, 4)")
+        assert q + Fraction(3, 4) == 0 and q * 4 == -3
 
 
 class TestBitLength:
