@@ -125,11 +125,6 @@ def _digit_count(n: int) -> int:
     return m
 
 
-#: Denominators of at most this many bits are reduced by one ``math.gcd``:
-#: up to about this size that is no slower than taking out the power of
-#: two first, and past it the plain gcd falls behind quadratically.
-_PLAIN_GCD_BITS = 128
-
 # A Fraction from a coprime pair with a positive denominator, without the
 # checks and the gcd that ``Fraction(num, den)`` runs.  This is private
 # stdlib API and it differs by version: 3.12 added the classmethod
@@ -167,25 +162,25 @@ def reduce_pair(num: int, den: int) -> int | Fraction:
     With ``den = 2**a * odd`` the gcd is ``2**min(a, v2(num)) *
     gcd(num, odd)``.  The powers of two are read off the lowest set bits
     and shifted out, and ``math.gcd`` runs only when ``odd > 1``; the
-    Fraction is built from the coprime pair without a second gcd.  A
-    denominator of at most ``_PLAIN_GCD_BITS`` bits takes one plain gcd.
+    Fraction is built from the coprime pair without a second gcd.
     """
     if den == 1:
         return num
-    if den.bit_length() <= _PLAIN_GCD_BITS:
-        g = math.gcd(num, den)
-    elif not num:
+    if not num:
         return 0
-    else:
-        a = (den & -den).bit_length() - 1  # v2(den): den & -den is its lowest set bit
-        odd = den >> a
-        twos = min(a, (num & -num).bit_length() - 1)
+    a = (den & -den).bit_length() - 1  # v2(den): den & -den is its lowest set bit
+    twos = (num & -num).bit_length() - 1
+    if a < twos:  # not min(): on a pair of a few bits the call costs what the rest does
+        twos = a
+    odd = den >> a
+    if twos:
         num >>= twos
         den >>= twos
-        g = 1 if odd == 1 else math.gcd(num, odd)
-    if g != 1:
-        num //= g
-        den //= g
+    if odd != 1:
+        g = math.gcd(num, odd)
+        if g != 1:
+            num //= g
+            den //= g
     if den == 1:
         return num
     return _coprime(num, den)
