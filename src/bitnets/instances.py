@@ -19,9 +19,12 @@ A compiled instance repeats a handful of values across thousands of
 entries.  Each ``parse_instance``/``parse_theta`` call therefore keeps
 one table from literal text to its validated ``Fraction``: a text is
 checked on its first occurrence only and every later one gets the same
-object, so equal parsed literals are shared, as in compiled instances,
-and comparisons between them settle by identity.  The table lives for
-the call only.
+object, so equal parsed literals are shared, as in compiled instances'
+auxiliary samples, and comparisons between them settle by identity.
+The writer, ``instance_to_doc``, renders each value object once per
+call: its table maps an object's ``id`` to the text and the object
+itself, so that no id is taken over by a temporary value a custom
+``Mapping`` hands out.  Both tables live for the call only.
 """
 
 from __future__ import annotations
@@ -231,6 +234,26 @@ def parse_theta(data: bytes | str) -> Theta:
 
 
 def instance_to_doc(inst: ErmInstance | BackpropInstance) -> dict:
+    texts: dict[int, tuple[str, Fraction]] = {}
+
+    def text(q: Fraction) -> str:
+        """``format_rational(q)``, rendered once per value object and call; the
+        table holds ``q``, so that no later object can take its id."""
+        entry = texts.get(id(q))
+        if entry is None:
+            entry = texts[id(q)] = (format_rational(q), q)
+        return entry[0]
+
+    def vector(values: Mapping[str, Fraction]) -> dict[str, str]:
+        return {vid: text(q) for vid, q in values.items()}
+
+    def sample(s: Sample) -> dict:
+        y = vector(s.label) if isinstance(s.label, Mapping) else text(s.label)
+        doc = {"x": vector(s.x), "y": y, "flag": s.flag, "count": s.count}
+        if s.note:
+            doc["note"] = s.note
+        return doc
+
     doc: dict[str, Any] = {
         "kind": "backprop" if isinstance(inst, BackpropInstance) else "erm",
         "vertices": [
@@ -245,7 +268,7 @@ def instance_to_doc(inst: ErmInstance | BackpropInstance) -> dict:
             {"id": e.id, "u": e.tail, "v": e.head} for e in inst.network.edges
         ],
         "theta": theta_to_doc(inst.theta_star),
-        "dataset": [_sample_to_doc(s) for s in inst.dataset],
+        "dataset": [sample(s) for s in inst.dataset],
         "loss": _loss_to_doc(inst.loss),
         "provenance": inst.provenance,
     }
@@ -258,21 +281,6 @@ def instance_to_doc(inst: ErmInstance | BackpropInstance) -> dict:
             doc["bit_index"] = inst.bit_index
     else:
         doc["gap"] = list(inst.gap)
-    return doc
-
-
-def _sample_to_doc(s: Sample) -> dict:
-    doc: dict[str, Any] = {
-        "x": {vid: format_rational(val) for vid, val in s.x.items()},
-        "flag": s.flag,
-        "count": s.count,
-    }
-    if isinstance(s.label, Mapping):
-        doc["y"] = {vid: format_rational(val) for vid, val in s.label.items()}
-    else:
-        doc["y"] = format_rational(s.label)
-    if s.note:
-        doc["note"] = s.note
     return doc
 
 

@@ -690,21 +690,21 @@ class _Certificate:
         """``(entries, listed, others)``.  By dataset position, ``entries``
         gives an auxiliary sample with a vector label ``(stale, x, y)``, its
         stale vertices in topological order and its input and label in engine
-        form (``_int_first``), each distinct value object lowered once; any
-        other sample gets None.  ``listed[v]`` holds, in dataset order, the
-        positions whose stale vertices include v; ``others`` the positions
-        whose entry is None."""
+        form (``_int_first``), each distinct value object lowered once and
+        held, so that no later object takes its id; any other sample gets
+        None.  ``listed[v]`` holds, in dataset order, the positions whose stale
+        vertices include v; ``others`` the positions whose entry is None."""
         net, position = self.net, self.net.topo_position
         first: Sample | None = None
-        lowered: dict[int, int | Fraction] = {}
+        lowered: dict[int, tuple[int | Fraction, Fraction]] = {}
 
         def lower(vector: Mapping) -> dict:
             out = {}
             for vid, q in vector.items():
-                low = lowered.get(id(q))
-                if low is None:
-                    low = lowered[id(q)] = _int_first(q)
-                out[vid] = low
+                entry = lowered.get(id(q))
+                if entry is None:
+                    entry = lowered[id(q)] = (_int_first(q), q)
+                out[vid] = entry[0]
             return out
 
         entries: list[tuple | None] = []

@@ -45,6 +45,7 @@ from .network import (
     Vertex,
     _as_fraction,
     _Certificate,
+    _int_first,
     _Plan,
     check_label,
     gradients,
@@ -270,14 +271,6 @@ def _sparse(vec: dict[str, Fraction]) -> dict[str, Fraction]:
     return {k: v for k, v in vec.items() if v != 0}
 
 
-def _put(vec: dict[str, Fraction], vid: str, value: Fraction) -> None:
-    """Set one coordinate of a sparse vector, dropping it when it is zero."""
-    if value != 0:
-        vec[vid] = value
-    else:
-        vec.pop(vid, None)
-
-
 def _aux_samples(
     net: Network,
     plan: _Plan,
@@ -293,27 +286,44 @@ def _aux_samples(
     ``x_v = pre_v - sum over in-edges (u,v) of (w * y_u + b)``.  Every
     sample after the baseline changes y and pre at one edge's tail and
     head only, so its x differs from the baseline's at those two
-    vertices and their heads, and only those are recomputed."""
-    sigma_at = [sigma.evaluate(Fraction(tau)) for tau in range(sigma.degree + 1)]
-    sigma_alpha1 = sigma.evaluate(Fraction(alpha1))
+    vertices and their heads, and only those are recomputed.
+
+    Labels, preactivations and inputs are computed in the engine form of
+    :mod:`bitnets.network`, an ``int`` while integral (``_int_first``).
+    Each nonzero coordinate leaves as the ``Fraction`` this call keeps for
+    its value, so equal values in the samples are one object."""
+    sigma_of = PolyActivation(sigma).lower()[0]
+    sigma_at = [sigma_of(tau) for tau in range(sigma.degree + 1)]
     is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
-    base_y = {vid: sigma_at[0] if s else Fraction(0) for vid, s in is_sigma.items()}
-    base_label = _sparse(base_y)
+    base_y = {vid: sigma_at[0] if s else 0 for vid, s in is_sigma.items()}
+    base_nonzero = {vid: q for vid, q in base_y.items() if q}
+    shared: dict[int | Fraction, Fraction] = {}
 
-    def x_at(vid: str, labels: dict[str, Fraction], pre: dict[str, Fraction]) -> Fraction:
-        return _as_fraction(pre.get(vid, 0) - reduce_pair(*plan.inflow(vid, labels)))
+    def put(vec: dict[str, Fraction], vid: str, q: int | Fraction) -> None:
+        """Set one coordinate of a sparse vector to the call's object for
+        ``q``, dropping it when ``q`` is zero."""
+        if q:
+            vec[vid] = shared.get(q) or shared.setdefault(q, _as_fraction(q))
+        else:
+            vec.pop(vid, None)
 
-    base_x = _sparse({v.id: x_at(v.id, base_label, {}) for v in net.vertices})
+    def x_at(vid: str, labels: dict, pre: dict) -> int | Fraction:
+        return pre.get(vid, 0) - reduce_pair(*plan.inflow(vid, labels))
 
-    def make(y: dict[str, Fraction], pre: dict[str, Fraction], note: str) -> Sample:
+    base_x, base_label = {}, {}
+    for vid, q in base_y.items():
+        put(base_x, vid, x_at(vid, base_nonzero, {}))
+        put(base_label, vid, q)
+
+    def make(y: dict, pre: dict, note: str) -> Sample:
         """The baseline with labels ``y`` and preactivations ``pre`` at
         the vertices they name (the same two vertices in both)."""
         x, label = dict(base_x), dict(base_label)
-        labels = {**base_label, **y}
+        labels = {**base_nonzero, **y}
         for vid in set(y).union(*(net.heads[u] for u in y)):
-            _put(x, vid, x_at(vid, labels, pre))
-        for vid, value in y.items():
-            _put(label, vid, value)
+            put(x, vid, x_at(vid, labels, pre))
+        for vid, q in y.items():
+            put(label, vid, q)
         return Sample(x, label, flag=0, count=replication, note=note)
 
     samples = [make({}, {}, "baseline")]
@@ -321,18 +331,18 @@ def _aux_samples(
         if is_sigma[e.head]:
             # sigma-edge: pin sigma(w z + b) == sigma(z) at mu+1 points
             for tau, sigma_tau in enumerate(sigma_at):
-                y = {e.tail: Fraction(tau), e.head: sigma_tau}
+                y = {e.tail: tau, e.head: sigma_tau}
                 pre = {e.tail: tau, e.head: tau}
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
             # identity-head edge: pin the edge weight (and bias sums)
-            bump = sigma_alpha1 if is_sigma[e.tail] else Fraction(1)
+            bump = sigma_of(alpha1) if is_sigma[e.tail] else 1
             y = {
                 e.tail: bump,
-                e.head: plan.pairs[e.id][0] * (bump - base_y[e.tail]),
+                e.head: _int_first(plan.pairs[e.id][0] * (bump - base_y[e.tail])),
             }
             pre = {
-                e.tail: Fraction(alpha1) if is_sigma[e.tail] else bump,
+                e.tail: alpha1 if is_sigma[e.tail] else bump,
                 e.head: y[e.head],
             }
             samples.append(make(y, pre, f"id-edge {e.id}"))

@@ -53,6 +53,7 @@ from bitnets.reductions import (
 )
 from bitnets.slp import Gate, Slp, parse_slp
 
+from test_instances import with_fresh_reads
 from test_slp import random_slp
 
 SIGMAS = [
@@ -235,6 +236,9 @@ def compiled(rng, n_max=4):
 
 class TestCompiledSamples:
     def test_bytes_match_dense_loop(self):
+        """The compiled auxiliary samples equal the dense loop's; within one
+        instance every auxiliary value is a ``Fraction`` and equal values are
+        one object."""
         rng = random.Random(60)
         for trial in range(24):
             p = random_slp(rng, rng.randint(1, 5))
@@ -245,6 +249,25 @@ class TestCompiledSamples:
                 dense = dataclasses.replace(inst, dataset=tuple(ref_aux_samples(inst)) + main)
                 assert serialize_instance(inst) == serialize_instance(dense)
                 assert inst.dataset == dense.dataset
+                values = [
+                    q for s in inst.dataset if s.flag == 0 for vector in (s.x, s.label)
+                    for q in vector.values()
+                ]
+                assert {type(q) for q in values} == {Fraction}
+                assert len({id(q) for q in values}) == len(set(values)) < len(values)
+
+
+class TestTemporaryValues:
+    """Sample vectors whose every read is a new value object: the index holds
+    each object it lowered, so no later one takes its id."""
+
+    def test_verdicts_match_reference(self):
+        rng = random.Random(64)
+        for _ in range(8):
+            inst = compiled(rng)
+            fresh = with_fresh_reads(inst)
+            for theta in single_shifts(rng, inst, 2):
+                assert_same(fresh, theta)
 
 
 class TestVerdicts:

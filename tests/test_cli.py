@@ -12,7 +12,13 @@ import pytest
 
 import bitnets
 from bitnets.cli import main
-from bitnets.instances import instance_size, parse_instance, serialize_theta, theta_size
+from bitnets.instances import (
+    canonical_bytes,
+    instance_size,
+    parse_instance,
+    serialize_theta,
+    theta_size,
+)
 from bitnets.rationals import parse_rational
 
 CHAIN16 = "const 1\nadd 0 0\nmul 1 1\nmul 2 2\n"
@@ -266,6 +272,24 @@ class TestVerifyAndStep:
         assert int(enc) == theta_size(inst.theta_star)
         assert len(cap) > 4300
         assert parse_rational(cap) == instance_size(inst) ** 2000
+
+    def test_squaring_chain_past_the_budget_edge(self, tmp_path):
+        """The k = 20 squaring chain compiles under sigma = T^2, and verifying
+        theta* exits 3 at the first value past the default budget 2^20: U1_21_0
+        is (2^(2^19) + 2^(2^19))^2 = 2^(2^20 + 2), of 1048579 + 1 bits."""
+        slp = tmp_path / "chain20.slp"
+        slp.write_text("const 1\nadd 0 0\n" + "".join(f"mul {i} {i}\n" for i in range(1, 21)))
+        inst_path, theta_path = tmp_path / "c.json", tmp_path / "theta.json"
+        run = run_capped("compile", "erm", str(slp), "--sigma", "0,0,1", "--j", str(1 << 20),
+                         "-o", str(inst_path))
+        assert run.returncode == 0 and run.stderr == ""
+        theta_path.write_bytes(canonical_bytes(json.loads(inst_path.read_bytes())["theta"]))
+        run = run_capped("verify", "erm", str(inst_path), "--theta", str(theta_path),
+                         "--gamma", "0")
+        assert run.returncode == 3 and run.stdout == ""
+        assert run.stderr == (
+            "error: bit budget exceeded at vertex U1_21_0: 1048580 bits > cap 1048576\n"
+        )
 
     def test_pwl_step(self, tmp_path, capsys):
         from bitnets.instances import serialize_instance

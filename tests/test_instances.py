@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import io
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -166,6 +167,46 @@ class TestInstanceSize:
         assert instance_size(view) == len(serialize_instance(inst))
         view.gap = (0, 10)
         assert instance_size(view) == len(serialize_instance(inst)) + 1
+
+
+class FreshReads(Mapping):
+    """A sparse vector whose every read returns a new ``Fraction`` object."""
+
+    def __init__(self, vector):
+        self._data = dict(vector)
+
+    def __getitem__(self, vid):
+        q = self._data[vid]
+        return Fraction(q.numerator, q.denominator)
+
+    def __iter__(self):
+        return iter(self._data)
+
+    def __len__(self):
+        return len(self._data)
+
+
+def with_fresh_reads(inst):
+    """``inst`` with every sample vector read through ``FreshReads``."""
+    return dataclasses.replace(inst, dataset=tuple(
+        dataclasses.replace(s, x=FreshReads(s.x), label=(
+            FreshReads(s.label) if isinstance(s.label, Mapping) else s.label
+        ))
+        for s in inst.dataset
+    ))
+
+
+class TestWriterTable:
+    """The writer renders each value object once per call; an object it has
+    rendered stays alive, so its id is not taken by a later temporary value."""
+
+    def test_temporary_values_are_rendered_by_value(self):
+        inst = erm_instance()
+        fresh = with_fresh_reads(inst)
+        assert len({str(q) for s in inst.dataset for q in s.x.values()}) > 2
+        assert serialize_instance(fresh) == serialize_instance(inst)
+        assert instance_size(fresh) == instance_size(inst)
+
 
 class TestSchemaErrors:
     def test_dangling_edge_endpoint_named(self):
