@@ -13,11 +13,17 @@ Evaluation order is the cached topological order (ties broken by vertex
 id) so traces are bit-for-bit reproducible.
 
 One engine does all of it.  Each call lowers ``(network, theta)`` once
-into a private plan: the vertices in topological order, each with its
-in-edges as (tail, edge id, weight), the *sum* of its in-edge biases
-and its activation's ``lower()``.  ``forward``, ``loss_total`` and
-``gradients`` run every sample on that plan, and the compiler of
-:mod:`bitnets.reductions` uses its local equation
+into a :class:`Plan`: the vertices in topological order, each with an
+entry of four fields, ``(ins, bias, act, slope)``: its in-edges as
+(tail, edge id, weight), the *sum* of its in-edge biases and its
+activation's ``lower()`` pair (a source's ``ins`` is None).  A bit
+check's ``where`` (``preactivation v``, ``vertex v``) is formatted only
+when it raises.  ``Plan.run`` is one full forward pass; ``Plan.resume``
+is the resumed pass of a violated sample (below), which settles only the
+vertices still due, for their bit checks.  ``forward`` and ``gradients``
+run every sample on their plan, ``loss_total`` and the checks of
+:mod:`bitnets.reductions` are each one call on a ``Certificate``, which
+lowers theta itself, and the compiler uses the plan's local equation
 ``act_v(x_v + b_v + sum of w * y_u)`` and its inverse.  Inside the
 engine a scalar is an ``int`` while it is integral and a ``Fraction``
 only once a denominator appears; results leave it as ``Fraction``.
@@ -50,7 +56,7 @@ and the instance writer ask it for ``lower()``, ``step_family``,
 ``is_continuous`` and ``to_doc()`` rather than test its type.
 
 Auxiliary samples are scored by a local-equation certificate
-(``_Certificate``) rather than one forward pass each.  A sample
+(``Certificate``) rather than one forward pass each.  A sample
 reproduces its label vector y iff every vertex satisfies
 ``act_v(x_v + sum of (w * y_u + b)) == y_v`` (``x_v == y_v`` at a
 source) with the tails' labels substituted, by induction over the
@@ -70,14 +76,15 @@ instance that is O(|E|·mu) exact arithmetic for all of them rather than
 O(|samples|·|E|).
 
 A sample whose local check fails at v is violated.  Its forward pass
-then resumes at v, for its bit checks only, and settles just two kinds
-of vertex: those of the sample's check set from v on, whose checks did
-not run, and those with a tail whose value moved off its label.  Every
-other vertex keeps its label.  That is exact.  A vertex the pass does not
-settle is in the check set before v, where its check passed, or outside
-the set, where its local equation is the reference's, which held in this
-call, or (under a budget of at least the record P*, below) is unchanged
-and so theta*'s for this sample, which held within P* bits.  By
+then resumes at v (``Plan.resume``), for its bit checks only, and
+settles just two kinds of vertex: those of the sample's check set from v
+on, whose checks did not run, and those with a tail whose value moved
+off its label.  Every other vertex keeps its label.  That is exact.  A
+vertex the pass does not settle is in the check set before v, where its
+check passed, or outside the set, where its local equation is the
+reference's, which held in this call, or (under a budget of at least the
+record P*, below) is unchanged and so theta*'s for this sample, which
+held within P* bits.  By
 induction over the order its tails keep their labels in a full pass, so
 a full pass gives it its label within the budget, and each settle sees
 the values a full pass sees and runs its bit checks: a sample raises the
@@ -117,6 +124,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .product_identity import RationalPoly
 from .rationals import (
@@ -166,7 +174,7 @@ class Activation:
     is_continuous = True
 
     def lower(self) -> tuple[Callable | None, Callable | None]:
-        return (lambda z: _int_first(self.eval(z))), (lambda z: _int_first(self.derivative(z)))
+        return (lambda z: int_first(self.eval(z))), (lambda z: int_first(self.derivative(z)))
 
     def to_doc(self) -> dict:
         return {"kind": self.kind}
@@ -205,8 +213,8 @@ class PolyActivation(Activation):
         return self.poly.derivative()
 
     def lower(self) -> tuple[Callable, Callable]:
-        values = tuple(_int_first(c) for c in reversed(self.poly.coefficients))
-        slopes = tuple(_int_first(c) for c in reversed(self._deriv.coefficients))
+        values = tuple(int_first(c) for c in reversed(self.poly.coefficients))
+        slopes = tuple(int_first(c) for c in reversed(self._deriv.coefficients))
         return (lambda z: _horner(values, z)), (lambda z: _horner(slopes, z))
 
     def to_doc(self) -> dict:
@@ -286,19 +294,16 @@ class Network:
         out: dict[str, list[str]] = {v.id: [] for v in self.vertices}
         for e in self.edges:
             out[e.tail].append(e.head)
-        ready = sorted(vid for vid, deg in pending.items() if deg == 0)
+        ready = [vid for vid, deg in pending.items() if deg == 0]
+        heapify(ready)
         order: list[str] = []
         while ready:
-            vid = ready.pop(0)
+            vid = heappop(ready)
             order.append(vid)
-            changed = False
             for succ in out[vid]:
                 pending[succ] -= 1
                 if pending[succ] == 0:
-                    ready.append(succ)
-                    changed = True
-            if changed:
-                ready.sort()
+                    heappush(ready, succ)
         if len(order) != len(self.vertices):
             raise NetworkError("network graph contains a cycle", "edges")
         return tuple(order)
@@ -355,9 +360,10 @@ class Theta:
         return Theta(updated)
 
     def check_against(self, net: Network) -> None:
-        """Require one (weight, bias) tuple per edge of ``net``; a missing or
-        unknown edge is at ``theta``, an entry that is not a pair at
-        ``theta.<edge id>``."""
+        """Require one (weight, bias) tuple per edge of ``net``, each value an
+        ``int`` or a ``Fraction`` (not a ``bool``); a missing or unknown edge
+        is at ``theta``, an entry that is not a pair at ``theta.<edge id>``,
+        a value of another type at ``theta.<edge id>.w`` or ``.b``."""
         missing = [e.id for e in net.edges if e.id not in self.params]
         if missing:
             raise NetworkError(f"missing parameters for edges {missing}", "theta")
@@ -365,13 +371,29 @@ class Theta:
             extra = sorted(self.params.keys() - net.edge_map.keys())
             raise NetworkError(f"parameters for unknown edges {extra}", "theta")
         for eid, pair in self.params.items():
-            if type(pair) is not tuple or len(pair) != 2:
-                raise NetworkError(
-                    f"parameters of edge {eid!r} must be a (weight, bias) pair", f"theta.{eid}"
-                )
+            if (type(pair) is not tuple or len(pair) != 2
+                    or type(pair[0]) not in (int, Fraction) or type(pair[1]) not in (int, Fraction)):
+                _check_pair(eid, pair)  # raises; a call per edge would cost more than the check
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Theta) and dict(self.params) == dict(other.params)
+
+
+def not_rational(value: object, where: str) -> NetworkError:
+    """The error for a value at ``where`` that is not an ``int`` or a ``Fraction``."""
+    return NetworkError(f"expected an int or a Fraction, got {type(value).__name__}", where)
+
+
+def _check_pair(eid: str, pair) -> None:
+    """Raise the located error of the rule ``Theta.check_against`` applies to
+    the entry of edge ``eid``, if the entry breaks it."""
+    if type(pair) is not tuple or len(pair) != 2:
+        raise NetworkError(
+            f"parameters of edge {eid!r} must be a (weight, bias) pair", f"theta.{eid}"
+        )
+    for field, q in zip("wb", pair):
+        if type(q) not in (int, Fraction):
+            raise not_rational(q, f"theta.{eid}.{field}")
 
 
 @dataclass(frozen=True)
@@ -440,7 +462,7 @@ class EvalTrace:
     ops: int
 
 
-def _int_first(q) -> int | Fraction:
+def int_first(q) -> int | Fraction:
     """``q`` as an ``int`` when it is integral, else as a reduced ``Fraction``."""
     if type(q) is not int:
         if type(q) is not Fraction:
@@ -463,18 +485,17 @@ def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
         acc *= z
         if c:
             acc += c
-    return _int_first(acc)
+    return int_first(acc)
 
 
-class _Plan:
+class Plan:
     """``(net, theta)`` lowered for the exact engine.
 
-    ``node[vid]`` is ``(ins, bias, act, slope, pre_where, where)``: the
-    in-edges as (tail, edge id, weight numerator, weight denominator), the
-    reduced sum of their biases as a pair, the activation and its derivative
-    (None for identity), and the bit-check locations.  A source has no
-    in-edges and no ``pre_where``.  ``ops`` is the operation count of one
-    forward pass.  ``theta`` must hold exactly the edges of ``net``.
+    ``node[vid]`` is ``(ins, bias, act, slope)``: the in-edges as (tail, edge
+    id, weight numerator, weight denominator), the reduced sum of their biases
+    as a pair, and the activation and its derivative (None for identity).  A
+    source's ``ins`` is None.  ``ops`` is the operation count of one forward
+    pass.  ``theta`` must hold exactly the edges of ``net``.
 
     ``pairs`` is a copy of ``theta.params``, the (weight, bias) tuples the
     plan lowered.  Given ``kept``, a plan of the same network, a vertex takes
@@ -482,11 +503,11 @@ class _Plan:
     ``kept`` lowered, and is lowered again otherwise, in topological order;
     ``changed`` lists the vertices lowered again, in that order.  A whole
     plan, built without ``kept``, has ``changed`` None: all of them.  Against
-    ``kept`` only the pairs that are not its objects are checked, as
-    ``theta.check_against`` would check them, with the same error.
+    ``kept`` only the pairs that are not its objects are checked, by the rule
+    of ``theta.check_against``, with the same error.
     """
 
-    def __init__(self, net: Network, theta: Theta, kept: _Plan | None = None) -> None:
+    def __init__(self, net: Network, theta: Theta, kept: Plan | None = None) -> None:
         self.order, self.position = net.topo_order, net.topo_position
         self.pairs = dict(theta.params)
         if kept is None or self.pairs.keys() != kept.pairs.keys():
@@ -496,13 +517,12 @@ class _Plan:
             heads = set()
             for eid, pair in self.pairs.items():
                 if pair is not kept.pairs[eid]:
-                    if type(pair) is not tuple or len(pair) != 2:
-                        theta.check_against(net)  # raises this pair's error
+                    _check_pair(eid, pair)
                     heads.add(net.edge_map[eid].head)
             self.changed = tuple(sorted(heads, key=self.position.__getitem__))
             self.node = dict(kept.node) if heads else kept.node
             for vid in self.changed:
-                self.node[vid] = self._lower(net, vid, *kept.node[vid][2:4])
+                self.node[vid] = self._lower(net, vid, *kept.node[vid][2:])
             return
         self.changed: tuple[str, ...] | None = None
         self.node: dict[str, tuple] = {}
@@ -511,7 +531,7 @@ class _Plan:
         for vid in self.order:
             vertex = net.vertex_map[vid]
             if vertex.activation is None:
-                self.node[vid] = ((), (0, 1), None, None, None, f"vertex {vid}")
+                self.node[vid] = (None, (0, 1), None, None)
                 continue
             key = id(vertex.activation)
             if key not in lowered:
@@ -523,22 +543,20 @@ class _Plan:
         """The entry of non-source vertex ``vid`` under ``pairs``."""
         ins, num, den = [], 0, 1
         for e in net.in_edges[vid]:
-            w, b = map(_int_first, self.pairs[e.id])
+            w, b = map(int_first, self.pairs[e.id])
             ins.append((e.tail, e.id, w.numerator, w.denominator))
             if b:
                 num, den = add_pair(num, den, b.numerator, b.denominator)
         bias = reduce_pair(num, den)
-        return (
-            tuple(ins), (bias.numerator, bias.denominator), act, slope,
-            f"preactivation {vid}", f"vertex {vid}",
-        )
+        return tuple(ins), (bias.numerator, bias.denominator), act, slope
 
     def inflow(self, vid: str, y: Mapping) -> tuple[int, int]:
         """``b_v + sum of w * y_u`` over v's in-edges as an unreduced
         (numerator, denominator) pair, the tails read from ``y`` (missing
-        means 0).  ``x_v = pre_v - inflow`` inverts the local equation."""
+        means 0); a source has none.  ``x_v = pre_v - inflow`` inverts the
+        local equation."""
         ins, (num, den) = self.node[vid][:2]
-        for tail, _, wn, wd in ins:
+        for tail, _, wn, wd in ins or ():
             q = y.get(tail, 0)
             qn = q.numerator
             if qn:
@@ -553,10 +571,12 @@ class _Plan:
         """(preactivation, value, value bits) of v's local equation
         ``act_v(x_v + inflow)`` with the tails at ``y``; a source is ``x_v``.
         The preactivation is reduced once, where its bits are checked.  An
-        ``int``'s bits are counted here, as ``check_bits`` would count them."""
-        _, _, act, _, pre_where, where = self.node[vid]
-        pre = x_v if type(x_v) is int else _int_first(x_v)
-        if pre_where is not None:
+        ``int``'s bits are counted here, as ``check_bits`` would count them,
+        and a ``BitBudgetError`` is located at ``preactivation v`` or
+        ``vertex v``, formatted only when it is raised."""
+        ins, _, act, _ = self.node[vid]
+        pre = x_v if type(x_v) is int else int_first(x_v)
+        if ins is not None:
             num, den = self.inflow(vid, y)
             if den == 1 and type(pre) is int:
                 pre += num
@@ -564,43 +584,41 @@ class _Plan:
                 pre = reduce_pair(*add_pair(num, den, pre.numerator, pre.denominator))
             bits = pre.bit_length() + 1 if type(pre) is int else bit_length(pre)
             if bits > max_bits:
-                raise BitBudgetError(bits, max_bits, pre_where)
+                raise BitBudgetError(bits, max_bits, f"preactivation {vid}")
             if act is None:
                 return pre, pre, bits
         value = pre if act is None else act(pre)
         bits = value.bit_length() + 1 if type(value) is int else bit_length(value)
         if bits > max_bits:
-            raise BitBudgetError(bits, max_bits, where)
+            raise BitBudgetError(bits, max_bits, f"vertex {vid}")
         return pre, value, bits
 
-    def run(self, x: Mapping, max_bits: int, start: str | None = None,
-            prefix: Mapping | None = None, _due: tuple | None = None) -> tuple[dict, dict, dict]:
-        """One forward pass: values, preactivations and value bits by vertex,
-        in topological order.  Given ``start``, the pass resumes there: every
-        vertex before it takes its value from ``prefix`` (missing means 0) and
-        is neither settled nor bit-checked, nor listed in the preactivations
-        and bits.  Given also ``_due``, a pair of a set of vertices (updated
-        in place) and the network's ``heads``, the resumed pass settles only
-        the vertices in the set, to which it adds the heads of each settled
-        vertex whose value is not its ``prefix`` value; every other vertex is
-        treated like one before ``start``."""
-        values: dict = {} if prefix is None else dict(prefix)
+    def run(self, x: Mapping, max_bits: int) -> tuple[dict, dict, dict]:
+        """One full forward pass: values, preactivations and value bits by
+        vertex, in topological order."""
+        values: dict = {}
         pre: dict = {}
         bits: dict = {}
         settle = self.settle
-        order = self.order if start is None else self.order[self.position[start]:]
-        if _due is None:
-            for vid in order:
-                pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
-            return values, pre, bits
-        due, heads = _due
-        for vid in order:
+        for vid in self.order:
+            pre[vid], values[vid], bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+        return values, pre, bits
+
+    def resume(self, x: Mapping, max_bits: int, start: str, y: Mapping, due: set,
+               heads: Mapping) -> None:
+        """A pass resumed at ``start``, for its bit checks only.  Every vertex
+        takes its value from ``y`` (missing means 0) unless it is settled: the
+        pass settles, from ``start`` on in topological order, only the vertices
+        in ``due``, to which it adds the ``heads`` of each settled vertex whose
+        value is not its ``y`` value."""
+        values = dict(y)
+        settle = self.settle
+        for vid in self.order[self.position[start]:]:
             if vid in due:
-                pre[vid], value, bits[vid] = settle(vid, x.get(vid, 0), values, max_bits)
+                value = settle(vid, x.get(vid, 0), values, max_bits)[1]
                 if value != values.get(vid, 0):
                     due.update(heads[vid])
-                values[vid] = value
-        return values, pre, bits
+                    values[vid] = value
 
 
 def forward(
@@ -610,7 +628,7 @@ def forward(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> EvalTrace:
     """Exact forward evaluation in topological order."""
-    plan = _Plan(net, theta)
+    plan = Plan(net, theta)
     values, pre, bits = plan.run(x, max_bits)
     return EvalTrace(
         {vid: _as_fraction(q) for vid, q in values.items()},
@@ -671,17 +689,20 @@ def _differing(a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> set[str]
     return out
 
 
-class _Certificate:
+class Certificate:
     """The certificate of the module docstring for ``dataset`` on ``net``,
     main samples scored by ``spec``.  ``index`` is built on first use.
-    Given ``theta_star``, ``plan`` keeps theta*'s plan ``kept`` (unless one
-    was handed over) and makes the record ``star`` on its first call;
-    without it the certificate keeps no plan and no record."""
+    ``violated`` and ``loss`` take a theta and lower it through ``plan``,
+    the certificate's one lowering point.  Given ``theta_star``, ``plan``
+    keeps theta*'s plan ``kept`` (unless one was handed over), makes the
+    record ``star`` on its first call and lowers every theta against
+    ``kept``; without it the certificate keeps no plan and no record, and
+    each theta is lowered whole."""
 
     def __init__(self, net: Network, dataset: Sequence[Sample], spec: LossSpec,
                  theta_star: Theta | None = None) -> None:
         self.net, self.dataset, self.spec, self.theta_star = net, dataset, spec, theta_star
-        self.kept: _Plan | None = None
+        self.kept: Plan | None = None
         self.star: int | None = None
         self.recorded = False
 
@@ -690,7 +711,7 @@ class _Certificate:
         """``(entries, listed, others)``.  By dataset position, ``entries``
         gives an auxiliary sample with a vector label ``(stale, x, y)``, its
         stale vertices in topological order and its input and label in engine
-        form (``_int_first``), each distinct value object lowered once and
+        form (``int_first``), each distinct value object lowered once and
         held, so that no later object takes its id; any other sample gets
         None.  ``listed[v]`` holds, in dataset order, the positions whose stale
         vertices include v; ``others`` the positions whose entry is None."""
@@ -703,7 +724,7 @@ class _Certificate:
             for vid, q in vector.items():
                 entry = lowered.get(id(q))
                 if entry is None:
-                    entry = lowered[id(q)] = (_int_first(q), q)
+                    entry = lowered[id(q)] = (int_first(q), q)
                 out[vid] = entry[0]
             return out
 
@@ -726,20 +747,22 @@ class _Certificate:
         others = tuple(i for i, entry in enumerate(entries) if entry is None)
         return tuple(entries), {vid: tuple(ps) for vid, ps in listed.items()}, others
 
-    def plan(self, theta: Theta) -> _Plan:
+    def plan(self, theta: Theta) -> Plan:
         """``theta`` lowered against the kept theta* plan, or whole without
         theta*."""
         if self.theta_star is None:
-            return _Plan(self.net, theta)
+            return Plan(self.net, theta)
         if not self.recorded:
             self.recorded = True
             if self.kept is None:
-                self.kept = _Plan(self.net, self.theta_star)
-            with suppress(BitBudgetError):
-                self.violated(self.kept, DEFAULT_MAX_BITS)
-        return _Plan(self.net, theta, self.kept)
+                self.kept = Plan(self.net, self.theta_star)
+            with suppress(BitBudgetError):  # one check of theta*, to its first violation
+                for i in self.verdicts(self.kept, DEFAULT_MAX_BITS):
+                    if self.dataset[i].flag == 0:
+                        break
+        return Plan(self.net, theta, self.kept)
 
-    def verdicts(self, plan: _Plan, max_bits: int) -> Iterator[int]:
+    def verdicts(self, plan: Plan, max_bits: int) -> Iterator[int]:
         """Yield, in dataset order, the positions of the main samples, which
         are not evaluated, and of the auxiliary samples that do not reproduce
         their label vector under ``plan``'s theta; a sample that does is not
@@ -747,7 +770,7 @@ class _Certificate:
         set in topological order: before the reference the whole scope
         (``plan.order``, or ``changed`` under the record), after it the
         scope's vertices in its list or the reference's.  A failed one
-        resumes the pass there, settling the rest of the check set and the
+        resumes the pass there (``plan.resume``), settling the rest of the check set and the
         vertices that a moved value reaches.  A sample whose label is not a
         vector gets a full forward pass, so its error is that of a full pass
         too.  A run of ``kept`` that every auxiliary sample passes sets
@@ -780,7 +803,7 @@ class _Certificate:
                 if value != y.get(vid, 0):
                     # the pass resumes at vid, for its bit checks, where a check
                     # is still due or a value moved
-                    plan.run(x, max_bits, vid, y, (set(check[k:]), heads))
+                    plan.resume(x, max_bits, vid, y, set(check[k:]), heads)
                     peak = None
                     yield i
                     break
@@ -800,21 +823,22 @@ class _Certificate:
         if peak is not None:
             self.star = peak
 
-    def violated(self, plan: _Plan, max_bits: int) -> Sample | None:
+    def violated(self, theta: Theta, max_bits: int) -> Sample | None:
         """The first auxiliary sample that does not reproduce its label
-        vector under ``plan``'s theta, or None."""
-        for i in self.verdicts(plan, max_bits):
+        vector under ``theta``, or None; ``theta`` is lowered by ``plan``."""
+        for i in self.verdicts(self.plan(theta), max_bits):
             if self.dataset[i].flag == 0:
                 return self.dataset[i]
         return None
 
-    def loss(self, plan: _Plan, max_bits: int) -> Fraction:
-        """``loss_total`` under ``plan``'s theta.  The running total is an
-        unreduced pair (an auxiliary sample's ``count`` adds ``count`` times
-        its denominator), judged after each sample by its own size and
-        reduced by ``reduce_pair``, then checked, only when that size
+    def loss(self, theta: Theta, max_bits: int) -> Fraction:
+        """``loss_total`` under ``theta``, lowered by ``plan``.  The running
+        total is an unreduced pair (an auxiliary sample's ``count`` adds
+        ``count`` times its denominator), judged after each sample by its own
+        size and reduced by ``reduce_pair``, then checked, only when that size
         exceeds ``max_bits``; it is reduced once more at the end and
         returned as a ``Fraction``."""
+        plan = self.plan(theta)
         _check_target(self.net, self.spec)
         num, den = 0, 1
         for i in self.verdicts(plan, max_bits):
@@ -854,7 +878,7 @@ def loss_total(
     ``target``.  The call keeps nothing: its certificate and plan are built
     for it alone.
     """
-    return _Certificate(net, dataset, spec).loss(_Plan(net, theta), max_bits)
+    return Certificate(net, dataset, spec).loss(theta, max_bits)
 
 
 @dataclass(frozen=True)
@@ -898,7 +922,7 @@ def gradients(
     """
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
-    plan = _Plan(net, theta)
+    plan = Plan(net, theta)
     _check_target(net, spec)
     wgrad = dict.fromkeys(net.edge_map, (0, 1))
     bsum = dict.fromkeys(plan.order, (0, 1))  # by head: its in-edges share it
@@ -917,7 +941,7 @@ def gradients(
 
         target = spec.target
         pred = values[target]
-        y = _int_first(sample.label)
+        y = int_first(sample.label)
         if spec.kind == "square":
             seed = pred - y
             ops += 1
@@ -935,13 +959,13 @@ def gradients(
         adjoint = dict.fromkeys(plan.order, (0, 1))
         adjoint[target] = (seed.numerator, seed.denominator)
         for vid in reversed(plan.order):
-            ins, _, _, slope, pre_where, _ = plan.node[vid]
-            if pre_where is None:
+            ins, _, _, slope = plan.node[vid]
+            if ins is None:
                 continue
             a = reduce_pair(*adjoint[vid])
             if a == 0:
                 continue
-            delta = a if slope is None else _int_first(a * slope(pre[vid]))
+            delta = a if slope is None else int_first(a * slope(pre[vid]))
             ops += 2 + 6 * len(ins)
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
             dn, dd = delta.numerator, delta.denominator

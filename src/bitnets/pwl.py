@@ -30,8 +30,8 @@ from .network import (
     NetworkError,
     Sample,
     Theta,
-    _Plan,
     gradients,
+    loss_total,
 )
 from .rationals import (
     DEFAULT_MAX_BITS,
@@ -41,7 +41,6 @@ from .rationals import (
     reduce_pair,
     round_to_dyadic,
 )
-from .reductions import _cert_of
 
 
 @dataclass(frozen=True)
@@ -269,19 +268,21 @@ def verify_witness(
 ) -> WitnessVerdict:
     """Check a candidate parameter vector against an instance.
 
-    A theta that is not one (weight, bias) pair per edge of the network
-    raises the located ``NetworkError`` of ``Theta.check_against`` before
-    its encoding is measured.  The witness encoding length is the byte length of the canonical
-    serialized theta, counted from digit counts without rendering it; it
-    must not exceed C1 * |I|**C2 where |I| is the canonical instance byte
-    length; ``enc_bound`` (C1, C2) must be two non-negative ``int`` values,
-    and the cap must have at most ``DEFAULT_MAX_BITS`` bits whatever
-    ``max_bits`` the loss runs under, else ``ValueError``.  Within the
-    bound, the exact total loss (``loss_total``, on the certificate of
-    :mod:`bitnets.network` that an ``ErmInstance`` keeps) is compared
-    against gamma.  A witness is a trained vector, not a shift of theta*,
-    so it is lowered whole: the certificate's index is built or read, its
-    theta* plan and record are not.  Always returns a three-way verdict.
+    A theta that is not one (weight, bias) pair of ``int`` or ``Fraction``
+    values per edge of the network raises the located ``NetworkError`` of
+    ``Theta.check_against`` before its encoding is measured.  The witness
+    encoding length is the byte length of the canonical serialized theta,
+    counted from digit counts without rendering it; it must not exceed
+    C1 * |I|**C2 where |I| is the canonical instance byte length;
+    ``enc_bound`` (C1, C2) must be two non-negative ``int`` values, and the
+    cap must have at most ``DEFAULT_MAX_BITS`` bits whatever ``max_bits``
+    the loss runs under, else ``ValueError``.  Within the bound, the witness
+    loss is ``loss_total`` of the instance's network, dataset and loss,
+    which scores it on a fresh certificate of :mod:`bitnets.network`, and
+    is compared against gamma.  A witness is a trained vector, not a shift
+    of theta*, so it is lowered whole, and the call reads and keeps nothing
+    of the certificate an ``ErmInstance`` keeps.  Always returns a
+    three-way verdict.
     """
     from .instances import instance_size, theta_size
 
@@ -292,11 +293,11 @@ def verify_witness(
     if not all(type(c) is int and c >= 0 for c in (c1, c2)):
         raise ValueError(f"enc_bound must be two non-negative integers, got {enc_bound!r}")
     cap = _encoding_cap(c1, instance_size(inst), c2)
-    plan = _Plan(inst.network, theta)  # checks theta against the network
+    theta.check_against(inst.network)
     enc_len = theta_size(theta)
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
-    loss = _cert_of(inst).loss(plan, max_bits)
+    loss = loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits)
     if loss > Fraction(gamma):
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

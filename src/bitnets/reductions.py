@@ -31,11 +31,13 @@ from fractions import Fraction
 from functools import cached_property
 
 from .network import (
+    Certificate,
     Edge,
     IdentityActivation,
     LossSpec,
     Network,
     NetworkError,
+    Plan,
     PolyActivation,
     ROLE_HIDDEN,
     ROLE_SOURCE,
@@ -43,12 +45,10 @@ from .network import (
     Sample,
     Theta,
     Vertex,
-    _as_fraction,
-    _Certificate,
-    _int_first,
-    _Plan,
     check_label,
     gradients,
+    int_first,
+    not_rational,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, reduce_pair
@@ -63,15 +63,11 @@ class CompileError(ValueError):
     the unit constant.  A bad gap or query is the instance's ``NetworkError``."""
 
 
-def _not_rational(value: object, where: str) -> NetworkError:
-    return NetworkError(f"expected an int or a Fraction, got {type(value).__name__}", where)
-
-
 def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     """The rules both instance kinds keep, each fault's ``where`` the field a
-    file names: one target, scored by the loss; theta* on exactly the edges;
-    sample vectors on vertices only; every label fits the loss; values are
-    ``int`` or ``Fraction``; the provenance is JSON."""
+    file names: one target, scored by the loss; theta* on exactly the edges
+    (``Theta.check_against``); sample vectors on vertices only; every label
+    fits the loss; values are ``int`` or ``Fraction``; the provenance is JSON."""
     net, loss = inst.network, inst.loss
     if len(net.targets) != 1:
         raise NetworkError(f"expected one target vertex, have {net.targets}", "vertices")
@@ -79,22 +75,18 @@ def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     if loss.target is not None and loss.target != target:
         raise NetworkError(f"{loss.target!r} is not the target {target!r}", "loss.target")
     inst.theta_star.check_against(net)
-    for eid, (w, b) in inst.theta_star.params.items():
-        if type(w) not in (Fraction, int) or type(b) not in (Fraction, int):
-            field, q = ("w", w) if type(w) not in (Fraction, int) else ("b", b)
-            raise _not_rational(q, f"theta.{eid}.{field}")
     for i, sample in enumerate(inst.dataset):
         for field, vector in (("x", sample.x), ("y", sample.label)):
             if not isinstance(vector, Mapping):  # a scalar label; a Sample's x is a mapping
                 if type(vector) not in (Fraction, int):
-                    raise _not_rational(vector, f"dataset[{i}].y")
+                    raise not_rational(vector, f"dataset[{i}].y")
                 continue
             if not vector.keys() <= net.vertex_map.keys():
                 vid = min(vector.keys() - net.vertex_map.keys())
                 raise NetworkError(f"unknown vertex {vid!r}", f"dataset[{i}].{field}.{vid}")
             if not {Fraction, int}.issuperset(map(type, vector.values())):
                 vid = min(v for v, q in vector.items() if type(q) not in (Fraction, int))
-                raise _not_rational(vector[vid], f"dataset[{i}].{field}.{vid}")
+                raise not_rational(vector[vid], f"dataset[{i}].{field}.{vid}")
         try:
             check_label(loss, sample)
         except NetworkError as exc:
@@ -158,16 +150,16 @@ class ErmInstance:
         _check_gap(self.gap)
 
     @cached_property
-    def _cert(self) -> _Certificate:
-        return _Certificate(self.network, self.dataset, self.loss, self.theta_star)
+    def _cert(self) -> Certificate:
+        return Certificate(self.network, self.dataset, self.loss, self.theta_star)
 
 
-def _cert_of(inst) -> _Certificate:
+def _cert_of(inst) -> Certificate:
     """The certificate ``inst`` keeps if it is an ``ErmInstance``; any other
     object, whose fields may have been swapped, gets one that keeps nothing."""
     if isinstance(inst, ErmInstance):
         return inst._cert
-    return _Certificate(inst.network, inst.dataset, inst.loss)
+    return Certificate(inst.network, inst.dataset, inst.loss)
 
 
 @dataclass(frozen=True)
@@ -273,7 +265,7 @@ def _sparse(vec: dict[str, Fraction]) -> dict[str, Fraction]:
 
 def _aux_samples(
     net: Network,
-    plan: _Plan,
+    plan: Plan,
     sigma: RationalPoly,
     alpha1: int,
     replication: int,
@@ -289,7 +281,7 @@ def _aux_samples(
     vertices and their heads, and only those are recomputed.
 
     Labels, preactivations and inputs are computed in the engine form of
-    :mod:`bitnets.network`, an ``int`` while integral (``_int_first``).
+    :mod:`bitnets.network`, an ``int`` while integral (``int_first``).
     Each nonzero coordinate leaves as the ``Fraction`` this call keeps for
     its value, so equal values in the samples are one object."""
     sigma_of = PolyActivation(sigma).lower()[0]
@@ -303,7 +295,7 @@ def _aux_samples(
         """Set one coordinate of a sparse vector to the call's object for
         ``q``, dropping it when ``q`` is zero."""
         if q:
-            vec[vid] = shared.get(q) or shared.setdefault(q, _as_fraction(q))
+            vec[vid] = shared.get(q) or shared.setdefault(q, Fraction(q))
         else:
             vec.pop(vid, None)
 
@@ -339,7 +331,7 @@ def _aux_samples(
             bump = sigma_of(alpha1) if is_sigma[e.tail] else 1
             y = {
                 e.tail: bump,
-                e.head: _int_first(plan.pairs[e.id][0] * (bump - base_y[e.tail])),
+                e.head: int_first(plan.pairs[e.id][0] * (bump - base_y[e.tail])),
             }
             pre = {
                 e.tail: alpha1 if is_sigma[e.tail] else bump,
@@ -371,7 +363,7 @@ def _forcing_instance(
     net = Network(builder.vertices, builder.edges)
     theta_star = Theta(builder.theta)
     alpha1 = _pick_alpha1(sigma)
-    plan = _Plan(net, theta_star)
+    plan = Plan(net, theta_star)
     dataset = _aux_samples(net, plan, sigma, alpha1, gap[1] + 1)
     dataset.append(
         Sample(_sparse({"v0": prog.constant}), label, flag=1, count=gap[1], note="main")
@@ -428,16 +420,14 @@ def check_zero_aux_loss(
     bit-budget errors are those of one full forward pass per auxiliary
     sample in dataset order.
     """
-    cert = _cert_of(inst)
-    violated = cert.violated(cert.plan(theta), max_bits)
+    violated = _cert_of(inst).violated(theta, max_bits)
     return violated is None, violated
 
 
 def decide_at_theta_star(inst: ErmInstance, max_bits: int = DEFAULT_MAX_BITS) -> bool:
     """YES (True) iff the instance's total loss at theta*, ``loss_total``,
     is at most gap[0]."""
-    cert = _cert_of(inst)
-    return cert.loss(cert.plan(inst.theta_star), max_bits) <= inst.gap[0]
+    return _cert_of(inst).loss(inst.theta_star, max_bits) <= inst.gap[0]
 
 
 def compile_backprop(

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import bitnets.instances
 import bitnets.network
 from bitnets.cli import main
 from bitnets.instances import (
@@ -38,11 +39,12 @@ from bitnets.network import (
     Theta,
     Vertex,
     forward,
+    gradients,
     loss_total,
     sample_loss,
 )
 from bitnets.product_identity import RationalPoly, monomial
-from bitnets.pwl import ACCEPT, REJECT_LOSS, verify_witness
+from bitnets.pwl import ACCEPT, REJECT_LOSS, gd_step, verify_witness
 from bitnets.rationals import BitBudgetError, bit_length, check_bits
 from bitnets.reductions import (
     ErmInstance,
@@ -410,9 +412,9 @@ class TestLossTotal:
     def test_one_full_pass_per_main_sample_at_theta_star(self, monkeypatch):
         """Past the reference, auxiliary samples that hold need no full pass."""
         runs = []
-        run = bitnets.network._Plan.run
+        run = bitnets.network.Plan.run
         monkeypatch.setattr(
-            bitnets.network._Plan, "run", lambda plan, *a: runs.append(1) or run(plan, *a)
+            bitnets.network.Plan, "run", lambda plan, *a: runs.append(1) or run(plan, *a)
         )
         rng = random.Random(66)
         for _ in range(4):
@@ -480,7 +482,7 @@ def assert_theta_star_matches_reference(inst):
 def lowered(monkeypatch):
     """The vertices each new plan lowers, one list per plan."""
     plans = []
-    lower, init = bitnets.network._Plan._lower, bitnets.network._Plan.__init__
+    lower, init = bitnets.network.Plan._lower, bitnets.network.Plan.__init__
 
     def counting_init(plan, *args):
         plans.append([])
@@ -490,8 +492,8 @@ def lowered(monkeypatch):
         plans[-1].append(vid)
         return lower(plan, net, vid, *args)
 
-    monkeypatch.setattr(bitnets.network._Plan, "__init__", counting_init)
-    monkeypatch.setattr(bitnets.network._Plan, "_lower", counting_lower)
+    monkeypatch.setattr(bitnets.network.Plan, "__init__", counting_init)
+    monkeypatch.setattr(bitnets.network.Plan, "_lower", counting_lower)
     return plans
 
 
@@ -713,23 +715,27 @@ class TestThetaStarRecord:
 def evaluated(monkeypatch):
     """Local equations evaluated outside a full pass, and full passes."""
     counts = {"local": 0, "passes": 0}
-    settle, run = bitnets.network._Plan.settle, bitnets.network._Plan.run
+    settle, run, resume = (
+        bitnets.network.Plan.settle, bitnets.network.Plan.run, bitnets.network.Plan.resume)
     in_pass = []
 
     def counting_settle(plan, *args):
         counts["local"] += not in_pass
         return settle(plan, *args)
 
-    def counting_run(plan, *args):
-        counts["passes"] += 1
-        in_pass.append(True)
-        try:
-            return run(plan, *args)
-        finally:
-            in_pass.pop()
+    def counting(run):
+        def counting_run(plan, *args):
+            counts["passes"] += 1
+            in_pass.append(True)
+            try:
+                return run(plan, *args)
+            finally:
+                in_pass.pop()
+        return counting_run
 
-    monkeypatch.setattr(bitnets.network._Plan, "settle", counting_settle)
-    monkeypatch.setattr(bitnets.network._Plan, "run", counting_run)
+    monkeypatch.setattr(bitnets.network.Plan, "settle", counting_settle)
+    monkeypatch.setattr(bitnets.network.Plan, "run", counting(run))
+    monkeypatch.setattr(bitnets.network.Plan, "resume", counting(resume))
     return counts
 
 
@@ -813,23 +819,27 @@ def resumed_pass(inst, theta, sample, due):
 def passes(monkeypatch):
     """The vertices settled inside each full or resumed pass, one count per pass."""
     counts, in_pass = [], []
-    settle, run = bitnets.network._Plan.settle, bitnets.network._Plan.run
+    settle, run, resume = (
+        bitnets.network.Plan.settle, bitnets.network.Plan.run, bitnets.network.Plan.resume)
 
     def counting_settle(plan, *args):
         if in_pass:
             counts[-1] += 1
         return settle(plan, *args)
 
-    def counting_run(plan, *args):
-        counts.append(0)
-        in_pass.append(True)
-        try:
-            return run(plan, *args)
-        finally:
-            in_pass.pop()
+    def counting(run):
+        def counting_run(plan, *args):
+            counts.append(0)
+            in_pass.append(True)
+            try:
+                return run(plan, *args)
+            finally:
+                in_pass.pop()
+        return counting_run
 
-    monkeypatch.setattr(bitnets.network._Plan, "settle", counting_settle)
-    monkeypatch.setattr(bitnets.network._Plan, "run", counting_run)
+    monkeypatch.setattr(bitnets.network.Plan, "settle", counting_settle)
+    monkeypatch.setattr(bitnets.network.Plan, "run", counting(run))
+    monkeypatch.setattr(bitnets.network.Plan, "resume", counting(resume))
     return counts
 
 
@@ -1182,6 +1192,87 @@ class TestKeptPlanThetaCheck:
                 expected = located(theta.check_against, inst.network)
                 assert located(check_zero_aux_loss, inst, theta) == expected
                 assert located(check_zero_aux_loss, namespace(inst), theta) == expected
+
+
+BAD_VALUES = {"str": "1/2", "float": 0.5, "bool": True, "None": None}
+
+
+def with_value(theta, eid, field, value):
+    """theta with ``value`` in place of edge ``eid``'s weight (w) or bias (b)."""
+    w, b = theta.params[eid]
+    return Theta({**theta.params, eid: (value, b) if field == "w" else (w, value)})
+
+
+def one_edge_calls(theta):
+    """The engine entry points on s -> t (identity), theta on edge e."""
+    net = Network([Vertex("s", "source"), Vertex("t", "target", IdentityActivation())],
+                  [Edge("e", "s", "t")])
+    data = [Sample({"s": Fraction(3)}, Fraction(1))]
+    spec = LossSpec("square", target="t")
+    return {
+        "forward": lambda: forward(net, theta, {"s": Fraction(3)}),
+        "gradients": lambda: gradients(net, theta, data, spec),
+        "gd_step": lambda: gd_step(net, theta, data, spec, Fraction(1, 2)),
+        "loss_total": lambda: loss_total(net, theta, data, spec),
+    }
+
+
+class TestThetaValueTypes:
+    """A theta value that is not an ``int`` or a ``Fraction`` (a ``bool``
+    neither) is refused by every entry point at ``theta.<edge id>.w`` or
+    ``.b``, never read as a number; against a kept plan only the changed
+    pairs are checked, by the same rule."""
+
+    ONE_EDGE = ("forward", "gradients", "gd_step", "loss_total")
+    CALLS = ONE_EDGE + ("check_zero_aux_loss kept", "check_zero_aux_loss namespace",
+                        "verify_witness")
+
+    @pytest.mark.parametrize("field", ("w", "b"))
+    @pytest.mark.parametrize("kind", BAD_VALUES)
+    @pytest.mark.parametrize("call", CALLS)
+    def test_refused_at_its_field(self, call, kind, field, monkeypatch):
+        value = BAD_VALUES[kind]
+        message = f"expected an int or a Fraction, got {type(value).__name__}"
+        if call in self.ONE_EDGE:
+            theta = with_value(Theta({"e": (Fraction(1), Fraction(0))}), "e", field, value)
+            assert located(one_edge_calls(theta)[call]) == (message, f"theta.e.{field}")
+            return
+        inst = compile_erm(parse_slp("const 1\nadd 0 0\nmul 1 1"), SIGMAS[0], 1)
+        eid = inst.network.edges[0].id
+        theta = with_value(inst.theta_star, eid, field, value)
+        expected = (message, f"theta.{eid}.{field}")
+        if call == "check_zero_aux_loss kept":
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            assert located(check_zero_aux_loss, inst, theta) == expected
+        elif call == "check_zero_aux_loss namespace":
+            assert located(check_zero_aux_loss, namespace(inst), theta) == expected
+        else:
+            measured = []
+            monkeypatch.setattr(bitnets.instances, "theta_size", measured.append)
+            assert located(verify_witness, inst, theta, Fraction(0)) == expected
+            assert measured == []
+
+
+class TestWitnessIsLossTotal:
+    """``verify_witness``'s loss is ``loss_total`` on a certificate of its
+    own: it reads nothing the instance keeps and adds nothing to it."""
+
+    def test_loss_matches_and_the_instance_keeps_nothing_new(self):
+        rng = random.Random(90)
+        for _ in range(4):
+            inst = compiled(rng)
+            assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+            cert = inst._cert
+            kept, star = cert.kept, cert.star
+            assert star is not None
+            parsed = parse_instance(serialize_instance(inst))
+            for theta in single_shifts(rng, inst, 1)[:2]:
+                loss = loss_total(inst.network, theta, inst.dataset, inst.loss)
+                assert loss == ref_loss(inst, theta)
+                for copy in (inst, parsed):
+                    assert verify_witness(copy, theta, Fraction(inst.gap[0])).loss == loss
+            assert inst._cert is cert and cert.kept is kept and cert.star == star
+            assert "_cert" not in vars(parsed)
 
 
 def integer_instance():

@@ -1,11 +1,14 @@
 """Exact forward evaluation, losses, and reverse-mode gradients."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bitnets.network
 from bitnets.network import (
     Edge,
     IdentityActivation,
@@ -451,3 +454,63 @@ class TestValidationErrors:
             )
         with pytest.raises(NetworkError):
             Network([Vertex("a", "source")], [Edge("e", "a", "ghost")])
+
+
+def kahn_min(net: Network) -> tuple[str, ...]:
+    """Kahn's algorithm, taking the smallest ready id with ``min`` each step."""
+    pending = {v.id: len(net.in_edges[v.id]) for v in net.vertices}
+    ready = {vid for vid, deg in pending.items() if deg == 0}
+    order = []
+    while ready:
+        vid = min(ready)
+        ready.remove(vid)
+        order.append(vid)
+        for e in net.edges:
+            if e.tail == vid:
+                pending[e.head] -= 1
+                if pending[e.head] == 0:
+                    ready.add(e.head)
+    return tuple(order)
+
+
+@st.composite
+def dags(draw):
+    """A DAG on short ids, many of them ready at once, with repeated edges:
+    each edge runs forward in a drawn hidden order."""
+    ids = draw(st.lists(st.text("ab0", min_size=1, max_size=3), min_size=1, max_size=14,
+                        unique=True))
+    rank = draw(st.permutations(ids))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=40))
+    edges = [
+        Edge(f"e{k}", *sorted((u, v), key=rank.index))
+        for k, (u, v) in enumerate(pairs) if u != v
+    ]
+    return Network([Vertex(vid, "hidden", IDENTITY) for vid in ids], edges)
+
+
+class TestTopologicalOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(dags())
+    def test_pops_the_smallest_ready_id(self, net):
+        assert net.topo_order == kahn_min(net)
+
+
+class TestSeam:
+    """Each module of the package imports only public names of the others,
+    and ``pwl`` reaches the certificate through ``network`` alone."""
+
+    def test_no_module_imports_another_modules_private_name(self):
+        faults = []
+        for path in sorted(Path(bitnets.network.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    if not (node.level or module.startswith("bitnets")):
+                        continue
+                    names = [alias.name for alias in node.names]
+                    faults += [f"{path.name}: {module} {n}" for n in names if n.startswith("_")]
+                    if path.name == "pwl.py" and "reductions" in [*module.split("."), *names]:
+                        faults.append(f"pwl.py: {module} {names}")
+                elif isinstance(node, ast.Import) and path.name == "pwl.py":
+                    faults += [f"pwl.py: {a.name}" for a in node.names if "reductions" in a.name]
+        assert faults == []
