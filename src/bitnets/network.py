@@ -164,11 +164,12 @@ class NonDifferentiableLoss(NetworkError):
 
 
 class Activation:
-    """Base of every activation: a ``kind``, and ``eval``/``derivative`` on an
-    ``int`` or a ``Fraction``.  ``lower()`` is the int-first (eval, derivative)
-    pair the engine runs, (None, None) for a pass-through; ``to_doc()`` is the
-    canonical JSON object; ``step_family`` says whether ``pwl.gd_step`` may run
-    it and ``is_continuous`` whether its pieces meet at every breakpoint."""
+    """Base of every activation: a ``kind``, and ``eval``/``derivative``, which
+    take and return an ``int`` or a ``Fraction``.  ``lower()`` is the int-first
+    (eval, derivative) pair the engine runs, (None, None) for a pass-through;
+    ``to_doc()`` is the canonical JSON object; ``step_family`` says whether
+    ``pwl.gd_step`` may run it and ``is_continuous`` whether its pieces meet at
+    every breakpoint."""
 
     step_family = True
     is_continuous = True
@@ -348,15 +349,18 @@ class Theta:
     def with_param(
         self,
         edge_id: str,
-        weight: Fraction | None = None,
-        bias: Fraction | None = None,
+        weight: int | Fraction | None = None,
+        bias: int | Fraction | None = None,
     ) -> "Theta":
+        """A copy with edge ``edge_id``'s weight or bias replaced; a value that
+        is not an ``int`` or a ``Fraction`` is refused at ``theta.<edge id>.w``
+        or ``.b``."""
         w, b = self.params[edge_id]
+        for field, q in (("w", weight), ("b", bias)):
+            if q is not None and type(q) not in (int, Fraction):
+                raise not_rational(q, f"theta.{edge_id}.{field}")
         updated = dict(self.params)
-        updated[edge_id] = (
-            w if weight is None else Fraction(weight),
-            b if bias is None else Fraction(bias),
-        )
+        updated[edge_id] = (w if weight is None else weight, b if bias is None else bias)
         return Theta(updated)
 
     def check_against(self, net: Network) -> None:
@@ -384,6 +388,14 @@ def not_rational(value: object, where: str) -> NetworkError:
     return NetworkError(f"expected an int or a Fraction, got {type(value).__name__}", where)
 
 
+def _check_values(vector: Mapping, where: str) -> None:
+    """Refuse a value of ``vector`` that is not an ``int`` or a ``Fraction``
+    (a ``bool`` neither), at ``where.<vertex id>``."""
+    if not {Fraction, int}.issuperset(map(type, vector.values())):
+        vid = min(v for v, q in vector.items() if type(q) not in (Fraction, int))
+        raise not_rational(vector[vid], f"{where}.{vid}")
+
+
 def _check_pair(eid: str, pair) -> None:
     """Raise the located error of the rule ``Theta.check_against`` applies to
     the entry of edge ``eid``, if the entry breaks it."""
@@ -404,7 +416,9 @@ class Sample:
     vector (vertex id -> value, zeros omitted) for equality-checked
     samples.  ``flag`` 1 marks a main sample, 0 an auxiliary one.
     ``x`` is a mapping; neither it nor a vector label is changed after
-    the sample is built (an ``ErmInstance`` keeps an index of them).
+    the sample is built (an ``ErmInstance`` keeps an index of them).  Every
+    value of ``x`` and of the label is an ``int`` or a ``Fraction``; another
+    is refused at ``x.<vertex id>``, ``y.<vertex id>`` or ``y``.
     """
 
     x: Mapping[str, Fraction]
@@ -420,6 +434,11 @@ class Sample:
             raise NetworkError(f"flag must be 0 or 1, got {self.flag!r}", "flag")
         if type(self.count) is not int or self.count < 1:
             raise NetworkError(f"count must be >= 1, got {self.count!r}", "count")
+        _check_values(self.x, "x")
+        if isinstance(self.label, Mapping):
+            _check_values(self.label, "y")
+        elif type(self.label) not in (int, Fraction):
+            raise not_rational(self.label, "y")
 
 
 @dataclass(frozen=True)
@@ -462,13 +481,10 @@ class EvalTrace:
     ops: int
 
 
-def int_first(q) -> int | Fraction:
-    """``q`` as an ``int`` when it is integral, else as a reduced ``Fraction``."""
-    if type(q) is not int:
-        if type(q) is not Fraction:
-            q = Fraction(q)
-        if q.denominator == 1:
-            return q.numerator
+def int_first(q: int | Fraction) -> int | Fraction:
+    """``q``, an ``int`` or a ``Fraction``, as an ``int`` when it is integral."""
+    if type(q) is not int and q.denominator == 1:
+        return q.numerator
     return q
 
 
@@ -627,7 +643,9 @@ def forward(
     x: Mapping[str, Fraction],
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> EvalTrace:
-    """Exact forward evaluation in topological order."""
+    """Exact forward evaluation in topological order; a value of ``x`` that is
+    not an ``int`` or a ``Fraction`` is refused at ``x.<vertex id>``."""
+    _check_values(x, "x")
     plan = Plan(net, theta)
     values, pre, bits = plan.run(x, max_bits)
     return EvalTrace(
@@ -639,15 +657,16 @@ def forward(
     )
 
 
-def check_label(spec: LossSpec, sample: Sample) -> None:
-    """Require a label that fits how ``spec`` scores ``sample``: a vector when
-    the sample is equality-checked, a scalar under square or hinge loss."""
+def check_label(spec: LossSpec, sample: Sample, i: int) -> None:
+    """Require a label that fits how ``spec`` scores ``sample``, dataset
+    position ``i``: a vector when the sample is equality-checked, a scalar
+    under square or hinge loss; a fault is at ``dataset[i].y``."""
     vector = isinstance(sample.label, Mapping)
     if sample.flag == 0 or spec.kind == "vector-equality":
         if not vector:
-            raise NetworkError("equality-checked sample needs a vector label")
+            raise NetworkError("equality-checked sample needs a vector label", f"dataset[{i}].y")
     elif vector and spec.kind in ("square", "hinge"):
-        raise NetworkError(f"{spec.kind} loss needs a scalar label")
+        raise NetworkError(f"{spec.kind} loss needs a scalar label", f"dataset[{i}].y")
 
 
 def _check_target(net: Network, spec: LossSpec) -> None:
@@ -662,8 +681,8 @@ def sample_loss(
     values: Mapping[str, Fraction],
     sample: Sample,
 ) -> Fraction:
-    """Exact per-sample loss (one copy, ignoring ``count``)."""
-    check_label(spec, sample)
+    """Exact per-sample loss (one copy, ignoring ``count``) of a sample whose
+    label ``check_label`` has passed."""
     if sample.flag == 0 or spec.kind == "vector-equality":
         label = sample.label
         return Fraction(0 if all(values[v.id] == label.get(v.id, 0) for v in net.vertices) else 1)
@@ -790,7 +809,7 @@ class Certificate:
                     yield i
                     continue
                 plan.run(sample.x, max_bits)  # a scalar label, refused after its full pass
-                check_label(self.spec, sample)
+                check_label(self.spec, sample, i)
             stale, x, y = entry
             if ref is None:
                 check = scope
@@ -847,6 +866,7 @@ class Certificate:
                 num += sample.count * den
             else:
                 values = plan.run(sample.x, max_bits)[0]
+                check_label(self.spec, sample, i)
                 loss = sample_loss(self.net, self.spec, values, sample)
                 check_bits(loss, max_bits, f"loss of sample {i}")
                 num, den = add_pair(num, den, sample.count * loss.numerator, loss.denominator)
@@ -929,12 +949,12 @@ def gradients(
     kinks = 0
     peak = 1
     ops = 0
-    for sample in dataset:
+    for i, sample in enumerate(dataset):
         if sample.flag == 0:
             raise NonDifferentiableLoss(
                 "auxiliary (flag 0) samples use the equality loss and have no gradient"
             )
-        check_label(spec, sample)
+        check_label(spec, sample, i)
         values, pre, bits = plan.run(sample.x, max_bits)
         ops += plan.ops
         peak = max(peak, max(bits.values(), default=1))

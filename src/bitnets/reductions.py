@@ -48,7 +48,6 @@ from .network import (
     check_label,
     gradients,
     int_first,
-    not_rational,
 )
 from .product_identity import LambdaCoeffs, RationalPoly, solve_lambda
 from .rationals import DEFAULT_MAX_BITS, bit_length, format_rational, reduce_pair
@@ -67,7 +66,8 @@ def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     """The rules both instance kinds keep, each fault's ``where`` the field a
     file names: one target, scored by the loss; theta* on exactly the edges
     (``Theta.check_against``); sample vectors on vertices only; every label
-    fits the loss; values are ``int`` or ``Fraction``; the provenance is JSON."""
+    fits the loss; the provenance is JSON.  A ``Sample`` refuses a value that
+    is not an ``int`` or a ``Fraction`` itself."""
     net, loss = inst.network, inst.loss
     if len(net.targets) != 1:
         raise NetworkError(f"expected one target vertex, have {net.targets}", "vertices")
@@ -77,20 +77,10 @@ def _check_instance(inst: ErmInstance | BackpropInstance) -> None:
     inst.theta_star.check_against(net)
     for i, sample in enumerate(inst.dataset):
         for field, vector in (("x", sample.x), ("y", sample.label)):
-            if not isinstance(vector, Mapping):  # a scalar label; a Sample's x is a mapping
-                if type(vector) not in (Fraction, int):
-                    raise not_rational(vector, f"dataset[{i}].y")
-                continue
-            if not vector.keys() <= net.vertex_map.keys():
+            if isinstance(vector, Mapping) and not vector.keys() <= net.vertex_map.keys():
                 vid = min(vector.keys() - net.vertex_map.keys())
                 raise NetworkError(f"unknown vertex {vid!r}", f"dataset[{i}].{field}.{vid}")
-            if not {Fraction, int}.issuperset(map(type, vector.values())):
-                vid = min(v for v, q in vector.items() if type(q) not in (Fraction, int))
-                raise not_rational(vector[vid], f"dataset[{i}].{field}.{vid}")
-        try:
-            check_label(loss, sample)
-        except NetworkError as exc:
-            raise NetworkError(str(exc), f"dataset[{i}].y") from None
+        check_label(loss, sample, i)
     try:
         json.dumps(inst.provenance, sort_keys=True)
     except (TypeError, ValueError) as exc:

@@ -1,22 +1,41 @@
-"""The auxiliary-sample certificate against one full forward pass per sample.
+"""The auxiliary-sample certificate against the plain reference.
 
-``loss_total``, ``verify_witness``, ``check_zero_aux_loss``,
-``decide_at_theta_star`` and the compiler's auxiliary samples are
-computed sparsely in the library.  The reference below is the dense
-form: a full ``forward`` pass and ``sample_loss`` per sample, and a
-sweep over every vertex for every sample's input.
+``check_zero_aux_loss``, ``decide_at_theta_star``, ``loss_total`` and
+``verify_witness`` score auxiliary samples sparsely, by the certificate of
+:mod:`bitnets.network`, and the compiler builds its auxiliary samples from
+the same local equations.  :mod:`plain_reference` is the dense form: one
+full pass per sample in dataset order, and a sweep over every vertex for
+every sample's input.
+
+One seeded sweep, :func:`drive`, runs the four calls over four axes:
+
+- the instance family: compiled ``compile_erm``/``compile_hinge_posslp``
+  programs under the three sigma, of 1 to 16 gates; parsed copies;
+  auxiliary samples shuffled, main samples first or last; vectors read
+  through ``with_fresh_reads``; theta* with one broken auxiliary label; and
+  hand-built nets;
+- the theta family: theta*, weight and bias shifts, a multi-edge shift on
+  distinct heads, theta* rebuilt from new pairs (``same_values``), and
+  theta*'s params replaced or changed in place after its plan is kept;
+- the caps 2, 3, 5, 16, P*-1, P*, P*+3 and 2**20;
+- the call order, drawn once per case and run twice.
+
+Each call is compared against the reference's record of its theta, on the
+instance, which keeps its certificate, and on a namespace copy, which
+keeps nothing.  Each test below draws its cases from these families; the
+hand-built nets pin their literals too.  The ``work`` fixture counts what
+the certificate does.
 """
 
 import dataclasses
 import json
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Mapping
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 import bitnets.instances
 import bitnets.network
@@ -41,11 +60,9 @@ from bitnets.network import (
     forward,
     gradients,
     loss_total,
-    sample_loss,
 )
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.pwl import ACCEPT, REJECT_LOSS, gd_step, verify_witness
-from bitnets.rationals import BitBudgetError, bit_length, check_bits
 from bitnets.reductions import (
     ErmInstance,
     check_zero_aux_loss,
@@ -55,6 +72,18 @@ from bitnets.reductions import (
 )
 from bitnets.slp import Gate, Slp, parse_slp
 
+from plain_reference import (
+    dense_stale,
+    failing,
+    outcome,
+    ref_aux_samples,
+    ref_check,
+    ref_decide,
+    ref_forward,
+    ref_loss,
+    ref_peak,
+    resumed_pass,
+)
 from test_instances import with_fresh_reads
 from test_slp import random_slp
 
@@ -67,145 +96,66 @@ DELTAS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2))
 
 
 # ---------------------------------------------------------------------------
-# reference: one full forward pass per sample
+# instance family
 
 
-def ref_reproduces(inst, theta, sample, max_bits):
-    values = forward(inst.network, theta, sample.x, max_bits).values
-    if not isinstance(sample.label, Mapping):
-        raise NetworkError("equality-checked sample needs a vector label")
-    return all(
-        values[v.id] == Fraction(sample.label.get(v.id, 0)) for v in inst.network.vertices
-    )
+def compiled(rng, n_max=4):
+    p = random_slp(rng, rng.randint(1, n_max))
+    sigma = rng.choice(SIGMAS[:2])
+    gap = rng.choice([(0, 1), (1, 3), (0, 2)])
+    if rng.random() < 0.3:
+        return compile_hinge_posslp(p, sigma, copies=gap[1], low=gap[0])
+    return compile_erm(p, sigma, rng.randint(0, 4), gap)
 
 
-def ref_check(inst, theta, max_bits=1 << 20):
-    theta.check_against(inst.network)
-    for sample in inst.dataset:
-        if sample.flag == 0 and not ref_reproduces(inst, theta, sample, max_bits):
-            return False, sample
-    return True, None
+def sized(rng):
+    """A compiled 3-7-gate instance under one of the three sigma, parsed or
+    not, with its auxiliary samples shuffled or not."""
+    p, sigma = random_slp(rng, rng.randint(3, 7)), rng.choice(SIGMAS)
+    if rng.random() < 0.3:
+        inst = compile_hinge_posslp(p, sigma)
+    else:
+        inst = compile_erm(p, sigma, rng.randint(0, 3))
+    if rng.random() < 0.5:
+        inst = parse_instance(serialize_instance(inst))
+    if rng.random() < 0.5:
+        inst = shuffled(rng, inst)
+    return inst
 
 
-def ref_loss(inst, theta, max_bits=1 << 20):
-    """The total loss, one ``forward`` pass per sample in dataset order; a
-    main sample's one-copy loss and the total after each addition are checked."""
-    total = Fraction(0)
-    for i, sample in enumerate(inst.dataset):
-        values = forward(inst.network, theta, sample.x, max_bits).values
-        loss = sample_loss(inst.network, inst.loss, values, sample)
-        if sample.flag:
-            check_bits(loss, max_bits, f"loss of sample {i}")
-        elif not loss:
-            continue
-        total += sample.count * loss
-        check_bits(total, max_bits, f"loss total after sample {i}")
-    return total
+def paper_sized(rng):
+    """A parsed ``compile_erm`` file of 1 to 16 gates, at most 6 of them
+    ``mul``, under one of the three sigma."""
+    gates = []
+    for i in range(1, rng.randint(1, 16) + 1):
+        muls = sum(g.op == "mul" for g in gates)
+        gates.append(Gate(rng.choice(("add", "sub", "mul") if muls < 6 else ("add", "sub")),
+                          rng.randrange(i), rng.randrange(i)))
+    inst = compile_erm(Slp(Fraction(1), tuple(gates)), rng.choice(SIGMAS), 0)
+    return parse_instance(serialize_instance(inst))
 
 
-def ref_decide(inst, max_bits=1 << 20):
-    return ref_loss(inst, inst.theta_star, max_bits) <= inst.gap[0]
+def shuffled(rng, inst, main_first=False):
+    """``inst`` with its auxiliary samples shuffled, its main ones last or first."""
+    aux = [s for s in inst.dataset if s.flag == 0]
+    rng.shuffle(aux)
+    main = [s for s in inst.dataset if s.flag == 1]
+    return dataclasses.replace(inst, dataset=tuple(main + aux if main_first else aux + main))
 
 
-def ref_aux_samples(inst):
-    """The compiler's auxiliary samples, each input computed over every vertex."""
-    net, theta = inst.network, inst.theta_star
-    sigma = RationalPoly.from_text(inst.provenance["sigma"])
-    alpha1 = inst.provenance["alpha1"]
-    is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
-    base_y = {v: sigma.evaluate(Fraction(0)) if s else Fraction(0) for v, s in is_sigma.items()}
-
-    def make(y, pre, note):
-        x = {}
-        for v in net.vertices:
-            x[v.id] = pre.get(v.id, Fraction(0)) - sum(
-                theta.weight(e.id) * y[e.tail] + theta.bias(e.id) for e in net.in_edges[v.id]
-            )
-        nz = lambda vec: {k: q for k, q in vec.items() if q != 0}  # noqa: E731
-        return Sample(nz(x), nz(y), flag=0, count=inst.gap[1] + 1, note=note)
-
-    samples = [make(base_y, {}, "baseline")]
-    for e in net.edges:
-        if is_sigma[e.head]:
-            for tau in range(sigma.degree + 1):
-                y = {**base_y, e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
-                pre = {e.tail: Fraction(tau), e.head: Fraction(tau)}
-                samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
-        else:
-            bump = sigma.evaluate(Fraction(alpha1)) if is_sigma[e.tail] else Fraction(1)
-            y = {**base_y, e.tail: bump, e.head: theta.weight(e.id) * (bump - base_y[e.tail])}
-            pre = {v: y[v] for v in net.vertex_map if not is_sigma[v]}
-            pre[e.tail] = Fraction(alpha1) if is_sigma[e.tail] else bump
-            samples.append(make(y, pre, f"id-edge {e.id}"))
-    return samples
+def namespace(inst):
+    """The instance's fields on a plain object, which keeps no plan or index."""
+    fields = ("network", "theta_star", "dataset", "loss", "gap", "provenance")
+    return SimpleNamespace(**{f: getattr(inst, f) for f in fields})
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# theta family
 
 
-def outcome(fn, *args):
-    """A call's result, or the identifying fields of the error it raised."""
-    try:
-        return ("ok", fn(*args))
-    except BitBudgetError as exc:
-        return ("bits", exc.bits, exc.cap, exc.where)
-    except NetworkError as exc:
-        return ("network", str(exc))
-
-
-def assert_same(inst, theta, max_bits=1 << 20):
-    assert outcome(check_zero_aux_loss, inst, theta, max_bits) == outcome(
-        ref_check, inst, theta, max_bits
-    )
-    at_theta = dataclasses.replace(inst, theta_star=theta)
-    assert outcome(decide_at_theta_star, at_theta, max_bits) == outcome(
-        ref_decide, at_theta, max_bits
-    )
-
-
-def assert_same_loss(inst, theta, max_bits=1 << 20):
-    net, spec = inst.network, inst.loss
-    expected = outcome(ref_loss, inst, theta, max_bits)
-    assert outcome(loss_total, net, theta, inst.dataset, spec, max_bits) == expected
-    gamma = Fraction(inst.gap[0])
-
-    def witness():
-        verdict = verify_witness(inst, theta, gamma, (4, 2), max_bits)
-        return verdict.verdict, verdict.loss
-
-    if expected[0] == "ok":
-        loss = expected[1]
-        expected = ("ok", (ACCEPT if loss <= gamma else REJECT_LOSS, loss))
-    assert outcome(witness) == expected
-
-
-def assert_sweep(inst, thetas, caps=(1 << 20,)):
-    """``check_zero_aux_loss``, ``loss_total`` and ``verify_witness`` on one
-    object at every theta and cap, twice, with ``decide_at_theta_star`` on it
-    in between, against the reference: every call after the first reads the
-    certificate index the instance keeps.  ``thetas[0]`` is theta*."""
-    gamma = Fraction(inst.gap[0])
-    cases = [(theta, cap) for theta in thetas for cap in caps]
-    expected = [
-        (outcome(ref_check, inst, theta, cap), outcome(ref_loss, inst, theta, cap))
-        for theta, cap in cases
-    ]
-    decided = {cap: ("ok", loss[1] <= gamma) if loss[0] == "ok" else loss
-               for (theta, cap), (_, loss) in zip(cases, expected) if theta is thetas[0]}
-    for _ in range(2):
-        for (theta, cap), (check, loss) in zip(cases, expected):
-            assert outcome(check_zero_aux_loss, inst, theta, cap) == check
-            assert outcome(decide_at_theta_star, inst, cap) == decided[cap]
-            assert outcome(loss_total, inst.network, theta, inst.dataset, inst.loss, cap) == loss
-
-            def witness():
-                verdict = verify_witness(inst, theta, gamma, (4, 2), cap)
-                return verdict.verdict, verdict.loss
-
-            if loss[0] == "ok":
-                loss = ("ok", (ACCEPT if loss[1] <= gamma else REJECT_LOSS, loss[1]))
-            assert outcome(witness) == loss
+def shifted(theta, eid, coord, delta):
+    w, b = theta.params[eid]
+    return theta.with_param(eid, **{coord: (b if coord == "bias" else w) + delta})
 
 
 def single_shifts(rng, inst, n_edges):
@@ -218,18 +168,171 @@ def single_shifts(rng, inst, n_edges):
     ]
 
 
-def shifted(theta, eid, coord, delta):
-    w, b = theta.params[eid]
-    return theta.with_param(eid, **{coord: (b if coord == "bias" else w) + delta})
+def same_values(theta):
+    """theta with every pair a new tuple of equal values, integral ones as ``int``."""
+    def new(q):
+        return q.numerator if q.denominator == 1 else Fraction(q.numerator, q.denominator)
+    return Theta({eid: (new(w), new(b)) for eid, (w, b) in theta.params.items()})
 
 
-def compiled(rng, n_max=4):
-    p = random_slp(rng, rng.randint(1, n_max))
-    sigma = rng.choice(SIGMAS[:2])
-    gap = rng.choice([(0, 1), (1, 3), (0, 2)])
-    if rng.random() < 0.3:
-        return compile_hinge_posslp(p, sigma, copies=gap[1], low=gap[0])
-    return compile_erm(p, sigma, rng.randint(0, 4), gap)
+def distinct_heads(rng, inst, k):
+    """``k`` random edges, no two into the same vertex."""
+    by_head = {}
+    for e in inst.network.edges:
+        by_head.setdefault(e.head, []).append(e.id)
+    return [rng.choice(by_head[v]) for v in rng.sample(sorted(by_head), min(k, len(by_head)))]
+
+
+def multi_shift(rng, inst):
+    """One shift on each of three edges into distinct vertices."""
+    theta = inst.theta_star
+    for eid in distinct_heads(rng, inst, 3):
+        theta = shifted(theta, eid, rng.choice(("weight", "bias")), rng.choice(DELTAS))
+    return theta
+
+
+def reuse_cases(rng, inst):
+    """theta*, weight and bias shifts on two random edges, a multi-edge
+    shift and theta* rebuilt from new pairs."""
+    return single_shifts(rng, inst, 2) + [multi_shift(rng, inst), same_values(inst.theta_star)]
+
+
+@contextmanager
+def theta_star_params(inst, theta):
+    """``inst`` with theta*'s params replaced by theta's for the block."""
+    original = inst.theta_star.params
+    object.__setattr__(inst.theta_star, "params", theta.params)
+    try:
+        yield
+    finally:
+        object.__setattr__(inst.theta_star, "params", original)
+
+
+def scored(inst, theta):
+    """The reference's loss record at theta and the auxiliary samples that
+    fail there, read off it."""
+    loss = ref_loss(inst.network, theta, inst.dataset, inst.loss)
+    return loss, failing(inst, loss)
+
+
+# ---------------------------------------------------------------------------
+# the sweep
+
+
+def by_identity(result):
+    """An ``outcome`` of a check with the returned sample replaced by its id."""
+    if result[0] != "ok":
+        return result
+    ok, sample = result[1]
+    return "ok", ok, id(sample)
+
+
+def call(name, subject, theta, cap):
+    """``name`` on ``subject`` at ``theta`` under ``cap``, as an ``outcome``;
+    ``decide`` runs at theta by replacing theta*'s params."""
+    if name == "check":
+        return by_identity(outcome(check_zero_aux_loss, subject, theta, cap))
+    if name == "decide":
+        with theta_star_params(subject, theta):
+            return outcome(decide_at_theta_star, subject, cap)
+    if name == "loss_total":
+        return outcome(loss_total, subject.network, theta, subject.dataset, subject.loss, cap)
+
+    def witness():
+        verdict = verify_witness(subject, theta, Fraction(subject.gap[0]), (4, 2), cap)
+        return verdict.verdict, verdict.loss
+
+    return outcome(witness)
+
+
+def expected(name, check, loss, cap, gamma):
+    """What ``call(name, ...)`` gives under ``cap``, read off the records of
+    ``ref_check`` and ``ref_loss`` at its theta."""
+    if name == "check":
+        return by_identity(check.at(cap))
+    result = loss.at(cap)
+    if result[0] != "ok" or name == "loss_total":
+        return result
+    if name == "decide":
+        return "ok", result[1] <= gamma
+    return "ok", (ACCEPT if result[1] <= gamma else REJECT_LOSS, result[1])
+
+
+def drive(inst, thetas, caps=()):
+    """Every call at every theta of ``thetas`` and every cap, in one drawn
+    order, against the reference: ``check`` and ``decide`` on ``inst`` and
+    on its namespace copy, ``loss_total`` and the witness on ``inst``.  The
+    caps are 2, 3, 5, 16, P*-1, P*, P*+3, 2**20 and ``caps``, with P* the
+    dense peak at theta*.  The order runs twice; the second time only the
+    calls that read what ``inst`` keeps, since the others build their
+    certificate anew.  The reference runs once per theta; the order is
+    seeded by the case."""
+    copy, gamma = namespace(inst), Fraction(inst.gap[0])
+    star = ref_peak(inst)
+    caps = sorted({2, 3, 5, 16, star - 1, star, star + 3, 1 << 20, *caps})
+    refs = [(ref_check(inst, theta), ref_loss(inst.network, theta, inst.dataset, inst.loss))
+            for theta in thetas]
+    subjects = [("check", inst), ("check", copy), ("decide", inst), ("decide", copy),
+                ("loss_total", inst), ("witness", inst)]
+    cases = [(name, subject, k, cap) for name, subject in subjects
+             for k in range(len(thetas)) for cap in caps]
+    random.Random(repr((inst.network.topo_order, len(inst.dataset), len(thetas)))).shuffle(cases)
+    kept = [case for case in cases if case[0] in ("check", "decide") and case[1] is inst]
+    for name, subject, k, cap in cases + kept:
+        assert call(name, subject, thetas[k], cap) == expected(name, *refs[k], cap, gamma), (
+            name, subject is copy, k, cap)
+
+
+class Work:
+    """What the certificate did: the vertices each new plan lowered, the
+    settles of each full or resumed pass, the full passes, and the local
+    equations settled outside a pass."""
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self):
+        self.plans, self.passes, self.runs, self.local = [], [], 0, 0
+
+
+@pytest.fixture
+def work(monkeypatch):
+    counts, in_pass = Work(), []
+    Plan = bitnets.network.Plan
+    init, lower, settle = Plan.__init__, Plan._lower, Plan.settle
+
+    def counting_init(plan, *args):
+        counts.plans.append([])
+        init(plan, *args)
+
+    def counting_lower(plan, net, vid, *args):
+        counts.plans[-1].append(vid)
+        return lower(plan, net, vid, *args)
+
+    def counting_settle(plan, *args):
+        if in_pass:
+            counts.passes[-1] += 1
+        else:
+            counts.local += 1
+        return settle(plan, *args)
+
+    def counting(run, full):
+        def counting_pass(plan, *args):
+            counts.runs += full
+            counts.passes.append(0)
+            in_pass.append(True)
+            try:
+                return run(plan, *args)
+            finally:
+                in_pass.pop()
+        return counting_pass
+
+    monkeypatch.setattr(Plan, "__init__", counting_init)
+    monkeypatch.setattr(Plan, "_lower", counting_lower)
+    monkeypatch.setattr(Plan, "settle", counting_settle)
+    monkeypatch.setattr(Plan, "run", counting(Plan.run, True))
+    monkeypatch.setattr(Plan, "resume", counting(Plan.resume, False))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -265,68 +368,51 @@ class TestTemporaryValues:
 
     def test_verdicts_match_reference(self):
         rng = random.Random(64)
-        for _ in range(8):
+        for _ in range(4):
             inst = compiled(rng)
-            fresh = with_fresh_reads(inst)
-            for theta in single_shifts(rng, inst, 2):
-                assert_same(fresh, theta)
+            drive(with_fresh_reads(inst), single_shifts(rng, inst, 2))
 
 
 class TestVerdicts:
     def test_theta_star_and_single_coordinate_shifts(self):
         rng = random.Random(61)
-        for _ in range(12):
+        for _ in range(6):
             inst = compiled(rng)
-            assert_sweep(inst, single_shifts(rng, inst, 4))
+            drive(inst, single_shifts(rng, inst, 4))
 
     def test_parsed_copy_agrees_with_compiled(self):
         """A file round trip shares equal values by identity instead of by
         the compiler's baseline; verdicts, samples and errors stay the same."""
         rng = random.Random(64)
-        for _ in range(10):
+        for _ in range(3):
             inst = compiled(rng)
-            parsed = parse_instance(serialize_instance(inst))
-            copies = [(inst, inst.theta_star), (parsed, parsed.theta_star)]
-            for eid in rng.sample([e.id for e in inst.network.edges], 4):
-                delta = rng.choice(DELTAS)
-                copies += [(c, shifted(c.theta_star, eid, "weight", delta)) for c in (inst, parsed)]
-            for (a, theta_a), (b, theta_b) in zip(copies[::2], copies[1::2]):
-                for cap in (5, 1 << 20):
-                    assert outcome(check_zero_aux_loss, a, theta_a, cap) == outcome(
-                        check_zero_aux_loss, b, theta_b, cap
-                    )
-                    assert outcome(
-                        decide_at_theta_star, dataclasses.replace(a, theta_star=theta_a), cap
-                    ) == outcome(
-                        decide_at_theta_star, dataclasses.replace(b, theta_star=theta_b), cap
-                    )
-            assert_sweep(parsed, [theta for c, theta in copies if c is parsed], (5, 1 << 20))
+            shifts = [(eid, "weight", rng.choice(DELTAS))
+                      for eid in rng.sample([e.id for e in inst.network.edges], 4)]
+            for copy in (inst, parse_instance(serialize_instance(inst))):
+                drive(copy, [copy.theta_star] + [shifted(copy.theta_star, *s) for s in shifts])
 
     def test_bit_budget_errors_at_small_caps(self):
         rng = random.Random(62)
-        for _ in range(8):
+        for _ in range(4):
             inst = compiled(rng, n_max=5)
-            assert_sweep(inst, single_shifts(rng, inst, 2), (2, 3, 5, 16))
+            drive(inst, single_shifts(rng, inst, 2))
 
     def test_reordered_aux_samples(self):
         rng = random.Random(63)
-        for _ in range(6):
+        for _ in range(4):
             inst = compiled(rng)
-            aux = [s for s in inst.dataset if s.flag == 0]
-            rng.shuffle(aux)
-            main = [s for s in inst.dataset if s.flag == 1]
-            dataset = main + aux if rng.random() < 0.5 else aux + main
-            shuffled = dataclasses.replace(inst, dataset=tuple(dataset))
+            reordered = shuffled(rng, inst, main_first=rng.random() < 0.5)
+            first = next(s for s in reordered.dataset if s.flag == 0)
             # shifting the weight out of a vertex that the first auxiliary
             # sample labels non-zero fails that sample, so the reference is
             # a later one
             eids = rng.sample([e.id for e in inst.network.edges], 2) + [
-                e.id for e in inst.network.edges if aux[0].label.get(e.tail, 0) != 0][:1]
-            thetas = [shuffled.theta_star]
+                e.id for e in inst.network.edges if first.label.get(e.tail, 0) != 0][:1]
+            thetas = [reordered.theta_star]
             for eid in eids:
                 thetas.append(shifted(inst.theta_star, eid, "weight", Fraction(1, 2)))
                 thetas.append(shifted(inst.theta_star, eid, "bias", Fraction(-1)))
-            assert_sweep(shuffled, thetas, (2, 3, 5, 16, 1 << 20))
+            drive(reordered, thetas)
 
     def test_first_aux_sample_fails(self):
         # s -> h (w = 2, identity); the first auxiliary label is wrong, so
@@ -346,7 +432,7 @@ class TestVerdicts:
         assert not ok and violated.note == "wrong"
         thetas = [theta, theta.with_param("s->h", bias=Fraction(2)),
                   theta.with_param("s->h", weight=Fraction(1))]
-        assert_sweep(inst, thetas, (2, 3, 5, 16, 1 << 20))
+        drive(inst, thetas)
         # loss: 2 + 7 for the wrong samples, (4 - 4)^2 / 2 for the main one
         assert decide_at_theta_star(inst) is True
         assert decide_at_theta_star(dataclasses.replace(inst, gap=(8, 9))) is False
@@ -356,7 +442,7 @@ class TestVerdicts:
         repeated = dataclasses.replace(inst, dataset=dataset + (again,), gap=(19, 20))
         assert loss_total(net, theta, repeated.dataset, repeated.loss) == 20
         assert decide_at_theta_star(repeated) is False
-        assert_sweep(repeated, thetas, (2, 3, 5, 16, 1 << 20))
+        drive(repeated, thetas)
 
     def test_budget_error_at_first_vertex_in_topological_order(self):
         # ids sort as a < s < z, evaluation order is s, z, a; the second
@@ -372,7 +458,7 @@ class TestVerdicts:
         )
         inst = ErmInstance(net, theta, dataset, LossSpec("square", target="a"), (0, 1), {})
         assert outcome(check_zero_aux_loss, inst, theta, 5) == ("bits", 8, 5, "preactivation z")
-        assert_same(inst, theta, 5)
+        drive(inst, [theta])
 
 
 class TestLossTotal:
@@ -381,14 +467,13 @@ class TestLossTotal:
         parsed copies, at theta* and single-coordinate shifts, equal the dense
         totals, bit-budget errors included."""
         rng = random.Random(65)
-        for _ in range(5):
+        for _ in range(3):
             inst = compiled(rng)
             parsed = parse_instance(serialize_instance(inst))
             shifts = [(rng.choice([e.id for e in inst.network.edges]),
                        rng.choice(("weight", "bias")), delta) for delta in DELTAS]
             for copy in (inst, parsed):
-                thetas = [copy.theta_star] + [shifted(copy.theta_star, *s) for s in shifts]
-                assert_sweep(copy, thetas, (2, 3, 5, 16, 1 << 20))
+                drive(copy, [copy.theta_star] + [shifted(copy.theta_star, *s) for s in shifts])
 
     def test_relabelled_tail_checks_its_heads(self):
         # s -> h with w = 1: the second sample relabels s but keeps x and y
@@ -406,95 +491,21 @@ class TestLossTotal:
         assert not ok and violated.note == "stale head"
         assert loss_total(net, theta, dataset, inst.loss) == 2
         assert decide_at_theta_star(inst) is False
-        assert_same(inst, theta)
-        assert_same_loss(inst, theta)
+        drive(inst, [theta])
 
-    def test_one_full_pass_per_main_sample_at_theta_star(self, monkeypatch):
+    def test_one_full_pass_per_main_sample_at_theta_star(self, work):
         """Past the reference, auxiliary samples that hold need no full pass."""
-        runs = []
-        run = bitnets.network.Plan.run
-        monkeypatch.setattr(
-            bitnets.network.Plan, "run", lambda plan, *a: runs.append(1) or run(plan, *a)
-        )
         rng = random.Random(66)
         for _ in range(4):
             inst = compiled(rng)
             n_main = sum(1 for s in inst.dataset if s.flag == 1)
             for copy in (inst, parse_instance(serialize_instance(inst))):
-                runs.clear()
+                work.clear()
                 assert check_zero_aux_loss(copy, copy.theta_star) == (True, None)
-                assert len(runs) == 0
-                runs.clear()
+                assert work.runs == 0
+                work.clear()
                 loss_total(copy.network, copy.theta_star, copy.dataset, copy.loss)
-                assert len(runs) == n_main
-
-
-CAPS = (2, 3, 5, 16, 1 << 20)
-
-
-def namespace(inst):
-    """The instance's fields on a plain object, which keeps no plan or index."""
-    return SimpleNamespace(**{f.name: getattr(inst, f.name) for f in dataclasses.fields(inst)})
-
-
-def same_values(theta):
-    """theta with every pair a new tuple of equal values, integral ones as ``int``."""
-    def new(q):
-        return q.numerator if q.denominator == 1 else Fraction(q.numerator, q.denominator)
-    return Theta({eid: (new(w), new(b)) for eid, (w, b) in theta.params.items()})
-
-
-def reuse_cases(rng, inst):
-    """theta*, weight and bias shifts on two random edges, one shift on each
-    of three edges at once, and theta* rebuilt from new pairs."""
-    theta = inst.theta_star
-    eids = [e.id for e in inst.network.edges]
-    multi = theta
-    for eid in rng.sample(eids, min(3, len(eids))):
-        multi = shifted(multi, eid, rng.choice(("weight", "bias")), rng.choice(DELTAS))
-    return single_shifts(rng, inst, 2) + [multi, same_values(theta)]
-
-
-def assert_matches_namespace(inst, thetas, caps=CAPS):
-    """Checks on ``inst``, which keeps its theta* plan, equal those on its
-    namespace copy, twice over, with decide at theta* after each."""
-    copy = namespace(inst)
-    for _ in range(2):
-        for theta in thetas:
-            for cap in caps:
-                assert outcome(check_zero_aux_loss, inst, theta, cap) == outcome(
-                    check_zero_aux_loss, copy, theta, cap
-                )
-                assert outcome(decide_at_theta_star, inst, cap) == outcome(
-                    decide_at_theta_star, copy, cap
-                )
-
-
-def assert_theta_star_matches_reference(inst):
-    for cap in CAPS:
-        assert outcome(decide_at_theta_star, inst, cap) == outcome(ref_decide, inst, cap)
-        assert outcome(check_zero_aux_loss, inst, inst.theta_star, cap) == outcome(
-            ref_check, inst, inst.theta_star, cap
-        )
-
-
-@pytest.fixture
-def lowered(monkeypatch):
-    """The vertices each new plan lowers, one list per plan."""
-    plans = []
-    lower, init = bitnets.network.Plan._lower, bitnets.network.Plan.__init__
-
-    def counting_init(plan, *args):
-        plans.append([])
-        init(plan, *args)
-
-    def counting_lower(plan, net, vid, *args):
-        plans[-1].append(vid)
-        return lower(plan, net, vid, *args)
-
-    monkeypatch.setattr(bitnets.network.Plan, "__init__", counting_init)
-    monkeypatch.setattr(bitnets.network.Plan, "_lower", counting_lower)
-    return plans
+                assert work.runs == n_main
 
 
 class TestKeptPlan:
@@ -503,117 +514,70 @@ class TestKeptPlan:
 
     def test_matches_namespace_copy(self):
         rng = random.Random(68)
-        for _ in range(8):
+        for _ in range(4):
             inst = compiled(rng)
-            assert_matches_namespace(inst, reuse_cases(rng, inst))
+            drive(inst, reuse_cases(rng, inst))
 
     def test_parsed_and_reordered_copies_match_their_namespaces(self):
         rng = random.Random(69)
-        for _ in range(4):
+        for _ in range(2):
             inst = compiled(rng)
             parsed = parse_instance(serialize_instance(inst))
-            assert_matches_namespace(parsed, reuse_cases(rng, parsed))
-            aux = [s for s in inst.dataset if s.flag == 0]
-            rng.shuffle(aux)
-            shuffled = dataclasses.replace(
-                inst, dataset=tuple(aux) + tuple(s for s in inst.dataset if s.flag == 1)
-            )
-            assert_matches_namespace(shuffled, reuse_cases(rng, shuffled))
+            drive(parsed, reuse_cases(rng, parsed))
+            reordered = shuffled(rng, inst)
+            drive(reordered, reuse_cases(rng, reordered))
 
     def test_theta_star_params_replaced_after_the_plan_is_kept(self):
+        """``drive`` runs decide at each theta with theta*'s params replaced,
+        here after the plan is kept, and checks a shift of the theta* the
+        plan was kept for between those runs."""
         rng = random.Random(70)
-        for _ in range(6):
+        for _ in range(3):
             inst = compiled(rng)
-            original = inst.theta_star.params
-            shifts = reuse_cases(rng, inst)
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
             assert inst._cert.kept is not None
-            for theta in shifts[1:]:
-                object.__setattr__(inst.theta_star, "params", theta.params)
-                assert_theta_star_matches_reference(inst)
-                # a shift of the theta* the plan was kept for still reuses it
-                object.__setattr__(inst.theta_star, "params", original)
-                assert_matches_namespace(inst, [theta, inst.theta_star], (5, 1 << 20))
+            drive(inst, reuse_cases(rng, inst))
 
     def test_theta_star_params_changed_in_place(self):
         rng = random.Random(71)
-        for _ in range(4):
+        for _ in range(3):
             inst = compiled(rng)
-            assert decide_at_theta_star(inst) == ref_decide(inst)
+            assert decide_at_theta_star(inst) == ref_decide(inst).value
             params = inst.theta_star.params
             for eid in rng.sample(sorted(params), 2):
                 w, b = params[eid]
                 params[eid] = (w + rng.choice(DELTAS), b)
-                assert_theta_star_matches_reference(inst)
+                drive(inst, [inst.theta_star])
 
-    def test_lowers_only_the_heads_of_changed_pairs(self, lowered):
+    def test_lowers_only_the_heads_of_changed_pairs(self, work):
         rng = random.Random(72)
         inst = compiled(rng)
         net, theta = inst.network, inst.theta_star
         # the compiler's plan of theta* is the kept one, so theta* is lowered once
         decide_at_theta_star(inst)
-        assert [len(vids) for vids in lowered] == [len(net.vertices) - 1, 0]
+        assert [len(vids) for vids in work.plans] == [len(net.vertices) - 1, 0]
         for e in rng.sample(net.edges, 4):
-            lowered.clear()
+            work.clear()
             check_zero_aux_loss(inst, shifted(theta, e.id, "bias", Fraction(1)))
-            assert lowered == [[e.head]]
-        lowered.clear()
+            assert work.plans == [[e.head]]
+        work.clear()
         pair = rng.sample(net.edges, 2)
         check_zero_aux_loss(inst, shifted(shifted(theta, pair[0].id, "weight", Fraction(1)),
                                           pair[1].id, "weight", Fraction(1)))
         heads = {e.head for e in pair}
-        assert lowered == [[vid for vid in net.topo_order if vid in heads]]
-        lowered.clear()
+        assert work.plans == [[vid for vid in net.topo_order if vid in heads]]
+        work.clear()
         check_zero_aux_loss(inst, same_values(theta))
-        assert lowered == [[vid for vid in net.topo_order if net.in_edges[vid]]]
+        assert work.plans == [[vid for vid in net.topo_order if net.in_edges[vid]]]
 
-    def test_namespace_copies_and_witnesses_lower_whole_plans(self, lowered):
+    def test_namespace_copies_and_witnesses_lower_whole_plans(self, work):
         inst = parse_instance(serialize_instance(compiled(random.Random(73))))
         n = sum(1 for v in inst.network.vertices if v.activation is not None)
         decide_at_theta_star(namespace(inst))
         verify_witness(inst, inst.theta_star, Fraction(0))
         # the compiler's plan, then one whole plan each; a parsed copy keeps none
-        assert [len(vids) for vids in lowered] == [n, n, n]
+        assert [len(vids) for vids in work.plans] == [n, n, n]
         assert inst._cert.kept is None
-
-
-def ref_peak(inst):
-    """P* densely: the peak bits of the preactivations and values of a full
-    pass of every auxiliary sample at theta*."""
-    peak = 1
-    for sample in inst.dataset:
-        if sample.flag == 0:
-            trace = forward(inst.network, inst.theta_star, sample.x)
-            peak = max(peak, trace.max_bits, *map(bit_length, trace.preactivations.values()))
-    return peak
-
-
-def assert_matches_copy_and_reference(inst, theta, caps):
-    """``check_zero_aux_loss`` at theta, then ``decide_at_theta_star`` with
-    theta*'s params replaced by theta's, on ``inst`` (which keeps its theta*
-    plan and record), on its namespace copy and by the dense reference."""
-    copy = namespace(inst)
-    for cap in caps:
-        expected = outcome(ref_check, inst, theta, cap)
-        assert outcome(check_zero_aux_loss, inst, theta, cap) == expected
-        assert outcome(check_zero_aux_loss, copy, theta, cap) == expected
-    original = inst.theta_star.params
-    object.__setattr__(inst.theta_star, "params", theta.params)
-    try:
-        for cap in caps:
-            expected = outcome(ref_decide, inst, cap)
-            assert outcome(decide_at_theta_star, inst, cap) == expected
-            assert outcome(decide_at_theta_star, copy, cap) == expected
-    finally:
-        object.__setattr__(inst.theta_star, "params", original)
-
-
-def distinct_heads(rng, inst, k):
-    """``k`` random edges, no two into the same vertex."""
-    by_head = {}
-    for e in inst.network.edges:
-        by_head.setdefault(e.head, []).append(e.id)
-    return [rng.choice(by_head[v]) for v in rng.sample(sorted(by_head), min(k, len(by_head)))]
 
 
 class TestThetaStarRecord:
@@ -632,8 +596,7 @@ class TestThetaStarRecord:
             star = inst._cert.star
             assert star == ref_peak(inst)
             assert outcome(check_zero_aux_loss, inst, inst.theta_star, star - 1)[0] == "bits"
-            for theta in reuse_cases(rng, inst):
-                assert_matches_copy_and_reference(inst, theta, (star - 1, star, 1 << 20))
+            drive(inst, reuse_cases(rng, inst))
 
     def test_multi_edge_shift_failing_the_first_aux_sample(self):
         """A bias shift changes the first sample's preactivation at its head,
@@ -650,7 +613,7 @@ class TestThetaStarRecord:
             first = next(s for s in inst.dataset if s.flag == 0)
             assert check_zero_aux_loss(inst, theta) == (False, first)
             assert inst._cert.star is not None
-            assert_matches_copy_and_reference(inst, theta, (inst._cert.star, 1 << 20))
+            drive(inst, [theta])
 
     def test_sample_after_a_later_reference_checks_that_reference_list(self):
         # s -> h (identity, w 1, b 0); the shift to (0, 1) fails every sample
@@ -670,7 +633,7 @@ class TestThetaStarRecord:
         shift = Theta({"s->h": (Fraction(0), Fraction(1))})
         assert check_zero_aux_loss(inst, shift) == (False, dataset[0])
         assert inst._cert.star == 2
-        assert_matches_copy_and_reference(inst, shift, (2, 16, 1 << 20))
+        drive(inst, [shift])
         object.__setattr__(inst.theta_star, "params", shift.params)
         assert loss_total(net, shift, dataset, inst.loss) == 7
         assert decide_at_theta_star(inst) is False
@@ -692,11 +655,11 @@ class TestThetaStarRecord:
         shift = theta.with_param("h->t", weight=Fraction(2))
         assert outcome(check_zero_aux_loss, inst, shift, 41) == ("bits", 42, 41, "preactivation h")
         assert inst._cert.star == ref_peak(inst) == 42
-        assert_matches_copy_and_reference(inst, shift, (41, 42, 1 << 20))
+        drive(inst, [shift])
 
     def test_theta_star_failing_an_aux_sample_has_no_record(self):
         rng = random.Random(76)
-        for _ in range(4):
+        for _ in range(3):
             inst = compiled(rng)
             k = rng.choice([i for i, s in enumerate(inst.dataset) if s.flag == 0])
             target = inst.network.targets[0]
@@ -707,40 +670,11 @@ class TestThetaStarRecord:
             broken = dataclasses.replace(inst, dataset=tuple(data))
             assert check_zero_aux_loss(broken, broken.theta_star) == (False, data[k])
             assert broken._cert.recorded and broken._cert.star is None
-            for theta in single_shifts(rng, broken, 2):
-                assert_matches_copy_and_reference(broken, theta, (5, 16, 1 << 20))
-
-
-@pytest.fixture
-def evaluated(monkeypatch):
-    """Local equations evaluated outside a full pass, and full passes."""
-    counts = {"local": 0, "passes": 0}
-    settle, run, resume = (
-        bitnets.network.Plan.settle, bitnets.network.Plan.run, bitnets.network.Plan.resume)
-    in_pass = []
-
-    def counting_settle(plan, *args):
-        counts["local"] += not in_pass
-        return settle(plan, *args)
-
-    def counting(run):
-        def counting_run(plan, *args):
-            counts["passes"] += 1
-            in_pass.append(True)
-            try:
-                return run(plan, *args)
-            finally:
-                in_pass.pop()
-        return counting_run
-
-    monkeypatch.setattr(bitnets.network.Plan, "settle", counting_settle)
-    monkeypatch.setattr(bitnets.network.Plan, "run", counting(run))
-    monkeypatch.setattr(bitnets.network.Plan, "resume", counting(resume))
-    return counts
+            drive(broken, single_shifts(rng, broken, 2))
 
 
 class TestNarrowedCost:
-    def test_single_edge_shift_checks_one_vertex_per_scanned_sample(self, evaluated):
+    def test_single_edge_shift_checks_one_vertex_per_scanned_sample(self, work):
         rng = random.Random(77)
         for trial in range(6):
             inst = compiled(rng)
@@ -751,13 +685,13 @@ class TestNarrowedCost:
             for e in rng.sample(inst.network.edges, min(4, len(inst.network.edges))):
                 for coord in ("weight", "bias"):
                     theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
-                    evaluated.update(local=0, passes=0)
+                    work.clear()
                     ok, violated = check_zero_aux_loss(inst, theta)
                     assert not ok
                     scanned = next(i for i, s in enumerate(aux) if s is violated) + 1
-                    assert evaluated["local"] <= scanned and evaluated["passes"] == 1
+                    assert work.local <= scanned and len(work.passes) == 1
 
-    def test_theta_star_after_the_first_check_reads_the_record(self, evaluated):
+    def test_theta_star_after_the_first_check_reads_the_record(self, work):
         rng = random.Random(78)
         for trial in range(4):
             inst = compiled(rng)
@@ -765,82 +699,13 @@ class TestNarrowedCost:
                 inst = parse_instance(serialize_instance(inst))
             n_main = sum(1 for s in inst.dataset if s.flag == 1)
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
-            expected = ref_decide(inst)
-            evaluated.update(local=0, passes=0)
+            expected = ref_decide(inst).value
+            work.clear()
             assert decide_at_theta_star(inst) == expected
-            assert evaluated == {"local": 0, "passes": n_main}
-            evaluated.update(local=0, passes=0)
+            assert (work.local, len(work.passes)) == (0, n_main)
+            work.clear()
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
-            assert evaluated == {"local": 0, "passes": 0}
-
-
-def by_identity(result):
-    """An ``outcome`` of a check with the returned sample replaced by its id."""
-    if result[0] != "ok":
-        return result
-    ok, sample = result[1]
-    return "ok", ok, id(sample)
-
-
-def dense_stale(inst):
-    """The auxiliary samples and, for each, its stale vertices computed over
-    every vertex: where its x or label differs from the first auxiliary
-    sample's, and the heads of the relabelled ones."""
-    net = inst.network
-    aux = [s for s in inst.dataset if s.flag == 0]
-
-    def differ(a, b):
-        return {v.id for v in net.vertices if a.get(v.id, 0) != b.get(v.id, 0)}
-
-    stale = []
-    for s in aux:
-        relabelled = differ(s.label, aux[0].label)
-        heads = {e.head for e in net.edges if e.tail in relabelled}
-        stale.append(differ(s.x, aux[0].x) | relabelled | heads)
-    return aux, stale
-
-
-def resumed_pass(inst, theta, sample, due):
-    """Where ``sample``'s pass under ``theta`` resumes and how many vertices
-    it settles there, from one plain full pass: it resumes at the first
-    vertex whose value is off its label and settles, from there on, every
-    vertex in ``due`` and every vertex with a tail whose value is off its
-    label."""
-    net, order = inst.network, inst.network.topo_order
-    values = forward(net, theta, sample.x).values
-    moved = {vid for vid in order if values[vid] != sample.label.get(vid, 0)}
-    start = min(moved, key=order.index)
-    rest = order[order.index(start):]
-    return start, sum(
-        vid in due or any(e.tail in moved for e in net.in_edges[vid]) for vid in rest)
-
-
-@pytest.fixture
-def passes(monkeypatch):
-    """The vertices settled inside each full or resumed pass, one count per pass."""
-    counts, in_pass = [], []
-    settle, run, resume = (
-        bitnets.network.Plan.settle, bitnets.network.Plan.run, bitnets.network.Plan.resume)
-
-    def counting_settle(plan, *args):
-        if in_pass:
-            counts[-1] += 1
-        return settle(plan, *args)
-
-    def counting(run):
-        def counting_run(plan, *args):
-            counts.append(0)
-            in_pass.append(True)
-            try:
-                return run(plan, *args)
-            finally:
-                in_pass.pop()
-        return counting_run
-
-    monkeypatch.setattr(bitnets.network.Plan, "settle", counting_settle)
-    monkeypatch.setattr(bitnets.network.Plan, "run", counting(run))
-    monkeypatch.setattr(bitnets.network.Plan, "resume", counting(resume))
-    return counts
+            assert (work.local, len(work.passes)) == (0, 0)
 
 
 class TestResumedPass:
@@ -855,25 +720,22 @@ class TestResumedPass:
             inst = compiled(rng)
             if trial % 2:
                 inst = parse_instance(serialize_instance(inst))
-            aux = [s for s in inst.dataset if s.flag == 0]
-            rng.shuffle(aux)
-            main = tuple(s for s in inst.dataset if s.flag == 1)
-            shuffled = dataclasses.replace(inst, dataset=tuple(aux) + main)
-            assert check_zero_aux_loss(shuffled, shuffled.theta_star) == (True, None)
-            star = shuffled._cert.star
+            reordered = shuffled(rng, inst)
+            aux = [s for s in reordered.dataset if s.flag == 0]
+            assert check_zero_aux_loss(reordered, reordered.theta_star) == (True, None)
+            star = reordered._cert.star
+            thetas = []
             for e in inst.network.edges:
                 if aux[0].label.get(e.tail, 0) == 0:
                     continue
-                theta = shifted(shuffled.theta_star, e.id, "weight", rng.choice(DELTAS))
-                verdicts = [ref_reproduces(shuffled, theta, s, 1 << 20) for s in aux]
-                if verdicts[0] or not any(verdicts):
+                theta = shifted(reordered.theta_star, e.id, "weight", rng.choice(DELTAS))
+                fails = scored(reordered, theta)[1]
+                if not fails or fails[0] is not aux[0] or len(fails) == len(aux):
                     continue
                 seen += 1
-                caps = (2, 5, star - 1, star, star + 3, 1 << 20)
-                for cap in caps:
-                    assert by_identity(outcome(check_zero_aux_loss, shuffled, theta, cap)) == (
-                        by_identity(outcome(ref_check, shuffled, theta, cap)))
-                assert_matches_copy_and_reference(shuffled, theta, caps)
+                thetas.append(theta)
+            if thetas:
+                drive(reordered, thetas, (star + 1, star + 2))
         assert seen >= 8
 
     @staticmethod
@@ -905,20 +767,19 @@ class TestResumedPass:
             assert outcome(check_zero_aux_loss, inst, shift, cap) == (
                 "bits", 15, cap, "preactivation t")
         assert check_zero_aux_loss(inst, shift, 15) == (False, inst.dataset[1])
-        assert_matches_copy_and_reference(inst, shift, range(2, 17))
+        drive(inst, [shift], range(2, 17))
 
     def test_errors_past_the_failing_vertex_on_compiled_instances(self):
         rng = random.Random(80)
-        for trial in range(6):
+        for trial in range(4):
             inst = compiled(rng)
             if trial % 2:
                 inst = parse_instance(serialize_instance(inst))
             assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
             star = inst._cert.star
-            for theta in single_shifts(rng, inst, 3):
-                assert_matches_copy_and_reference(inst, theta, range(star, star + 6))
+            drive(inst, single_shifts(rng, inst, 3), range(star, star + 6))
 
-    def test_single_edge_shift_resumes_at_its_head(self, passes):
+    def test_single_edge_shift_resumes_at_its_head(self, work):
         rng = random.Random(81)
         for trial in range(6):
             inst = compiled(rng)
@@ -928,14 +789,15 @@ class TestResumedPass:
             for e in rng.sample(inst.network.edges, min(4, len(inst.network.edges))):
                 for coord in ("weight", "bias"):
                     theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
-                    expected = ref_check(inst, theta)
-                    start, settles = resumed_pass(inst, theta, expected[1], {e.head})
-                    passes.clear()
+                    expected = ref_check(inst, theta).value
+                    trace = ref_forward(inst.network, theta, expected[1].x)
+                    start, settles = resumed_pass(inst, trace, expected[1], {e.head})
+                    work.clear()
                     ok, violated = check_zero_aux_loss(inst, theta)
                     assert not ok and violated is expected[1]
-                    assert start == e.head and passes == [settles]
+                    assert start == e.head and work.passes == [settles]
 
-    def test_narrowed_check_reads_only_listed_samples(self, evaluated):
+    def test_narrowed_check_reads_only_listed_samples(self, work):
         rng = random.Random(82)
         for trial in range(8):
             inst = compiled(rng)
@@ -943,9 +805,9 @@ class TestResumedPass:
                 inst = parse_instance(serialize_instance(inst))
             for e in inst.network.edges:
                 theta = shifted(inst.theta_star, e.id, "weight", rng.choice(DELTAS))
-                assert_reads_listed(inst, theta, e.head, evaluated)
+                assert_reads_listed(inst, theta, e.head, work)
 
-    def test_shift_listed_in_no_later_sample_reads_the_reference_alone(self, evaluated):
+    def test_shift_listed_in_no_later_sample_reads_the_reference_alone(self, work):
         # two components, s -> h and r -> g (identity, w 1); past the zero
         # sample, only "s one" lists h and only "r one" and "r two" list g
         s, h = Vertex("s", "source"), Vertex("h", "target", IdentityActivation())
@@ -968,14 +830,41 @@ class TestResumedPass:
             data = tuple(d for d in dataset if not d.note.startswith(f"{drop} "))
             copy = dataclasses.replace(inst, dataset=data)
             shift = theta.with_param(eid, weight=Fraction(2))
-            assert assert_reads_listed(copy, shift, head, evaluated) == local
+            assert assert_reads_listed(copy, shift, head, work) == local
+
+
+def assert_reads_listed(inst, theta, head, work):
+    """Under a record, ``decide_at_theta_star`` at a shift of theta* whose only
+    changed vertex is ``head`` evaluates one local equation for each
+    auxiliary sample up to the reference, then one for each later sample
+    whose stale vertices include ``head``; ``check_zero_aux_loss`` does so up
+    to the sample it returns.  Returns the count of the first, or None when
+    the reference's own stale vertices include ``head``."""
+    assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
+    aux, stale = dense_stale(inst)
+    loss, fails = scored(inst, theta)
+    ref = next((k for k, s in enumerate(aux) if not any(s is f for f in fails)), None)
+    if ref is None or head in stale[ref]:
+        return None
+    later = [k for k in range(ref + 1, len(aux)) if head in stale[k]]
+    work.clear()
+    with theta_star_params(inst, theta):
+        assert decide_at_theta_star(inst) == (loss.value <= inst.gap[0])
+    assert work.local == ref + 1 + len(later)
+    local = work.local
+    work.clear()
+    ok, violated = check_zero_aux_loss(inst, theta)
+    assert ok == (not fails) and violated is (fails[0] if fails else None)
+    stop = next((k for k, s in enumerate(aux) if s is violated), len(aux))
+    assert work.local == min(ref, stop) + 1 + sum(k <= stop for k in later)
+    return local
 
 
 class TestUnnarrowedResume:
     """Without a record, a sample up to the reference checks every vertex,
     and a failed check resumes the pass where it failed."""
 
-    def test_bias_shift_resumes_at_its_head(self, passes):
+    def test_bias_shift_resumes_at_its_head(self, work):
         """A bias shift that fails the first auxiliary sample resumes its pass
         at the edge's head, in ``check_zero_aux_loss`` and ``loss_total``."""
         rng = random.Random(83)
@@ -985,52 +874,26 @@ class TestUnnarrowedResume:
         for inst in cases:
             copy, net, order = namespace(inst), inst.network, inst.network.topo_order
             aux = [s for s in inst.dataset if s.flag == 0]
+            thetas = []
             for e in rng.sample(net.edges, 10):
                 theta = shifted(inst.theta_star, e.id, "bias", rng.choice(DELTAS))
-                fails = [s.flag == 0 and not ref_reproduces(inst, theta, s, 1 << 20)
-                         for s in inst.dataset]
-                if not fails[inst.dataset.index(aux[0])]:
+                loss, fails = scored(inst, theta)
+                if not fails or fails[0] is not aux[0]:
                     continue
                 seen += 1
-                checks = [outcome(ref_check, inst, theta, cap) for cap in CAPS]
-                loss = ref_loss(inst, theta)
+                thetas.append(theta)
                 resumed = len(order) - order.index(e.head)
-                passes.clear()
+                work.clear()
                 ok, violated = check_zero_aux_loss(copy, theta)
                 assert not ok and violated is aux[0]
-                assert passes == [resumed]
-                passes.clear()
-                assert loss_total(net, theta, inst.dataset, inst.loss) == loss
-                assert passes == [resumed if fail else len(order)
-                                  for s, fail in zip(inst.dataset, fails) if s.flag or fail]
-                for cap, check in zip(CAPS, checks):
-                    assert outcome(check_zero_aux_loss, copy, theta, cap) == check
+                assert work.passes == [resumed]
+                work.clear()
+                assert loss_total(net, theta, inst.dataset, inst.loss) == loss.value
+                assert work.passes == [
+                    resumed if s.flag == 0 else len(order) for s in inst.dataset
+                    if s.flag or any(s is f for f in fails)]
+            drive(inst, thetas[:3])
         assert seen >= 20
-
-
-
-def sized(rng):
-    """A compiled 3-7-gate instance under one of the three sigma, parsed or
-    not, with its auxiliary samples shuffled or not."""
-    p, sigma = random_slp(rng, rng.randint(3, 7)), rng.choice(SIGMAS)
-    if rng.random() < 0.3:
-        inst = compile_hinge_posslp(p, sigma)
-    else:
-        inst = compile_erm(p, sigma, rng.randint(0, 3))
-    if rng.random() < 0.5:
-        inst = parse_instance(serialize_instance(inst))
-    if rng.random() < 0.5:
-        aux = [s for s in inst.dataset if s.flag == 0]
-        rng.shuffle(aux)
-        inst = dataclasses.replace(
-            inst, dataset=tuple(aux) + tuple(s for s in inst.dataset if s.flag == 1))
-    return inst
-
-
-def pass_peak(inst, theta, sample):
-    """The peak bits of the preactivations and values of a full pass."""
-    trace = forward(inst.network, theta, sample.x)
-    return max(trace.max_bits, *map(bit_length, trace.preactivations.values()))
 
 
 class TestNarrowedResume:
@@ -1041,7 +904,7 @@ class TestNarrowedResume:
     changed vertex under the record, else every vertex up to the reference
     and, past it, the sample's stale vertices and the reference's."""
 
-    def test_check_with_and_without_the_record(self, passes):
+    def test_check_with_and_without_the_record(self, work):
         rng = random.Random(84)
         seen = {"narrowed": 0, "unnarrowed": 0, "past the reference": 0}
         for _ in range(10):
@@ -1053,26 +916,28 @@ class TestNarrowedResume:
             for e in rng.sample(inst.network.edges, min(3, len(inst.network.edges))):
                 for coord in ("weight", "bias"):
                     theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
-                    ok, violated = ref_check(inst, theta)
+                    check = ref_check(inst, theta)
+                    ok, violated = check.value
                     assert not ok
                     k = next(j for j, s in enumerate(aux) if s is violated)
-                    peak = pass_peak(inst, theta, violated)
+                    trace = ref_forward(inst.network, theta, violated.x)
+                    peak = trace.peak
                     for cap in sorted({peak - 1, peak, peak + 1, star - 1, 1 << 20} - {0, 1}):
                         narrowed = cap >= star
                         # the reference is aux[0], whose stale list is empty
                         due = {e.head} if narrowed else stale[k] if k else set(order)
-                        settles = resumed_pass(inst, theta, violated, due)[1]
-                        expected = by_identity(outcome(ref_check, inst, theta, cap))
-                        passes.clear()
+                        settles = resumed_pass(inst, trace, violated, due)[1]
+                        expected = by_identity(check.at(cap))
+                        work.clear()
                         assert by_identity(outcome(check_zero_aux_loss, inst, theta, cap)) == (
                             expected)
                         if expected[0] == "ok":
-                            assert passes == [settles]
+                            assert work.passes == [settles]
                             seen["narrowed" if narrowed else "unnarrowed"] += 1
                             seen["past the reference"] += bool(k) and not narrowed
         assert min(seen.values()) >= 5, seen
 
-    def test_loss_total_keeps_no_record(self, passes):
+    def test_loss_total_keeps_no_record(self, work):
         """Without a record, a sample up to the reference resumes a whole
         pass from v; past it only its own and the reference's stale vertices
         are due.  Half the weight shifts are checked with a failing auxiliary
@@ -1085,13 +950,12 @@ class TestNarrowedResume:
             e = rng.choice(net.edges)
             for coord in ("weight", "bias"):
                 theta = shifted(inst.theta_star, e.id, coord, rng.choice(DELTAS))
-                case = inst
-                failing = [s for s in inst.dataset
-                           if s.flag == 0 and not ref_reproduces(inst, theta, s, 1 << 20)]
-                if coord == "weight" and failing and rng.random() < 0.5:
-                    front = rng.choice(failing)
+                case, (loss, fails) = inst, scored(inst, theta)
+                if coord == "weight" and fails and rng.random() < 0.5:
+                    front = rng.choice(fails)
                     case = dataclasses.replace(
                         inst, dataset=(front,) + tuple(s for s in inst.dataset if s is not front))
+                    loss = ref_loss(net, theta, case.dataset, case.loss)
                 aux, stale = dense_stale(case)
                 counts, peak, ref = [], 2, None
                 for sample in case.dataset:
@@ -1099,58 +963,23 @@ class TestNarrowedResume:
                         counts.append(len(order))
                         continue
                     k = next(j for j, s in enumerate(aux) if s is sample)
-                    if not any(s is sample for s in failing):
+                    if not any(s is sample for s in fails):
                         ref = k if ref is None else ref
                         continue
                     due = set(order) if ref is None else stale[k] | stale[ref]
-                    counts.append(resumed_pass(case, theta, sample, due)[1])
-                    peak = max(peak, pass_peak(case, theta, sample))
+                    trace = ref_forward(net, theta, sample.x)
+                    counts.append(resumed_pass(case, trace, sample, due)[1])
+                    peak = max(peak, trace.peak)
                     seen["up to the reference" if ref is None
                          else "past a later one" if ref else "past the first sample"] += 1
                 for cap in (peak - 1, peak, 1 << 20):
-                    expected = outcome(ref_loss, case, theta, cap)
-                    passes.clear()
+                    expected = loss.at(cap)
+                    work.clear()
                     assert outcome(loss_total, net, theta, case.dataset, case.loss, cap) == (
                         expected)
                     if expected[0] == "ok":
-                        assert passes == counts
+                        assert work.passes == counts
         assert min(seen.values()) >= 5, seen
-
-def assert_reads_listed(inst, theta, head, evaluated):
-    """Under a record, ``decide_at_theta_star`` at a shift of theta* whose only
-    changed vertex is ``head`` evaluates one local equation for each
-    auxiliary sample up to the reference, then one for each later sample
-    whose stale vertices include ``head``; ``check_zero_aux_loss`` does so up
-    to the sample it returns.  Returns the count of the first, or None when
-    the reference's own stale vertices include ``head``."""
-    assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
-    aux, stale = dense_stale(inst)
-    ref = next((k for k, s in enumerate(aux) if ref_reproduces(inst, theta, s, 1 << 20)), None)
-    if ref is None or head in stale[ref]:
-        return None
-    later = [k for k in range(ref + 1, len(aux)) if head in stale[k]]
-    evaluated.update(local=0, passes=0)
-    assert_decides_at(inst, theta)
-    assert evaluated["local"] == ref + 1 + len(later)
-    local = evaluated["local"]
-    expected = ref_check(inst, theta)
-    evaluated.update(local=0, passes=0)
-    ok, violated = check_zero_aux_loss(inst, theta)
-    assert ok == expected[0] and violated is expected[1]
-    stop = next((k for k, s in enumerate(aux) if s is violated), len(aux))
-    assert evaluated["local"] == min(ref, stop) + 1 + sum(k <= stop for k in later)
-    return local
-
-
-def assert_decides_at(inst, theta):
-    """``decide_at_theta_star`` with theta*'s params replaced by theta's,
-    against the dense reference."""
-    original = inst.theta_star.params
-    object.__setattr__(inst.theta_star, "params", theta.params)
-    try:
-        assert decide_at_theta_star(inst) == ref_decide(inst)
-    finally:
-        object.__setattr__(inst.theta_star, "params", original)
 
 
 def located(fn, *args):
@@ -1268,7 +1097,7 @@ class TestWitnessIsLossTotal:
             parsed = parse_instance(serialize_instance(inst))
             for theta in single_shifts(rng, inst, 1)[:2]:
                 loss = loss_total(inst.network, theta, inst.dataset, inst.loss)
-                assert loss == ref_loss(inst, theta)
+                assert loss == ref_loss(inst.network, theta, inst.dataset, inst.loss).value
                 for copy in (inst, parsed):
                     assert verify_witness(copy, theta, Fraction(inst.gap[0])).loss == loss
             assert inst._cert is cert and cert.kept is kept and cert.star == star
@@ -1338,8 +1167,8 @@ class TestIntegerBudgetParity:
             parsed = vectors(copy)
             for theta in (copy.theta_star, same_values(copy.theta_star)):
                 got = outcome(check_zero_aux_loss, copy, theta, cap)
-                assert got == outcome(ref_check, copy, theta, cap) == error
-                assert outcome(decide_at_theta_star, copy, cap) == outcome(ref_decide, copy, cap)
+                assert got == ref_check(copy, theta).at(cap) == error
+                assert outcome(decide_at_theta_star, copy, cap) == ref_decide(copy).at(cap)
             assert vectors(copy) == parsed
         assert vectors(inst) == built
 
@@ -1363,10 +1192,10 @@ class TestScalarAuxLabel:
         return SimpleNamespace(**{**vars(inst), "dataset": tuple(data)})
 
     def test_library_instance_raises_network_error(self, raw):
-        expected = ("network", "equality-checked sample needs a vector label")
+        expected = ("network", "equality-checked sample needs a vector label", "dataset[1].y")
         assert outcome(check_zero_aux_loss, raw, raw.theta_star) == expected
         assert outcome(loss_total, raw.network, raw.theta_star, raw.dataset, raw.loss) == expected
-        assert outcome(ref_decide, raw) == expected
+        assert ref_decide(raw).at(1 << 20) == expected
 
     def test_namespace_copy_is_judged_on_its_own_dataset(self):
         # the copy carries the original's kept certificate in its fields; it
@@ -1385,7 +1214,7 @@ class TestScalarAuxLabel:
         data = list(inst.dataset)
         data[k] = dataclasses.replace(data[k], label=label)
         copy = SimpleNamespace(**{**vars(inst), "dataset": tuple(data)})
-        assert_sweep(copy, single_shifts(random.Random(67), inst, 2))
+        drive(copy, single_shifts(random.Random(67), inst, 2))
         assert check_zero_aux_loss(copy, inst.theta_star) == (False, data[k])
         assert check_zero_aux_loss(inst, inst.theta_star) == (True, None)
 
@@ -1403,117 +1232,44 @@ class TestScalarAuxLabel:
         assert "$.dataset[1].y" in capsys.readouterr().err
 
 
-@st.composite
-def program_and_shift(draw):
-    n = draw(st.integers(1, 3))
-    gates = tuple(
-        Gate(draw(st.sampled_from(("add", "sub", "mul"))), draw(st.integers(0, i - 1)),
-             draw(st.integers(0, i - 1)))
-        for i in range(1, n + 1)
-    )
-    sigma = draw(st.sampled_from(SIGMAS[:2]))
-    inst = compile_erm(Slp(Fraction(1), gates), sigma, 0)
-    eid = draw(st.sampled_from([e.id for e in inst.network.edges]))
-    coord = draw(st.sampled_from(("weight", "bias")))
-    delta = draw(st.sampled_from(DELTAS + (Fraction(3), Fraction(-1, 3))))
-    return inst, shifted(inst.theta_star, eid, coord, delta)
+def small_program(rng):
+    """A program of 1 to 3 gates."""
+    return Slp(Fraction(1), tuple(Gate(rng.choice(("add", "sub", "mul")), rng.randrange(i),
+                                       rng.randrange(i)) for i in range(1, rng.randint(1, 3) + 1)))
 
 
-@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(program_and_shift())
-def test_single_shift_verdict_matches_reference(case):
-    inst, theta = case
-    assert check_zero_aux_loss(inst, theta) == ref_check(inst, theta)
+def test_single_shift_verdict_matches_reference():
+    """One weight or bias shift, by up to 3 either way, of small compiled
+    programs under T^2 and T^3."""
+    rng = random.Random(86)
+    for _ in range(6):
+        inst = compile_erm(small_program(rng), rng.choice(SIGMAS[:2]), 0)
+        eid = rng.choice([e.id for e in inst.network.edges])
+        delta = rng.choice(DELTAS + (Fraction(3), Fraction(-1, 3)))
+        drive(inst, [inst.theta_star, shifted(inst.theta_star, eid, rng.choice(("weight", "bias")),
+                                              delta)])
 
 
-@st.composite
-def paper_sized_shift(draw):
-    """A parsed ``compile_erm`` file of up to 16 gates, at most 6 of them
-    ``mul``, under one of the three sigma, and one weight or bias shift of
-    its theta*."""
-    gates, muls = [], 0
-    for i in range(1, draw(st.integers(1, 16)) + 1):
-        op = draw(st.sampled_from(("add", "sub", "mul") if muls < 6 else ("add", "sub")))
-        muls += op == "mul"
-        gates.append(Gate(op, draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))))
-    sigma = draw(st.sampled_from(SIGMAS))
-    inst = parse_instance(serialize_instance(compile_erm(Slp(Fraction(1), tuple(gates)), sigma, 0)))
-    eid = draw(st.sampled_from([e.id for e in inst.network.edges]))
-    coord = draw(st.sampled_from(("weight", "bias")))
-    return inst, shifted(inst.theta_star, eid, coord, draw(st.sampled_from(DELTAS)))
+def test_single_shift_at_the_papers_sizes_is_rejected():
+    rng = random.Random(87)
+    for _ in range(4):
+        inst = paper_sized(rng)
+        eid = rng.choice([e.id for e in inst.network.edges])
+        theta = shifted(inst.theta_star, eid, rng.choice(("weight", "bias")), rng.choice(DELTAS))
+        assert not ref_check(inst, theta).value[0]
+        drive(inst, [theta])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(paper_sized_shift())
-def test_single_shift_at_the_papers_sizes_is_rejected(case):
-    inst, theta = case
-    ok, violated = check_zero_aux_loss(inst, theta)
-    expected = ref_check(inst, theta)
-    assert not ok and not expected[0]
-    assert violated is expected[1]
-
-
-@st.composite
-def call_orders(draw):
-    """A compiled or parsed instance under one of the three sigma, four theta
-    (theta*, a single shift, a three-edge shift and theta* rebuilt from new
-    pairs) and 3 to 8 calls on it, each a function, a theta and a cap."""
-    n = draw(st.integers(1, 3))
-    gates = tuple(
-        Gate(draw(st.sampled_from(("add", "sub", "mul"))), draw(st.integers(0, i - 1)),
-             draw(st.integers(0, i - 1)))
-        for i in range(1, n + 1)
-    )
-    prog, sigma = Slp(Fraction(1), gates), draw(st.sampled_from(SIGMAS))
-    if draw(st.booleans()):
-        inst = compile_erm(prog, sigma, draw(st.integers(0, 3)))
-    else:
-        inst = compile_hinge_posslp(prog, sigma)
-    if draw(st.booleans()):
-        inst = parse_instance(serialize_instance(inst))
-    theta, eids = inst.theta_star, [e.id for e in inst.network.edges]
-
-    def shift(base, eid):
-        coord = draw(st.sampled_from(("weight", "bias")))
-        return shifted(base, eid, coord, draw(st.sampled_from(DELTAS)))
-
-    multi = theta
-    for eid in draw(st.permutations(eids))[:3]:
-        multi = shift(multi, eid)
-    thetas = (theta, shift(theta, draw(st.sampled_from(eids))), multi, same_values(theta))
-    call = st.tuples(st.sampled_from(("check", "decide", "witness")), st.integers(0, 3),
-                     st.sampled_from((2, 16, 1 << 20)))
-    return inst, thetas, draw(st.lists(call, min_size=3, max_size=8))
-
-
-@settings(max_examples=150, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(call_orders())
-def test_any_call_order_matches_reference(case):
+def test_any_call_order_matches_reference():
     """An instance builds its certificate's index, theta* plan and record on
-    whichever call comes first; every result equals the dense reference's.
-    ``decide_at_theta_star`` runs at a theta by replacing theta*'s params."""
-    inst, thetas, calls = case
-    gamma, original = Fraction(inst.gap[0]), inst.theta_star.params
-
-    def witness(theta, cap):
-        verdict = verify_witness(inst, theta, gamma, (4, 2), cap)
-        return verdict.verdict, verdict.loss
-
-    for fn, k, cap in calls:
-        theta = thetas[k]
-        if fn == "check":
-            expected = outcome(ref_check, inst, theta, cap)
-            assert outcome(check_zero_aux_loss, inst, theta, cap) == expected
-        elif fn == "decide":
-            object.__setattr__(inst.theta_star, "params", theta.params)
-            try:
-                assert outcome(decide_at_theta_star, inst, cap) == outcome(ref_decide, inst, cap)
-            finally:
-                object.__setattr__(inst.theta_star, "params", original)
+    whichever call comes first; ``drive`` draws that call per case."""
+    rng = random.Random(88)
+    for _ in range(8):
+        prog, sigma = small_program(rng), rng.choice(SIGMAS)
+        if rng.random() < 0.5:
+            inst = compile_erm(prog, sigma, rng.randint(0, 3))
         else:
-            expected = outcome(ref_loss, inst, theta, cap)
-            if expected[0] == "ok":
-                expected = ("ok", (ACCEPT if expected[1] <= gamma else REJECT_LOSS, expected[1]))
-            assert outcome(witness, theta, cap) == expected
+            inst = compile_hinge_posslp(prog, sigma)
+        if rng.random() < 0.5:
+            inst = parse_instance(serialize_instance(inst))
+        drive(inst, reuse_cases(rng, inst)[:2] + reuse_cases(rng, inst)[-2:])

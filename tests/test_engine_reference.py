@@ -1,28 +1,29 @@
-"""The exact engine against a plain reference evaluator.
+"""The exact engine against the plain reference.
 
 ``forward``, ``loss_total`` and ``gradients`` run on a lowered, int-first
 plan of the network that holds every sum as an unreduced (numerator,
-denominator) pair and reduces it only where its bits are checked.  The
-reference below is the direct form: a walk over dicts of ``Fraction`` in
-topological order that adds every edge's ``w * f_u + b`` one at a time,
-and the reverse-mode loop over the same dicts.  Seeded random DAGs
+denominator) pair and reduces it only where its bits are checked.
+:mod:`plain_reference` is the direct form, run once per input without a
+cap; its record gives the outcome at every cap.  Seeded random DAGs
 compare every field of the results, their types, and the
 ``BitBudgetError`` fields at small caps; nets shaped like the benchmark's
 piecewise-linear ones compare them on operands of thousands of bits, over
-mixed and over power-of-two denominators.
+mixed and over power-of-two denominators.  ``test_the_reference_stays_plain``
+keeps the reference free of the engine's code.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import plain_reference
 from bitnets.network import (
     Edge,
-    EvalTrace,
-    GradientReport,
     IdentityActivation,
     LossSpec,
     Network,
@@ -33,88 +34,28 @@ from bitnets.network import (
     forward,
     gradients,
     loss_total,
-    sample_loss,
 )
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.pwl import BitBoundedActivation, gd_step, leaky_relu, relu
-from bitnets.rationals import BitBudgetError
+from plain_reference import bits, outcome, ref_forward, ref_gradients, ref_loss
 
-# ---------------------------------------------------------------------------
-# reference
-
-
-def ref_bits(q, cap, where):
-    bits = abs(q.numerator).bit_length() + q.denominator.bit_length()
-    if bits > cap:
-        raise BitBudgetError(bits, cap, where)
-    return bits
+ENGINE = {"forward", "gradients", "loss_total", "sample_loss", "Plan", "Certificate", "int_first",
+          "add_pair", "reduce_pair", "bit_extract", "check_bits"}
 
 
-def ref_forward(net, theta, x, max_bits):
-    values, pre, bits, ops = {}, {}, {}, 0
-    for vid in net.topo_order:
-        vertex = net.vertex_map[vid]
-        z = val = Fraction(x.get(vid, 0))
-        if vertex.role != "source":
-            for e in net.in_edges[vid]:
-                w, b = theta.params[e.id]
-                z += w * values[e.tail] + b
-                ops += 3
-            ref_bits(z, max_bits, f"preactivation {vid}")
-            val = vertex.activation.eval(z)
-            ops += 1
-        values[vid], pre[vid] = val, z
-        bits[vid] = ref_bits(val, max_bits, f"vertex {vid}")
-    return EvalTrace(values, pre, bits, max(bits.values()), ops)
-
-
-def ref_gradients(net, theta, dataset, spec, max_bits):
-    wgrad = {e.id: Fraction(0) for e in net.edges}
-    bgrad = {e.id: Fraction(0) for e in net.edges}
-    kinks = peak = ops = 0
-    for sample in dataset:
-        trace = ref_forward(net, theta, sample.x, max_bits)
-        ops, peak = ops + trace.ops, max(peak, trace.max_bits)
-        pred, y = trace.values[spec.target], Fraction(sample.label)
-        if spec.kind == "square":
-            seed, ops = pred - y, ops + 1
+def test_the_reference_stays_plain():
+    """The reference imports the library's data types, errors and activations,
+    and none of its evaluation code, by any name."""
+    faults = []
+    for node in ast.walk(ast.parse(Path(plain_reference.__file__).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+        elif isinstance(node, ast.Attribute):
+            names = {node.attr}
         else:
-            margin, ops = 1 - y * pred, ops + 2
-            kinks += margin == 0
-            seed = -y if margin > 0 else Fraction(0)
-        adjoint = {vid: Fraction(0) for vid in net.topo_order}
-        adjoint[spec.target] = seed
-        for vid in reversed(net.topo_order):
-            vertex = net.vertex_map[vid]
-            if adjoint[vid] == 0 or vertex.role == "source":
-                continue
-            delta = adjoint[vid] * vertex.activation.derivative(trace.preactivations[vid])
-            ops += 2
-            peak = max(peak, ref_bits(delta, max_bits, f"adjoint {vid}"))
-            for e in net.in_edges[vid]:
-                wgrad[e.id] += sample.count * delta * trace.values[e.tail]
-                bgrad[e.id] += sample.count * delta
-                adjoint[e.tail] += delta * theta.params[e.id][0]
-                ops += 6
-    for e in net.edges:
-        peak = max(peak, ref_bits(wgrad[e.id], max_bits, f"weight gradient {e.id}"))
-        ref_bits(bgrad[e.id], max_bits, f"bias gradient {e.id}")
-    return GradientReport(wgrad, bgrad, kinks, peak, ops)
-
-
-def ref_loss(net, theta, dataset, spec, max_bits):
-    """The total in dataset order; a main sample's one-copy loss and the
-    total after each addition are checked."""
-    total = Fraction(0)
-    for i, s in enumerate(dataset):
-        loss = sample_loss(net, spec, ref_forward(net, theta, s.x, max_bits).values, s)
-        if s.flag:
-            ref_bits(loss, max_bits, f"loss of sample {i}")
-        elif not loss:
             continue
-        total += s.count * loss
-        ref_bits(total, max_bits, f"loss total after sample {i}")
-    return total
+        faults += sorted(names & (ENGINE | {"*"}))
+    assert faults == []
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +107,7 @@ def random_case(rng, mode, kind):
     for _ in range(rng.randint(1, 3)):
         x = {vid: scalar(rng, mode) for vid in rng.sample(names, rng.randint(1, n))}
         dataset.append(Sample(x, scalar(rng, mode), count=rng.randint(1, 3)))
-    pred = ref_forward(net, theta, dataset[0].x, 1 << 20).values[spec.target]
+    pred = ref_forward(net, theta, dataset[0].x).value.values[spec.target]
     if kind == "hinge" and pred != 0:
         dataset.append(Sample(dataset[0].x, 1 / pred, count=2, note="on the kink"))
     return net, theta, tuple(dataset), spec
@@ -176,41 +117,20 @@ def random_case(rng, mode, kind):
 # comparison
 
 
-def outcome(fn, *args):
-    """A call's result as plain data, or the fields of its bit-budget error."""
-    try:
-        result = fn(*args)
-    except BitBudgetError as exc:
-        return ("bits", exc.bits, exc.cap, exc.where)
-    if isinstance(result, EvalTrace):
-        assert all(type(q) is Fraction for q in [*result.values.values(),
-                                                 *result.preactivations.values()])
-        return ("trace", list(result.values.items()), list(result.preactivations.items()),
-                list(result.node_bits.items()), result.max_bits, result.ops)
-    if isinstance(result, GradientReport):
-        assert all(type(q) is Fraction for q in [*result.weight_grad.values(),
-                                                 *result.bias_grad.values()])
-        return ("grad", list(result.weight_grad.items()), list(result.bias_grad.items()),
-                result.hinge_kinks, result.max_bits, result.ops)
-    assert type(result) is Fraction
-    return ("loss", result)
-
-
 CAPS = (3, 6, 12, 24, 48, 96, 1 << 20)
 
 
 def assert_engine_matches(net, theta, dataset, spec, caps=CAPS):
+    """Each call at each cap against the reference's record; returns the
+    record of the gradients."""
+    traces = [ref_forward(net, theta, s.x) for s in dataset]
+    loss, grads = ref_loss(net, theta, dataset, spec), ref_gradients(net, theta, dataset, spec)
     for cap in caps:
-        for sample in dataset:
-            assert outcome(forward, net, theta, sample.x, cap) == outcome(
-                ref_forward, net, theta, sample.x, cap
-            )
-        assert outcome(loss_total, net, theta, dataset, spec, cap) == outcome(
-            ref_loss, net, theta, dataset, spec, cap
-        )
-        assert outcome(gradients, net, theta, dataset, spec, cap) == outcome(
-            ref_gradients, net, theta, dataset, spec, cap
-        )
+        for sample, trace in zip(dataset, traces):
+            assert outcome(forward, net, theta, sample.x, cap) == trace.at(cap)
+        assert outcome(loss_total, net, theta, dataset, spec, cap) == loss.at(cap)
+        assert outcome(gradients, net, theta, dataset, spec, cap) == grads.at(cap)
+    return grads
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -219,9 +139,7 @@ def test_random_dags_match_reference(mode, kind):
     rng = random.Random(f"{mode}-{kind}")
     kinks = 0
     for _ in range(30):
-        case = random_case(rng, mode, kind)
-        assert_engine_matches(*case)
-        kinks += outcome(ref_gradients, *case, 1 << 20)[3]
+        kinks += assert_engine_matches(*random_case(rng, mode, kind)).value.hinge_kinks
     if kind == "hinge":
         assert kinks > 0
 
@@ -308,7 +226,7 @@ class TestLossBudget:
         # the sum 2/2 over the common denominator has 4
         net, theta, (sample,), spec = one_edge(1, 1, 0, 1)
         case = (net, theta, (sample, sample), spec)
-        assert outcome(loss_total, *case, 3) == ("loss", 1)
+        assert outcome(loss_total, *case, 3) == ("ok", 1)
         assert outcome(loss_total, *case, 2) == ("bits", 3, 2, "loss of sample 0")
         assert_engine_matches(*case, caps=(2, 3, 4))
 
@@ -324,10 +242,6 @@ def test_engine_matches_reference_property(rng, mode, kind):
 # sums held over a common denominator
 
 
-def bits(q):
-    return abs(q.numerator).bit_length() + q.denominator.bit_length()
-
-
 def around(*peaks):
     """Each peak bit count and one less: the caps at which a check just
     passes and just fails."""
@@ -337,46 +251,32 @@ def around(*peaks):
 def assert_engine_matches_at_peaks(net, theta, dataset, spec):
     """Compare each call uncapped and at the caps around the reference's
     peaks for that call, where its largest operands are checked; returns
-    the gradient peak."""
+    the record of the gradients."""
     big = 1 << 30
-    loss_peaks, total = set(), Fraction(0)
+    loss = ref_loss(net, theta, dataset, spec)
+    loss_peaks = {b for b, where in loss.checks if where.startswith("loss")}
     for s in dataset:
-        trace = ref_forward(net, theta, s.x, big)
-        peaks = (trace.max_bits, max(map(bits, trace.preactivations.values())))
+        trace = ref_forward(net, theta, s.x)
+        peaks = (trace.value.max_bits, max(map(bits, trace.value.preactivations.values())))
         for cap in (*around(*peaks), big):
-            assert outcome(forward, net, theta, s.x, cap) == outcome(
-                ref_forward, net, theta, s.x, cap)
-        loss = sample_loss(net, spec, trace.values, s)
-        total += s.count * loss
-        loss_peaks |= {*peaks, bits(loss), bits(total)}
+            assert outcome(forward, net, theta, s.x, cap) == trace.at(cap)
+        loss_peaks.update(peaks)
     for cap in (*around(*loss_peaks), big):
-        assert outcome(loss_total, net, theta, dataset, spec, cap) == outcome(
-            ref_loss, net, theta, dataset, spec, cap)
-    report = ref_gradients(net, theta, dataset, spec, big)
+        assert outcome(loss_total, net, theta, dataset, spec, cap) == loss.at(cap)
+    grads = ref_gradients(net, theta, dataset, spec)
+    report = grads.value
     for cap in (*around(report.max_bits, max(map(bits, report.bias_grad.values()))), big):
-        assert outcome(gradients, net, theta, dataset, spec, cap) == outcome(
-            ref_gradients, net, theta, dataset, spec, cap)
-    return report.max_bits
-
-
-def total_bits(net, theta, dataset, spec):
-    """The bits of the reduced running loss total after each addition."""
-    total, out = Fraction(0), []
-    for s in dataset:
-        loss = sample_loss(net, spec, ref_forward(net, theta, s.x, 1 << 30).values, s)
-        if s.flag or loss:
-            total += s.count * loss
-            out.append(bits(total))
-    return out
+        assert outcome(gradients, net, theta, dataset, spec, cap) == grads.at(cap)
+    return grads
 
 
 def assert_loss_matches_at_totals(net, theta, dataset, spec):
     """Compare ``loss_total`` at each running total's bits and one less;
     returns the locations of the errors raised."""
-    seen = set()
-    for cap in around(*total_bits(net, theta, dataset, spec)):
+    loss, seen = ref_loss(net, theta, dataset, spec), set()
+    for cap in around(*(b for b, where in loss.checks if where.startswith("loss total"))):
         result = outcome(loss_total, net, theta, dataset, spec, cap)
-        assert result == outcome(ref_loss, net, theta, dataset, spec, cap)
+        assert result == loss.at(cap)
         if result[0] == "bits":
             seen.add(result[3].rsplit(" ", 1)[0])
     return seen
@@ -391,7 +291,7 @@ def test_loss_total_matches_reference_at_each_running_total(mode):
     for _ in range(20):
         net, theta, dataset, spec = random_case(rng, mode, rng.choice(("square", "hinge")))
         x = dataset[0].x
-        values = ref_forward(net, theta, x, 1 << 30).values
+        values = ref_forward(net, theta, x).value.values
         dataset = list(dataset)
         for label in ({v: q for v, q in values.items() if q}, {}):
             aux = Sample(x, label, flag=0, count=rng.randint(1, 3))
@@ -434,7 +334,7 @@ def layered_case(rng, width=4, depth=3, samples=4, denoms=(1, 3, 7, 11, 1 << 20)
 def test_pwl_shaped_nets_match_reference_along_two_steps(seed):
     net, theta, dataset, spec = layered_case(random.Random(seed))
     for step in range(3):
-        peak = assert_engine_matches_at_peaks(net, theta, dataset, spec)
+        peak = assert_engine_matches_at_peaks(net, theta, dataset, spec).value.max_bits
         if step < 2:
             theta = gd_step(net, theta, dataset, spec, Fraction(1, 64)).theta
     assert peak > 10_000  # theta_2 puts the checks on big operands
@@ -450,7 +350,7 @@ def test_pwl_shaped_loss_totals_match_reference_at_theta_two(seed):
 
 def ref_gd_step(net, theta, dataset, spec, eta):
     """theta - eta * the reference gradients, in stdlib ``Fraction`` arithmetic."""
-    report = ref_gradients(net, theta, dataset, spec, 1 << 30)
+    report = ref_gradients(net, theta, dataset, spec).value
     return Theta({eid: (w - eta * report.weight_grad[eid], b - eta * report.bias_grad[eid])
                   for eid, (w, b) in theta.params.items()}), report.ops
 
@@ -466,7 +366,8 @@ def test_dyadic_nets_match_reference_along_two_steps(seed):
     assert isinstance(net.vertex_map["h2_0"].activation, BitBoundedActivation)
     eta = Fraction(1, 64)
     for step in range(3):
-        peak = assert_engine_matches_at_peaks(net, theta, dataset, spec)
+        grads = assert_engine_matches_at_peaks(net, theta, dataset, spec)
+        peak = grads.value.max_bits
         assert_loss_matches_at_totals(net, theta, dataset, spec)
         if step == 2:
             break
@@ -474,8 +375,7 @@ def test_dyadic_nets_match_reference_along_two_steps(seed):
         report = gd_step(net, theta, dataset, spec, eta)
         assert report.theta == want and report.ops == ref_ops + 4 * len(net.edges)
         assert all(type(q) is Fraction for pair in report.theta.params.values() for q in pair)
-        assert outcome(gd_step, net, theta, dataset, spec, eta, peak - 1) == outcome(
-            ref_gradients, net, theta, dataset, spec, peak - 1)
+        assert outcome(gd_step, net, theta, dataset, spec, eta, peak - 1) == grads.at(peak - 1)
         theta = report.theta
     assert peak > 5_000
     assert max(q.denominator.bit_length() for pair in theta.params.values() for q in pair) > 128

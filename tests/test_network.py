@@ -456,6 +456,80 @@ class TestValidationErrors:
             Network([Vertex("a", "source")], [Edge("e", "a", "ghost")])
 
 
+BAD_VALUES = {"str": "1/2", "float": 0.25, "bool": True}
+
+
+def refused(call):
+    """The message and ``where`` of the ``NetworkError`` ``call()`` raises."""
+    with pytest.raises(NetworkError) as err:
+        call()
+    return str(err.value), err.value.where
+
+
+class TestSampleValueRule:
+    """A sample, a ``forward`` input and ``Theta.with_param`` take only ``int``
+    and ``Fraction`` values (a ``bool`` neither); any other value is refused
+    at its field, never read as a number."""
+
+    @pytest.mark.parametrize("kind", BAD_VALUES)
+    def test_refused_at_its_field(self, kind):
+        value, half = BAD_VALUES[kind], Fraction(1, 2)
+        message = f"expected an int or a Fraction, got {kind}"
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        calls = {
+            "x.s": lambda: forward(net, theta, {"s": value}),
+            "x.t": lambda: Sample({"s": half, "t": value}, value),
+            "y": lambda: Sample({"s": half}, value),
+            "y.t": lambda: Sample({"s": half}, {"t": value}, flag=0),
+            "theta.e.w": lambda: theta.with_param(e, weight=value),
+            "theta.e.b": lambda: theta.with_param(e, bias=value),
+        }
+        for where, call in calls.items():
+            assert refused(call) == (message, where)
+
+    def test_rational_values_pass(self):
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))}).with_param(e, weight=3, bias=Fraction(1, 2))
+        assert theta.params[e] == (3, Fraction(1, 2)) and type(theta.params[e][0]) is int
+        assert forward(net, theta, {"s": 2}).values["t"] == Fraction(13, 2)
+        data = [Sample({"s": Fraction(1, 2)}, 1)]
+        assert loss_total(net, theta, data, LossSpec("square", target="t")) == Fraction(1, 2)
+
+
+class TestLabelFaultsAreLocated:
+    """A label that does not fit the loss is refused at ``dataset[i].y`` by
+    every call that scores a raw dataset."""
+
+    @pytest.mark.parametrize("fault", ["scalar", "vector"])
+    def test_each_call(self, fault):
+        from types import SimpleNamespace
+
+        from bitnets.pwl import gd_step, verify_witness
+
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        good = Sample({"s": Fraction(1)}, Fraction(1))
+        if fault == "scalar":  # a square-loss main sample with a vector label
+            bad = Sample({"s": Fraction(1)}, {"t": Fraction(1)})
+            message = "square loss needs a scalar label"
+        else:  # an auxiliary sample with a scalar label
+            bad = Sample({"s": Fraction(1)}, Fraction(1), flag=0)
+            message = "equality-checked sample needs a vector label"
+        data, spec = (good, bad), LossSpec("square", target="t")
+        raw = SimpleNamespace(network=net, theta_star=theta, dataset=data, loss=spec, gap=(0, 1),
+                              provenance={})
+        calls = {
+            "loss_total": lambda: loss_total(net, theta, data, spec),
+            "verify_witness": lambda: verify_witness(raw, theta, Fraction(0)),
+        }
+        if fault == "scalar":  # gradients refuse an auxiliary sample before its label
+            calls["gradients"] = lambda: gradients(net, theta, data, spec)
+            calls["gd_step"] = lambda: gd_step(net, theta, data, spec, Fraction(1, 2))
+        for call in calls.values():
+            assert refused(call) == (message, "dataset[1].y")
+
+
 def kahn_min(net: Network) -> tuple[str, ...]:
     """Kahn's algorithm, taking the smallest ready id with ``min`` each step."""
     pending = {v.id: len(net.in_edges[v.id]) for v in net.vertices}
