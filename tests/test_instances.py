@@ -795,7 +795,11 @@ class TestLibraryOwnsTheRules:
         "label at an unknown vertex":
             lambda: with_first_sample(ERM, label={**FIRST.label, "ghost": Fraction(1)}),
     }
-    PLACED_BY_THE_PARSER = {"flag 2": "dataset[0].", "count 0": "dataset[0]."}
+    MAIN = next(i for i, s in enumerate(ERM.dataset) if s.flag == 1)
+    # the Sample refuses these at its own field, which the parser places
+    PLACED_BY_THE_PARSER = {
+        "flag 2": "dataset[0].", "count 0": "dataset[0].", "input as float": "dataset[0].",
+        "vector label as float": "dataset[0].", "scalar label as float": f"dataset[{MAIN}]."}
 
     @pytest.mark.parametrize("name", TWINS)
     def test_where_is_the_parser_path(self, name):
@@ -806,7 +810,6 @@ class TestLibraryOwnsTheRules:
         assert message in str(err.value)
 
     EDGE = min(ERM.theta_star.params)
-    MAIN = next(i for i, s in enumerate(ERM.dataset) if s.flag == 1)
     VALUE_FAULTS = {
         # name: (the instance built with the value, the value in its file)
         "weight as float": (
@@ -829,9 +832,6 @@ class TestLibraryOwnsTheRules:
                 for k, s in enumerate(ERM.dataset))),
             lambda doc, i=MAIN: doc["dataset"][i].update(y=0.5)),
     }
-    # a value in a sample is refused by the Sample, which the parser places
-    SAMPLE_PLACE = {"input as float": "dataset[0].", "vector label as float": "dataset[0].",
-                    "scalar label as float": f"dataset[{MAIN}]."}
 
     @pytest.mark.parametrize("name", VALUE_FAULTS)
     def test_a_value_the_writer_cannot_write_is_refused(self, name):
@@ -845,7 +845,8 @@ class TestLibraryOwnsTheRules:
         mutate(doc)
         with pytest.raises(SchemaError) as parsed:
             parse_instance(canonical_bytes(doc))
-        assert "$." + self.SAMPLE_PLACE.get(name, "") + err.value.where == parsed.value.path
+        assert "$." + self.PLACED_BY_THE_PARSER.get(name, "") + err.value.where == (
+            parsed.value.path)
 
     @pytest.mark.parametrize("inst", [ERM, BIT], ids=["erm", "backprop"])
     def test_a_provenance_the_writer_cannot_write_is_refused(self, inst):
