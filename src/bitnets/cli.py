@@ -153,12 +153,17 @@ def cmd_compile_backprop(args) -> int:
     sigma = _sigma(args.sigma)
     mode = "bn-normalized" if args.bn else "unit"
     if args.variant == "sign":
+        if args.j is not None:
+            raise UsageError("--j does not apply to the sign variant")
         inst = compile_backprop(
-            program, sigma, "sign", promise=args.copies, a0_mode=mode
+            program, sigma, "sign", promise=1 if args.copies is None else args.copies,
+            a0_mode=mode,
         )
     else:
         if args.j is None:
             raise UsageError("--j is required for the bit variant")
+        if args.copies is not None:
+            raise UsageError("--copies does not apply to the bit variant")
         inst = compile_backprop(
             program, sigma, "bit", bit_index=args.j, a0_mode=mode
         )
@@ -357,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--variant", choices=("sign", "bit"), required=True)
     p.add_argument("--j", type=int)
-    p.add_argument("--copies", type=int, default=1, help="promise gap b for the sign variant")
+    p.add_argument("--copies", type=int, help="promise gap b for the sign variant (default 1)")
     p.add_argument("--bn", action="store_true", help="compile the bounded-norm rewrite")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_compile_backprop)

@@ -7,10 +7,11 @@ instance size |I| used by encoding-length bounds is the byte length of
 this serialization.  Parsing reports the JSON path of the first
 violation.
 
-The parser checks only the JSON shape and the rational literals.  It
-builds each object with the library type that owns its rules and turns
-the ``NetworkError`` it raises into a ``SchemaError`` at the field it
-names: ``Vertex`` (role, activation), ``Network`` (ids, edge ends, no
+The parser checks only the JSON shape and the rational literals; a list
+of literals (a polynomial's coefficients, breakpoints, a piece, a clip)
+is read by one helper, ``_rationals``.  It builds each object with the
+library type that owns its rules and turns the ``NetworkError`` it
+raises into a ``SchemaError`` at the field it names: ``Vertex`` (role, activation), ``Network`` (ids, edge ends, no
 cycle), the activations, ``LossSpec`` (kind, target, j), ``Sample`` (flag,
 count), ``ErmInstance``/``BackpropInstance`` (one target, scored by the loss;
 theta on the edges; vectors on vertices; labels fit the loss; gap or query).
@@ -74,52 +75,30 @@ def activation_from_doc(doc: Any, path: str, literals: dict[str, Fraction]):
         return IdentityActivation()
     if kind == "poly":
         coeffs = _get(doc, "coeffs", path, list)
-        return PolyActivation(
-            RationalPoly(
-                tuple(
-                    _rational(c, f"{path}.coeffs[{i}]", literals)
-                    for i, c in enumerate(coeffs)
-                )
-            )
-        )
+        return PolyActivation(RationalPoly(_rationals(coeffs, f"{path}.coeffs", literals)))
     if kind == "pwl":
         bps = _get(doc, "breakpoints", path, list)
-        pieces = _get(doc, "pieces", path, list)
-        parsed_pieces = []
-        for i, pair in enumerate(pieces):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{path}.pieces[{i}]", "expected [slope, intercept]")
-            parsed_pieces.append(
-                (
-                    _rational(pair[0], f"{path}.pieces[{i}][0]", literals),
-                    _rational(pair[1], f"{path}.pieces[{i}][1]", literals),
-                )
-            )
+        pieces = tuple(
+            _rationals(pair, f"{path}.pieces[{i}]", literals, "[slope, intercept]")
+            for i, pair in enumerate(_get(doc, "pieces", path, list))
+        )
         return _located(
             path,
             PwlActivation,
-            tuple(
-                _rational(b, f"{path}.breakpoints[{i}]", literals) for i, b in enumerate(bps)
-            ),
-            tuple(parsed_pieces),
+            _rationals(bps, f"{path}.breakpoints", literals),
+            pieces,
             doc.get("kink_slope", "right"),
         )
     if kind == "bitbounded":
         clip = doc.get("clip")
-        parsed_clip = None
         if clip is not None:
-            if not (isinstance(clip, list) and len(clip) == 2):
-                raise SchemaError(f"{path}.clip", "expected [lo, hi]")
-            parsed_clip = (
-                _rational(clip[0], f"{path}.clip[0]", literals),
-                _rational(clip[1], f"{path}.clip[1]", literals),
-            )
+            clip = _rationals(clip, f"{path}.clip", literals, "[lo, hi]")
         return _located(
             path,
             BitBoundedActivation,
             activation_from_doc(_get(doc, "base", path, dict), f"{path}.base", literals),
             _get(doc, "bits", path, int),
-            parsed_clip,
+            clip,
         )
     raise SchemaError(path, f"unknown activation kind {kind!r}")
 
@@ -174,9 +153,17 @@ def _rational(value: Any, path: str, literals: dict[str, Fraction]) -> Fraction:
     return q
 
 
-def _sparse_vector(doc: Any, path: str, literals: dict[str, Fraction]) -> dict[str, Fraction]:
-    if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object mapping vertex ids to rationals")
+def _rationals(
+    doc: Any, path: str, literals: dict[str, Fraction], pair: str | None = None
+) -> tuple[Fraction, ...]:
+    """The values of the list of literals ``doc`` at ``path``; given ``pair``,
+    its expected form, such as ``[lo, hi]``, the list must hold two."""
+    if pair is not None and not (isinstance(doc, list) and len(doc) == 2):
+        raise SchemaError(path, f"expected {pair}")
+    return tuple(_rational(q, f"{path}[{i}]", literals) for i, q in enumerate(doc))
+
+
+def _sparse_vector(doc: dict, path: str, literals: dict[str, Fraction]) -> dict[str, Fraction]:
     out = {}
     for vid in sorted(doc):
         text = doc[vid]

@@ -16,11 +16,13 @@ One engine does all of it.  Each call lowers ``(network, theta)`` once
 into a :class:`Plan`: the vertices in topological order, each with an
 entry of four fields, ``(ins, bias, act, slope)``: its in-edges as
 (tail, edge id, weight), the *sum* of its in-edge biases and its
-activation's ``lower()`` pair (a source's ``ins`` is None).  A bit
-check's ``where`` (``preactivation v``, ``vertex v``) is formatted only
-when it raises.  ``Plan.run`` is one full forward pass; ``Plan.resume``
-is the resumed pass of a violated sample (below), which settles only the
-vertices still due, for their bit checks.  ``forward`` and ``gradients``
+activation's ``lower()`` pair (a source's ``ins`` is None); a polynomial
+lowers to ``RationalPoly.evaluate`` of itself and of its derivative, the
+library's one Horner rule.  A bit check's ``where`` (``preactivation v``,
+``vertex v``) is formatted only when it raises.  ``Plan.run`` is one
+full forward pass; ``Plan.resume`` is the resumed pass of a violated
+sample (below), which settles only the vertices still due, for their bit
+checks.  ``forward`` and ``gradients``
 run every sample on their plan, ``loss_total`` and the checks of
 :mod:`bitnets.reductions` are each one call on a ``Certificate``, which
 lowers theta itself, and the compiler uses the plan's local equation
@@ -61,10 +63,13 @@ reproduces its label vector y iff every vertex satisfies
 ``act_v(x_v + sum of (w * y_u + b)) == y_v`` (``x_v == y_v`` at a
 source) with the tails' labels substituted, by induction over the
 topological order.  The first auxiliary sample that passes is the
-reference.  The certificate's index lists, once per dataset and whatever
-theta or budget, each auxiliary sample's stale vertices: where its x or
-y differs from the first auxiliary sample with a vector label, and the
-heads of the relabelled ones.  It holds the sample's x and y in engine
+reference.  A dataset is checked before it is scored: the index runs
+``check_label`` on every sample, and ``gradients`` checks every flag and
+label before its first pass, so a label fault raises at ``dataset[i].y``
+under every budget.  The certificate's index lists, once per dataset
+and whatever theta or budget, each auxiliary sample's stale vertices:
+where its x or y differs from the first auxiliary sample, and the heads
+of the relabelled ones.  It holds the sample's x and y in engine
 form, so checks compare ``int`` with ``int``, and it inverts the lists:
 for each vertex, the dataset positions of the samples whose list holds
 it.  A sample settles local equations in topological order, with the bit
@@ -109,10 +114,10 @@ local equation, preactivation and value is one that held at theta*
 within P* bits, or the reference's, which passed.  When no changed
 vertex is in the reference's list, a sample past it that no changed
 vertex lists has nothing to check, so the check visits only the listed
-samples, the main ones and those with a scalar label.  A one-edge shift
-so costs at most one local equation per sample it visits and one pass
-resumed at the changed vertex, which settles it and the vertices its
-change reaches; theta* itself, after the record, none.
+samples and the main ones.  A one-edge shift so costs at most one local
+equation per sample it visits and one pass resumed at the changed
+vertex, which settles it and the vertices its change reaches; theta*
+itself, after the record, none.
 All of this relies on the rule that an instance and its samples are not
 changed after they are built.
 """
@@ -214,9 +219,7 @@ class PolyActivation(Activation):
         return self.poly.derivative()
 
     def lower(self) -> tuple[Callable, Callable]:
-        values = tuple(int_first(c) for c in reversed(self.poly.coefficients))
-        slopes = tuple(int_first(c) for c in reversed(self._deriv.coefficients))
-        return (lambda z: _horner(values, z)), (lambda z: _horner(slopes, z))
+        return self.poly.evaluate, self._deriv.evaluate
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "coeffs": [format_rational(c) for c in self.poly.coefficients]}
@@ -352,16 +355,14 @@ class Theta:
         weight: int | Fraction | None = None,
         bias: int | Fraction | None = None,
     ) -> "Theta":
-        """A copy with edge ``edge_id``'s weight or bias replaced; a value that
-        is not an ``int`` or a ``Fraction`` is refused at ``theta.<edge id>.w``
-        or ``.b``."""
+        """A copy with edge ``edge_id``'s weight or bias replaced.  The new
+        pair is checked by the rule of ``check_against``: a value that is not
+        an ``int`` or a ``Fraction`` is refused at ``theta.<edge id>.w`` or
+        ``.b``."""
         w, b = self.params[edge_id]
-        for field, q in (("w", weight), ("b", bias)):
-            if q is not None and type(q) not in (int, Fraction):
-                raise not_rational(q, f"theta.{edge_id}.{field}")
-        updated = dict(self.params)
-        updated[edge_id] = (w if weight is None else weight, b if bias is None else bias)
-        return Theta(updated)
+        pair = (w if weight is None else weight, b if bias is None else bias)
+        _check_pair(edge_id, pair)
+        return Theta({**self.params, edge_id: pair})
 
     def check_against(self, net: Network) -> None:
         """Require one (weight, bias) tuple per edge of ``net``, each value an
@@ -492,18 +493,6 @@ def _as_fraction(q: int | Fraction) -> Fraction:
     return q if type(q) is Fraction else Fraction(q)
 
 
-def _horner(coeffs: tuple, z: int | Fraction) -> int | Fraction:
-    """The polynomial with ``coeffs`` (leading first) at ``z``, 0 for none.
-    Horner's rule starts at the leading coefficient and adds no zero term."""
-    terms = iter(coeffs)
-    acc = next(terms, 0)
-    for c in terms:
-        acc *= z
-        if c:
-            acc += c
-    return int_first(acc)
-
-
 class Plan:
     """``(net, theta)`` lowered for the exact engine.
 
@@ -543,16 +532,12 @@ class Plan:
         self.changed: tuple[str, ...] | None = None
         self.node: dict[str, tuple] = {}
         self.ops = 0
-        lowered: dict[int, tuple] = {}
         for vid in self.order:
-            vertex = net.vertex_map[vid]
-            if vertex.activation is None:
+            act = net.vertex_map[vid].activation
+            if act is None:
                 self.node[vid] = (None, (0, 1), None, None)
                 continue
-            key = id(vertex.activation)
-            if key not in lowered:
-                lowered[key] = vertex.activation.lower()
-            self.node[vid] = self._lower(net, vid, *lowered[key])
+            self.node[vid] = self._lower(net, vid, *act.lower())
             self.ops += 3 * len(net.in_edges[vid]) + 1
 
     def _lower(self, net: Network, vid: str, act: Callable | None, slope: Callable | None) -> tuple:
@@ -681,9 +666,9 @@ def sample_loss(
     values: Mapping[str, Fraction],
     sample: Sample,
 ) -> Fraction:
-    """Exact per-sample loss (one copy, ignoring ``count``) of a sample whose
-    label ``check_label`` has passed."""
-    if sample.flag == 0 or spec.kind == "vector-equality":
+    """Exact per-sample loss (one copy, ignoring ``count``) of a main sample
+    whose label ``check_label`` has passed."""
+    if spec.kind == "vector-equality":
         label = sample.label
         return Fraction(0 if all(values[v.id] == label.get(v.id, 0) for v in net.vertices) else 1)
     pred = values[spec.target]
@@ -727,13 +712,15 @@ class Certificate:
 
     @cached_property
     def index(self) -> tuple[tuple, dict[str, tuple[int, ...]], tuple[int, ...]]:
-        """``(entries, listed, others)``.  By dataset position, ``entries``
-        gives an auxiliary sample with a vector label ``(stale, x, y)``, its
-        stale vertices in topological order and its input and label in engine
-        form (``int_first``), each distinct value object lowered once and
-        held, so that no later object takes its id; any other sample gets
-        None.  ``listed[v]`` holds, in dataset order, the positions whose stale
-        vertices include v; ``others`` the positions whose entry is None."""
+        """``(entries, listed, others)``.  Each sample's label is checked by
+        ``check_label`` as it is visited, before any pass, so an auxiliary
+        sample has a vector label.  By dataset position, ``entries`` gives an
+        auxiliary sample ``(stale, x, y)``, its stale vertices in topological
+        order and its input and label in engine form (``int_first``), each
+        distinct value object lowered once and held, so that no later object
+        takes its id; a main sample gets None.  ``listed[v]`` holds, in
+        dataset order, the positions whose stale vertices include v;
+        ``others`` the positions of the main samples."""
         net, position = self.net, self.net.topo_position
         first: Sample | None = None
         lowered: dict[int, tuple[int | Fraction, Fraction]] = {}
@@ -750,8 +737,9 @@ class Certificate:
         entries: list[tuple | None] = []
         listed: dict[str, list[int]] = {}
         for i, sample in enumerate(self.dataset):
+            check_label(self.spec, sample, i)
             y = sample.label
-            if sample.flag != 0 or not isinstance(y, Mapping):
+            if sample.flag != 0:
                 entries.append(None)
                 continue
             if first is None:
@@ -789,11 +777,9 @@ class Certificate:
         set in topological order: before the reference the whole scope
         (``plan.order``, or ``changed`` under the record), after it the
         scope's vertices in its list or the reference's.  A failed one
-        resumes the pass there (``plan.resume``), settling the rest of the check set and the
-        vertices that a moved value reaches.  A sample whose label is not a
-        vector gets a full forward pass, so its error is that of a full pass
-        too.  A run of ``kept`` that every auxiliary sample passes sets
-        ``star``."""
+        resumes the pass there (``plan.resume``), settling the rest of the
+        check set and the vertices that a moved value reaches.  A run of
+        ``kept`` that every auxiliary sample passes sets ``star``."""
         entries, listed, others = self.index
         settle, heads = plan.settle, self.net.heads
         changed = plan.changed if self.star is not None and max_bits >= self.star else None
@@ -804,12 +790,8 @@ class Certificate:
         while (i := next(todo, None)) is not None:
             entry = entries[i]
             if entry is None:
-                sample = self.dataset[i]
-                if sample.flag != 0:
-                    yield i
-                    continue
-                plan.run(sample.x, max_bits)  # a scalar label, refused after its full pass
-                check_label(self.spec, sample, i)
+                yield i
+                continue
             stale, x, y = entry
             if ref is None:
                 check = scope
@@ -866,7 +848,6 @@ class Certificate:
                 num += sample.count * den
             else:
                 values = plan.run(sample.x, max_bits)[0]
-                check_label(self.spec, sample, i)
                 loss = sample_loss(self.net, self.spec, values, sample)
                 check_bits(loss, max_bits, f"loss of sample {i}")
                 num, den = add_pair(num, den, sample.count * loss.numerator, loss.denominator)
@@ -929,32 +910,34 @@ def gradients(
     """Exact reverse-mode gradients of the total loss for every edge.
 
     Only square and hinge losses are differentiable in the prediction;
-    bit01 / vector-equality specs, auxiliary (flag 0) samples and vector
-    labels are rejected, as is a target that is not a vertex of ``net``
-    (``NetworkError`` at ``target``).  Adjoints propagate in reverse
-    topological order.  Each accumulator is an unreduced pair across the
-    samples, and the in-edges of one vertex share its bias gradient, one
-    pair per vertex.  After the last sample every accumulator is reduced
-    once by ``reduce_pair`` and checked against ``max_bits`` (weight then
-    bias, edge by edge, so a bias gradient over the budget is reported at
-    its vertex's first in-edge); the reported ``max_bits`` is the peak
-    over vertex values, adjoints and weight gradients.
+    bit01 / vector-equality specs are rejected, as is a target that is not a
+    vertex of ``net`` (``NetworkError`` at ``target``), and so are auxiliary
+    (flag 0) samples and vector labels, all checked before the first pass.
+    Adjoints propagate in reverse topological order.  Each accumulator is
+    an unreduced pair across the samples, and the in-edges of one vertex
+    share its bias gradient, one pair per vertex.  After the last sample
+    every accumulator is reduced once by ``reduce_pair`` and checked
+    against ``max_bits`` (weight then bias, edge by edge, so a bias
+    gradient over the budget is reported at its vertex's first in-edge);
+    the reported ``max_bits`` is the peak over vertex values, adjoints and
+    weight gradients.
     """
     if spec.kind not in ("square", "hinge"):
         raise NonDifferentiableLoss(f"loss {spec.kind!r} has no gradient")
     plan = Plan(net, theta)
     _check_target(net, spec)
-    wgrad = dict.fromkeys(net.edge_map, (0, 1))
-    bsum = dict.fromkeys(plan.order, (0, 1))  # by head: its in-edges share it
-    kinks = 0
-    peak = 1
-    ops = 0
     for i, sample in enumerate(dataset):
         if sample.flag == 0:
             raise NonDifferentiableLoss(
                 "auxiliary (flag 0) samples use the equality loss and have no gradient"
             )
         check_label(spec, sample, i)
+    wgrad = dict.fromkeys(net.edge_map, (0, 1))
+    bsum = dict.fromkeys(plan.order, (0, 1))  # by head: its in-edges share it
+    kinks = 0
+    peak = 1
+    ops = 0
+    for sample in dataset:
         values, pre, bits = plan.run(sample.x, max_bits)
         ops += plan.ops
         peak = max(peak, max(bits.values(), default=1))

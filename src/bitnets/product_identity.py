@@ -54,11 +54,22 @@ class RationalPoly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    def evaluate(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+    @cached_property
+    def _leading_first(self) -> tuple[int | Fraction, ...]:
+        """The coefficients, leading first, each an ``int`` when integral."""
+        return tuple(c.numerator if c.denominator == 1 else c for c in reversed(self.coefficients))
+
+    def evaluate(self, x: int | Fraction) -> int | Fraction:
+        """The value at ``x`` by Horner's rule, 0 for the zero polynomial: it
+        starts at the leading coefficient, adds no zero term and returns an
+        ``int`` while the value is integral."""
+        terms = iter(self._leading_first)
+        acc = next(terms, 0)
+        for c in terms:
+            acc *= x
+            if c:
+                acc += c
+        return acc.numerator if type(acc) is not int and acc.denominator == 1 else acc
 
     def derivative(self) -> "RationalPoly":
         return RationalPoly(

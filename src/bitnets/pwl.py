@@ -32,6 +32,7 @@ from .network import (
     Theta,
     gradients,
     loss_total,
+    not_rational,
 )
 from .rationals import (
     DEFAULT_MAX_BITS,
@@ -186,9 +187,10 @@ def gd_step(
     identity, bit-bounded): its backward pass is polynomial-time in the
     bit model.  The report flags an activation that is not ``is_continuous``,
     since the derivative convention at its breakpoints is ours, not intrinsic.
-    Each parameter's ``q - eta * g`` is one unreduced pair, reduced once; the
-    in-edges of a vertex share one bias gradient, so ``eta`` times it is
-    formed once per vertex.  A zero gradient keeps its parameter.
+    ``eta`` must be an ``int`` or a ``Fraction``, else ``NetworkError`` at
+    ``eta``.  Each parameter's ``q - eta * g`` is one unreduced pair, reduced
+    once; the in-edges of a vertex share one bias gradient, so ``eta`` times
+    it is formed once per vertex.  A zero gradient keeps its parameter.
     """
     inner = [v for v in net.vertices if v.activation is not None]
     for v in inner:
@@ -199,7 +201,8 @@ def gd_step(
             )
     discontinuous = not all(v.activation.is_continuous for v in inner)
 
-    eta = Fraction(eta)
+    if type(eta) not in (int, Fraction):
+        raise not_rational(eta, "eta")
     en, ed = eta.numerator, eta.denominator
     report = gradients(net, theta, dataset, spec, max_bits)
 
@@ -268,7 +271,8 @@ def verify_witness(
 ) -> WitnessVerdict:
     """Check a candidate parameter vector against an instance.
 
-    A theta that is not one (weight, bias) pair of ``int`` or ``Fraction``
+    A ``gamma`` that is not an ``int`` or a ``Fraction`` is refused first, by
+    a ``NetworkError`` at ``gamma``.  A theta that is not one (weight, bias) pair of ``int`` or ``Fraction``
     values per edge of the network raises the located ``NetworkError`` of
     ``Theta.check_against`` before its encoding is measured.  The witness
     encoding length is the byte length of the canonical serialized theta,
@@ -286,6 +290,8 @@ def verify_witness(
     """
     from .instances import instance_size, theta_size
 
+    if type(gamma) not in (int, Fraction):
+        raise not_rational(gamma, "gamma")
     try:
         c1, c2 = enc_bound
     except (TypeError, ValueError):
@@ -298,6 +304,6 @@ def verify_witness(
     if enc_len > cap:
         return WitnessVerdict(REJECT_ENCODING, enc_len, cap)
     loss = loss_total(inst.network, theta, inst.dataset, inst.loss, max_bits)
-    if loss > Fraction(gamma):
+    if loss > gamma:
         return WitnessVerdict(REJECT_LOSS, enc_len, cap, loss)
     return WitnessVerdict(ACCEPT, enc_len, cap, loss)

@@ -214,7 +214,7 @@ class _CircuitBuilder:
         mu = self.sigma.degree
         lam_prime = self.lam.integer_lambdas
         inv_d = Fraction(1, self.lam.common_denominator)
-        sigma_act = PolyActivation(self.sigma)  # one object, so a plan lowers sigma once
+        sigma_act = PolyActivation(self.sigma)  # one object, so sigma' is derived once
         gate_vertex = [self.vertex("v0", ROLE_SOURCE, None)]
         for i, g in enumerate(p.gates, start=1):
             vid = f"v{i}"
@@ -271,11 +271,11 @@ def _aux_samples(
     vertices and their heads, and only those are recomputed.
 
     Labels, preactivations and inputs are computed in the engine form of
-    :mod:`bitnets.network`, an ``int`` while integral (``int_first``).
+    :mod:`bitnets.network`, an ``int`` while integral (``int_first``, and
+    ``sigma.evaluate`` for sigma).
     Each nonzero coordinate leaves as the ``Fraction`` this call keeps for
     its value, so equal values in the samples are one object."""
-    sigma_of = PolyActivation(sigma).lower()[0]
-    sigma_at = [sigma_of(tau) for tau in range(sigma.degree + 1)]
+    sigma_at = [sigma.evaluate(tau) for tau in range(sigma.degree + 1)]
     is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
     base_y = {vid: sigma_at[0] if s else 0 for vid, s in is_sigma.items()}
     base_nonzero = {vid: q for vid, q in base_y.items() if q}
@@ -318,7 +318,7 @@ def _aux_samples(
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
             # identity-head edge: pin the edge weight (and bias sums)
-            bump = sigma_of(alpha1) if is_sigma[e.tail] else 1
+            bump = sigma.evaluate(alpha1) if is_sigma[e.tail] else 1
             y = {
                 e.tail: bump,
                 e.head: int_first(plan.pairs[e.id][0] * (bump - base_y[e.tail])),

@@ -9,8 +9,10 @@ order that adds every edge's ``w * f_u + b`` one at a time, the
 reverse-mode loop over the same dicts, one full pass per sample in
 dataset order, and a per-sample loss read straight off the values.  It
 uses the library's data types, errors and activations, and none of its
-evaluation code (``test_engine_reference.py::test_the_reference_stays_plain``
-keeps that rule).  Its errors carry the library's fields: a
+evaluation code: it sums a polynomial and its derivative term by term and
+calls no ``evaluate`` (``test_engine_reference.py::test_the_reference_stays_plain``
+keeps that rule).  Like the library, it checks every label of a dataset
+before its first pass.  Its errors carry the library's fields: a
 ``BitBudgetError``'s bits, cap and ``where``, and a ``NetworkError``'s text
 and ``where``.
 
@@ -95,11 +97,25 @@ def outcome(fn, *args):
 # evaluators
 
 
+def _poly(coeffs, z):
+    """The polynomial with ``coeffs``, constant first, at ``z``, summed term
+    by term, ``c * z**k``, zero terms skipped."""
+    return sum((c * Fraction(z)**k for k, c in enumerate(coeffs) if c), Fraction(0))
+
+
 def _eval(act, z):
-    """``act(z)``; a polynomial is summed term by term, ``c * z**k``."""
+    """``act(z)``; a polynomial is summed term by term."""
     if isinstance(act, PolyActivation):
-        return sum((c * z**k for k, c in enumerate(act.poly.coefficients) if c), Fraction(0))
+        return _poly(act.poly.coefficients, z)
     return act.eval(z)
+
+
+def _slope(act, z):
+    """``act``'s derivative at ``z``; a polynomial's is summed term by term,
+    ``k * c * z**(k - 1)``."""
+    if isinstance(act, PolyActivation):
+        return _poly([k * c for k, c in enumerate(act.poly.coefficients)][1:], z)
+    return act.derivative(z)
 
 
 def _forward(check, net, theta, x):
@@ -125,16 +141,25 @@ def _forward(check, net, theta, x):
     return EvalTrace(values, pre, node_bits, max(node_bits.values(), default=1), ops)
 
 
-def _sample_loss(net, spec, values, sample, i):
-    """The one-copy loss of dataset position ``i``, or its label's fault."""
-    label, where = sample.label, f"dataset[{i}].y"
-    vector = isinstance(label, Mapping)
+def _check_labels(dataset, spec):
+    """The first label that does not fit how ``spec`` scores its sample, in
+    dataset order, raised before any pass: a vector when the sample is
+    equality-checked, a scalar under square or hinge loss."""
+    for i, sample in enumerate(dataset):
+        vector = isinstance(sample.label, Mapping)
+        if sample.flag == 0 or spec.kind == "vector-equality":
+            if not vector:
+                raise NetworkError("equality-checked sample needs a vector label",
+                                   f"dataset[{i}].y")
+        elif vector and spec.kind in ("square", "hinge"):
+            raise NetworkError(f"{spec.kind} loss needs a scalar label", f"dataset[{i}].y")
+
+
+def _sample_loss(net, spec, values, sample):
+    """The one-copy loss of a sample whose label fits ``spec``."""
+    label = sample.label
     if sample.flag == 0 or spec.kind == "vector-equality":
-        if not vector:
-            raise NetworkError("equality-checked sample needs a vector label", where)
         return Fraction(any(values[vid] != label.get(vid, 0) for vid in net.vertex_map))
-    if vector and spec.kind in ("square", "hinge"):
-        raise NetworkError(f"{spec.kind} loss needs a scalar label", where)
     pred = values[spec.target]
     if spec.kind == "square":
         return (pred - label) ** 2 / 2
@@ -146,10 +171,12 @@ def _sample_loss(net, spec, values, sample, i):
 
 
 def _loss(check, net, theta, dataset, spec):
-    """The total in dataset order; a failed auxiliary sample adds its count."""
+    """The total in dataset order, the labels checked first; a failed
+    auxiliary sample adds its count."""
+    _check_labels(dataset, spec)
     total = Fraction(0)
     for i, s in enumerate(dataset):
-        loss = _sample_loss(net, spec, _forward(check, net, theta, s.x).values, s, i)
+        loss = _sample_loss(net, spec, _forward(check, net, theta, s.x).values, s)
         if s.flag:
             check(loss, f"loss of sample {i}")
         elif not loss:
@@ -160,23 +187,25 @@ def _loss(check, net, theta, dataset, spec):
 
 
 def _check(check, inst, theta):
-    """The first auxiliary sample off its label vector, by one pass each."""
-    for i, s in enumerate(inst.dataset):
+    """The first auxiliary sample off its label vector, by one pass each, the
+    labels checked first."""
+    _check_labels(inst.dataset, inst.loss)
+    for s in inst.dataset:
         if s.flag == 0:
             values = _forward(check, inst.network, theta, s.x).values
-            if _sample_loss(inst.network, inst.loss, values, s, i):
+            if _sample_loss(inst.network, inst.loss, values, s):
                 return False, s
     return True, None
 
 
 def _gradients(check, net, theta, dataset, spec):
-    """Per sample a pass, then its adjoints; the sums are checked at the end."""
+    """The labels checked first, then per sample a pass and its adjoints; the
+    sums are checked at the end."""
+    _check_labels(dataset, spec)
     wgrad = {e.id: Fraction(0) for e in net.edges}
     bgrad = {e.id: Fraction(0) for e in net.edges}
     kinks = peak = ops = 0
-    for i, sample in enumerate(dataset):
-        if isinstance(sample.label, Mapping):
-            raise NetworkError(f"{spec.kind} loss needs a scalar label", f"dataset[{i}].y")
+    for sample in dataset:
         trace = _forward(check, net, theta, sample.x)
         ops, peak = ops + trace.ops, max(peak, trace.max_bits)
         pred, y = trace.values[spec.target], Fraction(sample.label)
@@ -192,7 +221,7 @@ def _gradients(check, net, theta, dataset, spec):
             vertex = net.vertex_map[vid]
             if adjoint[vid] == 0 or vertex.activation is None:
                 continue
-            delta = adjoint[vid] * vertex.activation.derivative(trace.preactivations[vid])
+            delta = adjoint[vid] * _slope(vertex.activation, trace.preactivations[vid])
             ops += 2
             peak = max(peak, check(delta, f"adjoint {vid}"))
             for e in net.in_edges[vid]:
@@ -221,6 +250,14 @@ def ref_gradients(net, theta, dataset, spec):
     """``gradients``: a full pass per sample, then its adjoints in reverse
     topological order; the accumulators are checked after the last sample."""
     return Record(_gradients, net, theta, dataset, spec)
+
+
+def ref_gd_step(net, theta, dataset, spec, eta):
+    """``gd_step``: theta - eta * the reference gradients, in stdlib
+    ``Fraction`` arithmetic, as the params dict, and the gradients' ops."""
+    report = ref_gradients(net, theta, dataset, spec).value
+    return {eid: (w - eta * report.weight_grad[eid], b - eta * report.bias_grad[eid])
+            for eid, (w, b) in theta.params.items()}, report.ops
 
 
 def ref_check(inst, theta):
@@ -252,7 +289,7 @@ def ref_aux_samples(inst):
     sigma = RationalPoly.from_text(inst.provenance["sigma"])
     alpha1 = inst.provenance["alpha1"]
     is_sigma = {v.id: isinstance(v.activation, PolyActivation) for v in net.vertices}
-    base_y = {v: sigma.evaluate(Fraction(0)) if s else Fraction(0) for v, s in is_sigma.items()}
+    base_y = {v: _poly(sigma.coefficients, 0) if s else Fraction(0) for v, s in is_sigma.items()}
 
     def make(y, pre, note):
         x = {}
@@ -267,11 +304,11 @@ def ref_aux_samples(inst):
     for e in net.edges:
         if is_sigma[e.head]:
             for tau in range(sigma.degree + 1):
-                y = {**base_y, e.tail: Fraction(tau), e.head: sigma.evaluate(Fraction(tau))}
+                y = {**base_y, e.tail: Fraction(tau), e.head: _poly(sigma.coefficients, tau)}
                 pre = {e.tail: Fraction(tau), e.head: Fraction(tau)}
                 samples.append(make(y, pre, f"sigma-edge {e.id} tau={tau}"))
         else:
-            bump = sigma.evaluate(Fraction(alpha1)) if is_sigma[e.tail] else Fraction(1)
+            bump = _poly(sigma.coefficients, alpha1) if is_sigma[e.tail] else Fraction(1)
             y = {**base_y, e.tail: bump, e.head: theta.weight(e.id) * (bump - base_y[e.tail])}
             pre = {v: y[v] for v in net.vertex_map if not is_sigma[v]}
             pre[e.tail] = Fraction(alpha1) if is_sigma[e.tail] else bump

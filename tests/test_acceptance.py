@@ -14,7 +14,6 @@ from bitnets.bench import depth_growth_experiment
 from bitnets.instances import instance_size, serialize_theta
 from bitnets.network import (
     Edge,
-    IdentityActivation,
     LossSpec,
     Network,
     Sample,
@@ -26,7 +25,6 @@ from bitnets.network import (
 )
 from bitnets.pac import RoundedMultiplierClass, make_pair, simulate_lower_bound
 from bitnets.product_identity import (
-    RationalPoly,
     monomial,
     shifted_combination,
     solve_lambda,
@@ -36,9 +34,7 @@ from bitnets.pwl import (
     ACCEPT,
     REJECT_ENCODING,
     REJECT_LOSS,
-    PwlActivation,
     gd_step,
-    leaky_relu,
     relu,
     verify_witness,
 )
@@ -52,6 +48,7 @@ from bitnets.reductions import (
     decide_at_theta_star,
 )
 from bitnets.slp import Gate, Slp, bit_of_slp, eval_slp, parse_slp
+from cases import random_poly, random_pwl_network, region_safe_finite_difference
 
 SQUARE = monomial(2)
 
@@ -63,14 +60,6 @@ def random_slp(rng: random.Random, n_gates: int) -> Slp:
             Gate(rng.choice(("add", "sub", "mul")), rng.randrange(i), rng.randrange(i))
         )
     return Slp(Fraction(1), tuple(gates))
-
-
-def random_poly(rng: random.Random, degree: int) -> RationalPoly:
-    coeffs = [Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(degree)]
-    lead = Fraction(0)
-    while lead == 0:
-        lead = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-    return RationalPoly(tuple(coeffs) + (lead,))
 
 
 class Budget:
@@ -244,66 +233,6 @@ def test_criterion_08_hinge_variant():
             assert per_sample >= 2
 
 
-def _random_pwl_net(rng: random.Random):
-    """Instances inside the envelope suite: |E| <= 64, scalars <= 64 bits."""
-    width = rng.randint(2, 4)
-    depth = rng.randint(1, 3)
-    acts = [relu(), leaky_relu(Fraction(1, 10)), IdentityActivation()]
-    vertices = [Vertex(f"s{i}", "source") for i in range(width)]
-    prev = [f"s{i}" for i in range(width)]
-    edges = []
-    for layer in range(1, depth + 1):
-        cur = []
-        for i in range(width):
-            vid = f"h{layer}_{i}"
-            vertices.append(Vertex(vid, "hidden", rng.choice(acts)))
-            cur.append(vid)
-            for tail in prev:
-                edges.append(Edge(f"{tail}->{vid}", tail, vid))
-        prev = cur
-    vertices.append(Vertex("t", "target", IdentityActivation()))
-    edges.extend(Edge(f"{tail}->t", tail, "t") for tail in prev)
-    net = Network(vertices, edges)
-
-    def scalar():
-        return Fraction(rng.randint(-(2**63), 2**63), rng.choice((1, 3, 7, 11, 2**20)))
-
-    theta = Theta({e.id: (scalar(), scalar()) for e in edges})
-    data = [
-        Sample({f"s{i}": scalar() for i in range(width)}, scalar())
-        for _ in range(rng.randint(1, 4))
-    ]
-    return net, theta, data
-
-
-def _region_safe_fd(net, theta, data, spec, edge_id, coord):
-    base = [forward(net, theta, s.x) for s in data]
-
-    def inside(candidate):
-        for s, ref in zip(data, base):
-            alt = forward(net, candidate, s.x)
-            for v in net.vertices:
-                act = v.activation
-                if not isinstance(act, PwlActivation):
-                    continue
-                z0, z1 = ref.preactivations[v.id], alt.preactivations[v.id]
-                if act.piece_index(z0) != act.piece_index(z1):
-                    return False
-                if z0 in act.breakpoints or z1 in act.breakpoints:
-                    return False
-        return True
-
-    h = Fraction(1)
-    for _ in range(200):
-        current = theta.params[edge_id][coord == "bias"]
-        up = theta.with_param(edge_id, **{coord: current + h})
-        down = theta.with_param(edge_id, **{coord: current - h})
-        if inside(up) and inside(down):
-            return (loss_total(net, up, data, spec) - loss_total(net, down, data, spec)) / (2 * h)
-        h /= 2
-    return None
-
-
 def test_criterion_09_pwl_engine():
     """100 random ReLU/leaky networks: gradients equal region-exact
     central differences; bit-lengths within c*N^2 and operation count
@@ -313,13 +242,15 @@ def test_criterion_09_pwl_engine():
     spec = LossSpec("square", target="t")
     fd_checked = 0
     for _ in range(100):
-        net, theta, data = _random_pwl_net(rng)
+        # inside the envelope suite: |E| <= 64, scalars <= 64 bits
+        net, theta, data = random_pwl_network(
+            rng, widths=(2, 4), samples=(1, 4), bound=2**63, denominators=(1, 3, 7, 11, 2**20))
         assert len(net.edges) <= 64
 
         report = gradients(net, theta, data, spec)
         eid = rng.choice(net.edges).id
         for coord in ("weight", "bias"):
-            fd = _region_safe_fd(net, theta, data, spec, eid, coord)
+            fd = region_safe_finite_difference(net, theta, data, spec, eid, coord, tries=200)
             if fd is None:
                 continue
             table = report.weight_grad if coord == "weight" else report.bias_grad

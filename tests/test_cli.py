@@ -129,6 +129,31 @@ class TestCompileAndNet:
         assert inst.loss.kind == "hinge"
         assert inst.gap == (0, 2)
 
+    @pytest.mark.parametrize("variant, flags, message", [
+        ("sign", ["--j", "3"], "--j does not apply to the sign variant"),
+        ("bit", ["--j", "3", "--copies", "5"], "--copies does not apply to the bit variant"),
+    ])
+    def test_backprop_flag_of_the_other_variant_is_usage_error(
+            self, slp_file, tmp_path, capsys, variant, flags, message):
+        out_path = tmp_path / "bp.json"
+        assert main([
+            "compile", "backprop", slp_file, "--sigma", "0,0,1",
+            "--variant", variant, *flags, "-o", str(out_path),
+        ]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("flags, copies", [([], 1), (["--copies", "5"], 5)])
+    def test_backprop_sign_copies(self, slp_file, tmp_path, flags, copies):
+        out_path = tmp_path / "bp.json"
+        assert main([
+            "compile", "backprop", slp_file, "--sigma", "0,0,1",
+            "--variant", "sign", *flags, "-o", str(out_path),
+        ]) == 0
+        inst = parse_instance(out_path.read_bytes())
+        assert (inst.promise, inst.provenance["copies"]) == (copies, copies)
+
     def test_missing_j_is_usage_error(self, slp_file, tmp_path):
         assert main([
             "compile", "erm", slp_file, "--sigma", "0,0,1",
@@ -328,8 +353,9 @@ def relu_instance():
 
 class TestThetaFileFaults:
     """A theta file that does not fit the instance's edges is reported at
-    ``theta`` (an edge missing or unknown) or ``theta.<edge id>`` (an entry
-    that is not a (w, b) pair), with exit 2 and nothing on stdout."""
+    ``theta`` (not a JSON object, or an edge missing or unknown) or
+    ``theta.<edge id>`` (an entry that is not a (w, b) pair), with exit 2 and
+    nothing on stdout."""
 
     @pytest.fixture(params=["verify", "step"])
     def command(self, request, slp_file, tmp_path):
@@ -347,11 +373,14 @@ class TestThetaFileFaults:
             argv = ["pwl", "step", str(inst_path), "--eta", "1/2"]
         return argv, json.loads(serialize_theta(parse_instance(inst_path.read_bytes()).theta_star))
 
-    @pytest.mark.parametrize("fault", ["missing", "extra", "not a pair"])
+    @pytest.mark.parametrize("fault", ["missing", "extra", "not a pair", "not an object"])
     def test_fault_is_located(self, command, fault, tmp_path, capsys):
         argv, doc = command
         first = min(doc)
-        if fault == "missing":
+        if fault == "not an object":
+            doc = []
+            expected = "error: theta: expected an object keyed by edge id\n"
+        elif fault == "missing":
             del doc[first]
             expected = f"error: theta: missing parameters for edges [{first!r}]\n"
         elif fault == "extra":

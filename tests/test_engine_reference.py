@@ -37,7 +37,7 @@ from bitnets.network import (
 )
 from bitnets.product_identity import RationalPoly, monomial
 from bitnets.pwl import BitBoundedActivation, gd_step, leaky_relu, relu
-from plain_reference import bits, outcome, ref_forward, ref_gradients, ref_loss
+from plain_reference import bits, outcome, ref_forward, ref_gd_step, ref_gradients, ref_loss
 
 PLAIN = {"EvalTrace", "GradientReport", "NetworkError", "PolyActivation", "Sample", "RationalPoly",
          "BitBudgetError"}
@@ -45,14 +45,18 @@ PLAIN = {"EvalTrace", "GradientReport", "NetworkError", "PolyActivation", "Sampl
 
 def test_the_reference_stays_plain():
     """The reference imports from the library only the data types, errors and
-    activations named in ``PLAIN``: no module, and none of its evaluation code."""
-    imported = set()
+    activations named in ``PLAIN``: no module, and none of its evaluation code.
+    It calls no ``evaluate``: it sums a polynomial itself, term by term."""
+    imported, evaluates = set(), []
     for node in ast.walk(ast.parse(Path(plain_reference.__file__).read_text())):
         if isinstance(node, ast.Import):
             imported |= {a.name for a in node.names if a.name.split(".")[0] == "bitnets"}
         elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bitnets":
             imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Attribute) and node.attr == "evaluate":
+            evaluates.append(node.lineno)
     assert imported and sorted(imported - PLAIN) == []
+    assert evaluates == [], f"the reference calls evaluate on lines {evaluates}"
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +349,6 @@ def test_pwl_shaped_loss_totals_match_reference_at_theta_two(seed):
     assert "loss total after sample" in assert_loss_matches_at_totals(net, theta, dataset, spec)
 
 
-def ref_gd_step(net, theta, dataset, spec, eta):
-    """theta - eta * the reference gradients, in stdlib ``Fraction`` arithmetic."""
-    report = ref_gradients(net, theta, dataset, spec).value
-    return Theta({eid: (w - eta * report.weight_grad[eid], b - eta * report.bias_grad[eid])
-                  for eid, (w, b) in theta.params.items()}), report.ops
-
-
 @pytest.mark.parametrize("seed", range(2))
 def test_dyadic_nets_match_reference_along_two_steps(seed):
     """Power-of-two denominators and eta = 2**-6 make every sum's pair
@@ -370,7 +367,7 @@ def test_dyadic_nets_match_reference_along_two_steps(seed):
             break
         want, ref_ops = ref_gd_step(net, theta, dataset, spec, eta)
         report = gd_step(net, theta, dataset, spec, eta)
-        assert report.theta == want and report.ops == ref_ops + 4 * len(net.edges)
+        assert dict(report.theta.params) == want and report.ops == ref_ops + 4 * len(net.edges)
         assert all(type(q) is Fraction for pair in report.theta.params.values() for q in pair)
         assert outcome(gd_step, net, theta, dataset, spec, eta, peak - 1) == grads.at(peak - 1)
         theta = report.theta
@@ -443,3 +440,55 @@ def test_gradient_accumulators_are_checked_once_after_cancelling_across_samples(
     report = gradients(net, theta, dataset, spec, 4)
     assert report.weight_grad == {"s->h": 0} and report.bias_grad == {"s->h": 0}
     assert_engine_matches(net, theta, dataset, spec, caps=(1, 2, 3, 4, 13, 14))
+
+
+# ---------------------------------------------------------------------------
+# a vector-equality loss
+
+
+def vector_equality_instance():
+    """s -> h (square) -> t on one vertex chain, scored by vector equality: of
+    two main and two auxiliary samples, one of each reproduces its label
+    vector at theta* and one does not."""
+    from bitnets.reductions import ErmInstance
+
+    net = Network([Vertex("s", "source"), Vertex("h", "hidden", PolyActivation(monomial(2))),
+                   Vertex("t", "target", IdentityActivation())],
+                  [Edge("e1", "s", "h"), Edge("e2", "h", "t")])
+    theta = Theta({"e1": (Fraction(1), Fraction(0)), "e2": (Fraction(1), Fraction(0))})
+
+    def sample(s, h, t, flag, count):
+        return Sample({"s": Fraction(s)}, {"s": Fraction(s), "h": Fraction(h), "t": Fraction(t)},
+                      flag=flag, count=count)
+
+    dataset = (sample(2, 4, 4, 0, 3), sample(5, 25, 25, 1, 2), sample(7, 49, 50, 0, 3),
+               sample(3, 9, 10, 1, 2))
+    return ErmInstance(net, theta, dataset, LossSpec("vector-equality"), (0, 1), {})
+
+
+def test_vector_equality_loss_matches_reference():
+    """``loss_total``, the witness loss and the decision at theta* agree with
+    the reference at each check's bits and one below, at theta* and at a
+    shift; ``gradients`` refuses the loss."""
+    from bitnets.network import NonDifferentiableLoss
+    from bitnets.pwl import verify_witness
+    from bitnets.reductions import decide_at_theta_star
+    from plain_reference import ref_decide
+
+    inst = vector_equality_instance()
+    net, dataset, spec = inst.network, inst.dataset, inst.loss
+    shift = inst.theta_star.with_param("e1", weight=Fraction(3, 2), bias=Fraction(1, 3))
+    totals = set()
+    for theta in (inst.theta_star, shift):
+        loss = ref_loss(net, theta, dataset, spec)
+        totals.add(loss.value)
+        for cap in around(*(b for b, _ in loss.checks)):
+            assert outcome(loss_total, net, theta, dataset, spec, cap) == loss.at(cap)
+            witness = outcome(lambda: verify_witness(inst, theta, Fraction(0), (4, 2), cap).loss)
+            assert witness == loss.at(cap)
+    assert totals == {5, 10}  # at theta* one main (2 copies) and one auxiliary (3) sample fail
+    decide = ref_decide(inst)
+    for cap in around(*(b for b, _ in decide.checks)):
+        assert outcome(decide_at_theta_star, inst, cap) == decide.at(cap)
+    with pytest.raises(NonDifferentiableLoss, match="'vector-equality' has no gradient"):
+        gradients(net, inst.theta_star, [s for s in dataset if s.flag], spec)

@@ -347,6 +347,39 @@ class TestMoreSchemaErrors:
             parse_instance(canonical_bytes(doc))
         assert "clip" in str(err.value)
 
+    PWL_OK = {"breakpoints": ["0"], "pieces": [["0", "0"], ["1", "0"]]}
+
+    @pytest.mark.parametrize("activation, where, message", [
+        ({"kind": "poly", "coeffs": ["1", 2]}, "coeffs[1]", "rationals are encoded as strings"),
+        ({"kind": "pwl", **PWL_OK, "breakpoints": ["x"]}, "breakpoints[0]",
+         "not a rational literal: 'x'"),
+        ({"kind": "pwl", **PWL_OK, "pieces": [["1"]]}, "pieces[0]", "expected [slope, intercept]"),
+        ({"kind": "pwl", **PWL_OK, "pieces": [["0", "0"], "1"]}, "pieces[1]",
+         "expected [slope, intercept]"),
+        ({"kind": "pwl", **PWL_OK, "pieces": [["0", "0"], ["1", "01"]]}, "pieces[1][1]",
+         "rational literal not canonical: '01'"),
+        ({"kind": "pwl", "breakpoints": ["x"], "pieces": [["1"]]}, "pieces[0]",
+         "expected [slope, intercept]"),  # the pieces are read before the breakpoints
+        ({"kind": "pwl", "breakpoints": ["0"], "pieces": "none"}, "pieces",
+         "expected list, got str"),
+        ({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 2, "clip": ["1"]},
+         "clip", "expected [lo, hi]"),
+        ({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 2, "clip": "1"},
+         "clip", "expected [lo, hi]"),
+        ({"kind": "bitbounded", "base": {"kind": "identity"}, "bits": 2, "clip": ["0", "2/4"]},
+         "clip[1]", "rational literal not reduced: '2/4'"),
+        ({"kind": "bitbounded", "base": {"kind": "sigmoid"}, "bits": 2, "clip": ["1"]},
+         "clip", "expected [lo, hi]"),  # the clip is read before the base
+    ])
+    def test_rational_list_faults_are_located(self, activation, where, message):
+        """Every list of rational literals in an activation (coefficients,
+        breakpoints, each piece, the clip) names the list or the literal."""
+        doc = instance_to_doc(erm_instance())
+        doc["vertices"][1]["activation"] = activation
+        with pytest.raises(SchemaError) as err:
+            parse_instance(canonical_bytes(doc))
+        assert str(err.value) == f"$.vertices[1].activation.{where}: {message}"
+
     def test_unknown_activation_kind(self):
         doc = instance_to_doc(erm_instance())
         doc["vertices"][1]["activation"] = {"kind": "sigmoid"}

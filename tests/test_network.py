@@ -20,13 +20,12 @@ from bitnets.network import (
     Sample,
     Theta,
     Vertex,
-    _horner,
     forward,
     gradients,
     loss_total,
 )
 from bitnets.product_identity import RationalPoly, monomial
-from bitnets.rationals import BitBudgetError
+from bitnets.rationals import DEFAULT_MAX_BITS, BitBudgetError
 
 SQUARE = PolyActivation(monomial(2))
 IDENTITY = IdentityActivation()
@@ -52,15 +51,14 @@ polys = st.builds(
 
 
 class TestHorner:
-    """``_horner`` takes the coefficients leading first, as ``lower()`` stores
-    them, starts at the leading one and skips the zero ones."""
+    """``RationalPoly.evaluate`` is the one Horner rule, which ``lower()``
+    hands to the engine: it starts at the leading coefficient, skips the zero
+    ones and returns an ``int`` while the value is integral."""
 
     @settings(max_examples=300, deadline=None)
     @given(polys, st.one_of(rationals, rationals.map(Fraction)))
     def test_value_and_type(self, poly, z):
-        coeffs = tuple(c.numerator if c.denominator == 1 else c
-                       for c in reversed(poly.coefficients))
-        value = _horner(coeffs, z)
+        value = poly.evaluate(z)
         expected = sum((c * Fraction(z) ** k for k, c in enumerate(poly.coefficients)), Fraction(0))
         assert value == expected
         assert type(value) is (int if expected.denominator == 1 else Fraction)
@@ -69,14 +67,15 @@ class TestHorner:
     @pytest.mark.parametrize("z", [0, 3, Fraction(-5, 2), Fraction(4)])
     def test_empty_and_zero_polynomials(self, z):
         assert RationalPoly((0, Fraction(0))).coefficients == ()
-        assert _horner((), z) == 0 and type(_horner((), z)) is int
-        assert _horner((0, 0), z) == 0 and type(_horner((Fraction(0), 0), z)) is int
+        assert RationalPoly(()).evaluate(z) == 0 and type(RationalPoly(()).evaluate(z)) is int
+        zero = RationalPoly((Fraction(0), 0))
+        assert zero.evaluate(z) == 0 and type(zero.evaluate(z)) is int
 
     def test_leading_rational_and_negative(self):
-        assert _horner((Fraction(-1, 3), 0, 0), Fraction(3, 2)) == Fraction(-3, 4)
-        assert _horner((Fraction(2, 3), 0, Fraction(1, 3)), 1) == 1
-        assert type(_horner((Fraction(2, 3), 0, Fraction(1, 3)), 1)) is int
-        assert _horner((-2, 0, 1, 0), Fraction(1, 2)) == Fraction(1, 4)
+        assert RationalPoly((0, 0, Fraction(-1, 3))).evaluate(Fraction(3, 2)) == Fraction(-3, 4)
+        assert RationalPoly((Fraction(1, 3), 0, Fraction(2, 3))).evaluate(1) == 1
+        assert type(RationalPoly((Fraction(1, 3), 0, Fraction(2, 3))).evaluate(1)) is int
+        assert RationalPoly((0, 1, 0, -2)).evaluate(Fraction(1, 2)) == Fraction(1, 4)
 
 
 class TestForward:
@@ -528,6 +527,43 @@ class TestLabelFaultsAreLocated:
             calls["gd_step"] = lambda: gd_step(net, theta, data, spec, Fraction(1, 2))
         for call in calls.values():
             assert refused(call) == (message, "dataset[1].y")
+
+
+class TestLabelsBeforeAnyPass:
+    """Every label of a scored dataset is checked before the first pass, so a
+    label fault raises at ``dataset[i].y`` at every cap: ahead of a
+    bit-budget error or a verdict that an earlier sample would give.  The
+    plain reference checks in the same order."""
+
+    @pytest.mark.parametrize("cap", [4, 10, 11, DEFAULT_MAX_BITS])
+    def test_a_label_fault_comes_before_an_earlier_bit_budget_error(self, cap):
+        from plain_reference import ref_gradients, ref_loss
+
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        data = [Sample({"s": 1000}, 1), Sample({"s": 1}, {"t": 1})]  # s is 11 bits
+        spec = LossSpec("square", target="t")
+        fault = ("square loss needs a scalar label", "dataset[1].y")
+        assert refused(lambda: loss_total(net, theta, data, spec, cap)) == fault
+        assert refused(lambda: gradients(net, theta, data, spec, cap)) == fault
+        assert ref_loss(net, theta, data, spec).at(cap) == ("network", *fault)
+        assert ref_gradients(net, theta, data, spec).at(cap) == ("network", *fault)
+
+    @pytest.mark.parametrize("cap", [2, DEFAULT_MAX_BITS])
+    def test_a_namespace_copy_with_a_scalar_aux_label_gets_no_answer(self, cap):
+        from types import SimpleNamespace
+
+        from bitnets.reductions import check_zero_aux_loss
+        from plain_reference import ref_check
+
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        data = [Sample({}, {"t": 5}, flag=0), Sample({}, 0, flag=0)]  # the first fails
+        raw = SimpleNamespace(network=net, theta_star=theta, dataset=data,
+                              loss=LossSpec("square", target="t"), gap=(0, 1), provenance={})
+        fault = ("equality-checked sample needs a vector label", "dataset[1].y")
+        assert refused(lambda: check_zero_aux_loss(raw, theta, cap)) == fault
+        assert ref_check(raw, theta).at(cap) == ("network", *fault)
 
 
 def kahn_min(net: Network) -> tuple[str, ...]:

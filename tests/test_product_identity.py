@@ -17,16 +17,7 @@ from bitnets.product_identity import (
     verify_product_identity,
 )
 from bitnets.rationals import bit_length
-
-
-def random_poly(rng: random.Random, degree: int) -> RationalPoly:
-    coeffs = [
-        Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(degree)
-    ]
-    lead = Fraction(0)
-    while lead == 0:
-        lead = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-    return RationalPoly(tuple(coeffs) + (lead,))
+from cases import random_poly
 
 
 class TestRationalPoly:

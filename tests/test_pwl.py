@@ -17,7 +17,6 @@ from bitnets.network import (
     Vertex,
     forward,
     gradients,
-    loss_total,
 )
 from bitnets.product_identity import monomial
 from bitnets.pwl import (
@@ -33,6 +32,7 @@ from bitnets.pwl import (
 )
 from bitnets.rationals import DEFAULT_MAX_BITS, bit_length
 from bitnets.reductions import ErmInstance, check_zero_aux_loss
+from cases import random_pwl_network, region_safe_finite_difference
 
 
 class TestPwlEval:
@@ -236,72 +236,6 @@ class TestGdStep:
             )
 
 
-def region_safe_finite_difference(net, theta, data, spec, edge_id, coord):
-    """Shrink h until theta +- h*e keeps every preactivation strictly
-    inside its current piece for every sample; then the central
-    difference is exact."""
-    base_traces = [forward(net, theta, s.x) for s in data]
-
-    def strictly_inside(alt_theta) -> bool:
-        for s, base in zip(data, base_traces):
-            alt = forward(net, alt_theta, s.x)
-            for v in net.vertices:
-                act = v.activation
-                if not isinstance(act, PwlActivation):
-                    continue
-                z0, z1 = base.preactivations[v.id], alt.preactivations[v.id]
-                if act.piece_index(z0) != act.piece_index(z1):
-                    return False
-                if z0 in act.breakpoints or z1 in act.breakpoints:
-                    return False
-        return True
-
-    h = Fraction(1)
-    for _ in range(80):
-        kw = {coord: theta.params[edge_id][coord == "bias"] + h}
-        up = theta.with_param(edge_id, **kw)
-        kw = {coord: theta.params[edge_id][coord == "bias"] - h}
-        down = theta.with_param(edge_id, **kw)
-        if strictly_inside(up) and strictly_inside(down):
-            lu = loss_total(net, up, data, spec)
-            ld = loss_total(net, down, data, spec)
-            return (lu - ld) / (2 * h)
-        h /= 2
-    return None
-
-
-def random_pwl_network(rng: random.Random):
-    width = rng.randint(1, 3)
-    depth = rng.randint(1, 3)
-    acts = [relu(), leaky_relu(Fraction(1, 10)), IdentityActivation()]
-    vertices = [Vertex(f"s{i}", "source") for i in range(width)]
-    prev = [f"s{i}" for i in range(width)]
-    edges = []
-    for layer in range(1, depth + 1):
-        cur = []
-        for i in range(width):
-            vid = f"h{layer}_{i}"
-            vertices.append(Vertex(vid, "hidden", rng.choice(acts)))
-            cur.append(vid)
-            for tail in prev:
-                edges.append(Edge(f"{tail}->{vid}", tail, vid))
-        prev = cur
-    vertices.append(Vertex("t", "target", IdentityActivation()))
-    for tail in prev:
-        edges.append(Edge(f"{tail}->t", tail, "t"))
-    net = Network(vertices, edges)
-
-    def scalar():
-        return Fraction(rng.randint(-64, 64), rng.choice((1, 3, 7, 11, 13)))
-
-    theta = Theta({e.id: (scalar(), scalar()) for e in edges})
-    data = [
-        Sample({f"s{i}": scalar() for i in range(width)}, scalar())
-        for _ in range(rng.randint(1, 3))
-    ]
-    return net, theta, data
-
-
 class TestRegionExactFiniteDifferences:
     def test_random_networks(self):
         rng = random.Random(91)
@@ -372,6 +306,39 @@ def tiny_instance() -> ErmInstance:
     theta = Theta({"e": (Fraction(0), Fraction(0))})
     data = (Sample({"s": Fraction(1)}, Fraction(0)),)
     return ErmInstance(net, theta, data, LossSpec("square", target="t"), (0, 1), {})
+
+
+class TestStepAndThresholdValues:
+    """``gd_step``'s ``eta`` and ``verify_witness``'s ``gamma`` take an ``int``
+    or a ``Fraction`` (a ``bool`` neither); any other value is refused at its
+    name, never read as a number."""
+
+    BAD = [0.1, 0.5, "1/3", True, None]
+
+    @pytest.mark.parametrize("eta", BAD)
+    def test_eta(self, eta):
+        inst = tiny_instance()
+        with pytest.raises(NetworkError) as err:
+            gd_step(inst.network, inst.theta_star, inst.dataset, inst.loss, eta)
+        assert (str(err.value), err.value.where) == (
+            f"expected an int or a Fraction, got {type(eta).__name__}", "eta")
+
+    @pytest.mark.parametrize("gamma", BAD)
+    def test_gamma(self, gamma):
+        inst = tiny_instance()
+        with pytest.raises(NetworkError) as err:
+            verify_witness(inst, inst.theta_star, gamma)
+        assert (str(err.value), err.value.where) == (
+            f"expected an int or a Fraction, got {type(gamma).__name__}", "gamma")
+
+    def test_int_and_fraction_values_pass(self):
+        inst = tiny_instance()
+        theta = Theta({"e": (Fraction(1), Fraction(0))})  # loss 1/2 on the one sample
+        for eta in (1, Fraction(1, 2)):
+            report = gd_step(inst.network, theta, inst.dataset, inst.loss, eta)
+            assert report.theta.params["e"] == (1 - eta, -eta)
+        for gamma, verdict in ((0, REJECT_LOSS), (1, ACCEPT), (Fraction(1, 2), ACCEPT)):
+            assert verify_witness(inst, theta, gamma).verdict == verdict
 
 
 class TestWitnessVerifier:
