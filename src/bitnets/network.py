@@ -356,9 +356,11 @@ class Theta:
         bias: int | Fraction | None = None,
     ) -> "Theta":
         """A copy with edge ``edge_id``'s weight or bias replaced.  The new
-        pair is checked by the rule of ``check_against``: a value that is not
-        an ``int`` or a ``Fraction`` is refused at ``theta.<edge id>.w`` or
-        ``.b``."""
+        pair is checked by the rule of ``check_against``: an edge that theta
+        does not hold is refused at ``theta``, a value that is not an ``int``
+        or a ``Fraction`` at ``theta.<edge id>.w`` or ``.b``."""
+        if edge_id not in self.params:
+            raise NetworkError(f"parameters for unknown edges {[edge_id]}", "theta")
         w, b = self.params[edge_id]
         pair = (w if weight is None else weight, b if bias is None else bias)
         _check_pair(edge_id, pair)

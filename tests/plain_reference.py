@@ -199,9 +199,13 @@ def _check(check, inst, theta):
 
 
 def _gradients(check, net, theta, dataset, spec):
-    """The labels checked first, then per sample a pass and its adjoints; the
-    sums are checked at the end."""
-    _check_labels(dataset, spec)
+    """The samples checked first, in dataset order: an auxiliary one is
+    refused, as is a label before it that does not fit ``spec``.  Then per
+    sample a pass and its adjoints; the sums are checked at the end."""
+    aux = next((i for i, s in enumerate(dataset) if s.flag == 0), len(dataset))
+    _check_labels(dataset[:aux], spec)
+    if aux < len(dataset):
+        raise NetworkError("auxiliary (flag 0) samples use the equality loss and have no gradient")
     wgrad = {e.id: Fraction(0) for e in net.edges}
     bgrad = {e.id: Fraction(0) for e in net.edges}
     kinks = peak = ops = 0

@@ -487,6 +487,12 @@ class TestSampleValueRule:
         for where, call in calls.items():
             assert refused(call) == (message, where)
 
+    def test_an_unknown_edge_is_refused_at_theta(self):
+        theta = Theta({"e": (Fraction(1), Fraction(0))})
+        message = "parameters for unknown edges ['ghost']"
+        assert refused(lambda: theta.with_param("ghost", weight=1)) == (message, "theta")
+        assert refused(lambda: theta.with_param("ghost")) == (message, "theta")
+
     def test_rational_values_pass(self):
         net, e = single_edge(IDENTITY)
         theta = Theta({e: (Fraction(1), Fraction(0))}).with_param(e, weight=3, bias=Fraction(1, 2))
@@ -548,6 +554,30 @@ class TestLabelsBeforeAnyPass:
         assert refused(lambda: gradients(net, theta, data, spec, cap)) == fault
         assert ref_loss(net, theta, data, spec).at(cap) == ("network", *fault)
         assert ref_gradients(net, theta, data, spec).at(cap) == ("network", *fault)
+
+    @pytest.mark.parametrize("cap", [1, 4, DEFAULT_MAX_BITS])
+    def test_an_auxiliary_sample_is_refused_as_the_reference_refuses_it(self, cap):
+        """``gradients`` refuses an auxiliary sample by ``NonDifferentiableLoss``
+        before any pass, after a label fault ahead of it and whatever its own
+        label; the plain reference records the same refusal."""
+        from plain_reference import outcome, ref_gradients
+
+        net, e = single_edge(IDENTITY)
+        theta = Theta({e: (Fraction(1), Fraction(0))})
+        spec = LossSpec("square", target="t")
+        aux = ("auxiliary (flag 0) samples use the equality loss and have no gradient", "")
+        cases = [
+            (aux, [Sample({"s": 1}, {"t": 1}, flag=0)]),
+            (aux, [Sample({"s": 1000}, 1), Sample({"s": 1}, 1, flag=0)]),  # s is 11 bits
+            (("square loss needs a scalar label", "dataset[0].y"),
+             [Sample({"s": 1}, {"t": 1}), Sample({"s": 1}, {"t": 1}, flag=0)]),
+        ]
+        for fault, data in cases:
+            with pytest.raises(NetworkError) as err:
+                gradients(net, theta, data, spec, cap)
+            assert err.type is (NonDifferentiableLoss if fault == aux else NetworkError)
+            assert outcome(gradients, net, theta, data, spec, cap) == ("network", *fault)
+            assert ref_gradients(net, theta, data, spec).at(cap) == ("network", *fault)
 
     @pytest.mark.parametrize("cap", [2, DEFAULT_MAX_BITS])
     def test_a_namespace_copy_with_a_scalar_aux_label_gets_no_answer(self, cap):
