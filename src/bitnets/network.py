@@ -172,6 +172,8 @@ class Activation:
     """Base of every activation: a ``kind``, and ``eval``/``derivative``, which
     take and return an ``int`` or a ``Fraction``.  ``lower()`` is the int-first
     (eval, derivative) pair the engine runs, (None, None) for a pass-through;
+    by default it wraps ``eval`` and ``derivative``, and a polynomial and a
+    piecewise-linear activation lower themselves to integer arithmetic.
     ``to_doc()`` is the canonical JSON object; ``step_family`` says whether
     ``pwl.gd_step`` may run it and ``is_continuous`` whether its pieces meet at
     every breakpoint."""
@@ -892,7 +894,9 @@ class GradientReport:
     ``hinge_kinks`` counts samples whose margin sat exactly on the hinge
     kink; those contribute the subgradient value 0.  The in-edges of one
     vertex have one bias gradient, the sum of that vertex's deltas, so
-    ``bias_grad`` gives each of them the same value.
+    ``bias_grad`` gives each of them the same value.  ``ops`` counts each
+    forward pass, each sample's seed and, per vertex with a nonzero adjoint,
+    2 plus 6 per in-edge, also where its slope is 0 and its delta adds nothing.
     """
 
     weight_grad: dict[str, Fraction]
@@ -915,7 +919,10 @@ def gradients(
     bit01 / vector-equality specs are rejected, as is a target that is not a
     vertex of ``net`` (``NetworkError`` at ``target``), and so are auxiliary
     (flag 0) samples and vector labels, all checked before the first pass.
-    Adjoints propagate in reverse topological order.  Each accumulator is
+    Adjoints propagate in reverse topological order, held only for vertices
+    with in-edges, since a source's is never read.  A vertex whose adjoint's
+    numerator is 0 is skipped; one whose slope at its preactivation is 0
+    counts its ``ops`` and stops there, since its delta is 0.  Each accumulator is
     an unreduced pair across the samples, and the in-edges of one vertex
     share its bias gradient, one pair per vertex.  After the last sample
     every accumulator is reduced once by ``reduce_pair`` and checked
@@ -936,6 +943,7 @@ def gradients(
         check_label(spec, sample, i)
     wgrad = dict.fromkeys(net.edge_map, (0, 1))
     bsum = dict.fromkeys(plan.order, (0, 1))  # by head: its in-edges share it
+    inner = [vid for vid in reversed(plan.order) if plan.node[vid][0] is not None]
     kinks = 0
     peak = 1
     ops = 0
@@ -961,17 +969,18 @@ def gradients(
                 seed = 0
 
         scale = sample.count
-        adjoint = dict.fromkeys(plan.order, (0, 1))
+        adjoint = dict.fromkeys(inner, (0, 1))  # a source's is never read
         adjoint[target] = (seed.numerator, seed.denominator)
-        for vid in reversed(plan.order):
+        for vid in inner:
+            num, den = adjoint[vid]
+            if not num:
+                continue
             ins, _, _, slope = plan.node[vid]
-            if ins is None:
-                continue
-            a = reduce_pair(*adjoint[vid])
-            if a == 0:
-                continue
-            delta = a if slope is None else int_first(a * slope(pre[vid]))
             ops += 2 + 6 * len(ins)
+            s = 1 if slope is None else slope(pre[vid])
+            if not s:
+                continue  # delta 0 adds 0 to every sum it reaches
+            delta = reduce_pair(num, den) if s == 1 else int_first(reduce_pair(num, den) * s)
             peak = max(peak, check_bits(delta, max_bits, f"adjoint {vid}"))
             dn, dd = delta.numerator, delta.denominator
             sn = scale * dn
@@ -981,7 +990,8 @@ def gradients(
                 qn = q.numerator
                 if qn:
                     wgrad[eid] = add_pair(*wgrad[eid], sn * qn, dd * q.denominator)
-                adjoint[tail] = add_pair(*adjoint[tail], dn * wn, dd * wd)
+                if tail in adjoint:
+                    adjoint[tail] = add_pair(*adjoint[tail], dn * wn, dd * wd)
     bias = {vid: _as_fraction(reduce_pair(*pair)) for vid, pair in bsum.items()}
     bgrad = {}
     for eid, pair in wgrad.items():

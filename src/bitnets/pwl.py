@@ -17,10 +17,10 @@ and are in its ``step_family``, a bit-bounded wrapper whatever its base;
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .network import (
     Activation,
@@ -31,15 +31,16 @@ from .network import (
     Sample,
     Theta,
     gradients,
+    int_first,
     loss_total,
     not_rational,
 )
 from .rationals import (
     DEFAULT_MAX_BITS,
-    add_pair,
+    add_reduced,
     bit_length,
     format_rational,
-    reduce_pair,
+    mul_reduced,
     round_to_dyadic,
 )
 
@@ -97,6 +98,32 @@ class PwlActivation(Activation):
             idx -= 1
         return self.pieces[idx][0]
 
+    def lower(self) -> tuple[Callable, Callable]:
+        """The int-first (eval, derivative) pair, in integer arithmetic.  A z
+        is placed by the sign of its numerator first, so a breakpoint of 0
+        takes no comparison, then among the breakpoints of its sign.  A
+        piece of slope 1 and intercept 0 returns z, one of slope 0 its
+        intercept, any other ``a * z + c`` by ``mul_reduced`` and
+        ``add_reduced``."""
+        bps, left = self.breakpoints, self.kink_slope == "left"
+        neg, pos = bisect_left(bps, 0), bisect_right(bps, 0)  # bps[:neg] < 0 < bps[pos:]
+        slopes = [int_first(a) for a, _ in self.pieces]
+        values = [_affine(a, int_first(c)) for a, (_, c) in zip(slopes, self.pieces)]
+
+        def index(z: int | Fraction) -> int:
+            n = z.numerator
+            if n > 0:
+                return bisect_right(bps, z, pos)
+            return pos if n == 0 else bisect_right(bps, z, 0, neg)
+
+        def slope(z: int | Fraction) -> int | Fraction:
+            i = index(z)
+            if left and i and bps[i - 1] == z:
+                i -= 1
+            return slopes[i]
+
+        return (lambda z: values[index(z)](z)), slope
+
     def to_doc(self) -> dict:
         return {
             "kind": self.kind,
@@ -104,6 +131,17 @@ class PwlActivation(Activation):
             "pieces": [[format_rational(a), format_rational(c)] for a, c in self.pieces],
             "kink_slope": self.kink_slope,
         }
+
+
+def _affine(a: int | Fraction, c: int | Fraction) -> Callable:
+    """``z -> a * z + c`` on int-first values: z itself for slope 1 and
+    intercept 0, c for slope 0, else the crosswise product and Henrici's sum."""
+    if a == 0:
+        return lambda z: c
+    if a == 1 and c == 0:
+        return lambda z: z
+    an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+    return lambda z: add_reduced(*mul_reduced(an, ad, z.numerator, z.denominator), cn, cd)
 
 
 def relu() -> PwlActivation:
@@ -188,9 +226,12 @@ def gd_step(
     bit model.  The report flags an activation that is not ``is_continuous``,
     since the derivative convention at its breakpoints is ours, not intrinsic.
     ``eta`` must be an ``int`` or a ``Fraction``, else ``NetworkError`` at
-    ``eta``.  Each parameter's ``q - eta * g`` is one unreduced pair, reduced
-    once; the in-edges of a vertex share one bias gradient, so ``eta`` times
-    it is formed once per vertex.  A zero gradient keeps its parameter.
+    ``eta``.  Each step ``-eta * g`` is formed reduced, by cancelling eta's
+    small terms crosswise against g (``rationals.mul_reduced``), and added to
+    the reduced parameter by Henrici's rule (``rationals.add_reduced``), whose
+    gcds run against the denominators' shared factor only.  The in-edges of a
+    vertex share one bias gradient, so its step is formed once per vertex.
+    A zero gradient keeps its parameter.
     """
     inner = [v for v in net.vertices if v.activation is not None]
     for v in inner:
@@ -207,14 +248,14 @@ def gd_step(
     report = gradients(net, theta, dataset, spec, max_bits)
 
     def step(g: Fraction) -> tuple[int, int]:
-        """``-eta * g`` as an unreduced pair."""
-        return -en * g.numerator, ed * g.denominator
+        """``-eta * g`` as a reduced pair."""
+        return mul_reduced(-en, ed, g.numerator, g.denominator)
 
     def descend(q: Fraction, delta: tuple[int, int]) -> Fraction:
-        """``q`` plus the pair ``delta``, reduced once."""
+        """``q`` plus the reduced pair ``delta``."""
         if not delta[0]:
             return Fraction(q)
-        return Fraction(reduce_pair(*add_pair(q.numerator, q.denominator, *delta)))
+        return Fraction(add_reduced(q.numerator, q.denominator, *delta))
 
     bias_steps = {}  # by head vertex: its in-edges share one bias gradient
     updated: dict[str, tuple[Fraction, Fraction]] = {}

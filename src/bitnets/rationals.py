@@ -7,9 +7,9 @@ denominator.  This module adds the handful of operations on top of that
 representation that the rest of the package needs and that must agree
 bit-for-bit everywhere: the ``p`` / ``p/q`` text encoding and its exact
 length, the size measure ``bit_length``, integer-exact bit extraction,
-floor-style dyadic rounding, and the arithmetic of unreduced exact
-(numerator, denominator) pairs: ``add_pair`` and ``reduce_pair``, the one
-reduction of such a pair.
+floor-style dyadic rounding, and the arithmetic of exact (numerator,
+denominator) pairs: ``add_pair`` and ``reduce_pair``, the one reduction of an
+unreduced pair, and ``mul_reduced`` and ``add_reduced`` for two reduced ones.
 
 The values this package computes are mostly dyadic: most of the bits of
 a denominator are often its power of two.  ``reduce_pair`` takes the
@@ -17,7 +17,16 @@ power of two out of the gcd with bit operations (the 2-adic step of
 Stein's binary gcd) and runs ``math.gcd``, which is quadratic in the
 operands' length, only against the odd part of the denominator.  The
 reduced pair is unique, so the result is the one ``Fraction(num, den)``
-builds.
+builds.  Two pairs that are already reduced need less: ``mul_reduced``
+cancels each numerator against the other's denominator, and ``add_reduced``
+adds by Henrici's rule, one gcd of the two denominators and then a gcd of
+the new numerator with that shared factor only.
+
+The exact text length of a rational is counted, not rendered: the decimal
+digits of an integer n are floor(log10 n) + 1, read off ``math.log10``,
+whose float error is bounded by the bit length of n.  A power of ten is
+built and compared with n only when that bound leaves log10 n too close to
+an integer to decide.
 
 Text conversion never touches interpreter state.  CPython refuses to
 convert integers of more than ``sys.get_int_max_str_digits()`` decimal
@@ -56,8 +65,11 @@ class BitBudgetError(ArithmeticError):
 #: fewer than any int<->str limit CPython accepts (640 and up).
 _SHORT_BITS = 2000
 
-#: floor(log10(2) * 2**64): log10(2) lies in [L, L + 1) / 2**64.
-_LOG10_2 = 5553023288523357132
+#: For n of b bits, ``math.log10(n)`` is within (b + 1) * 2**-52 of log10 n:
+#: it is log10(float(n)), or log10(x) + log10(2) * e for n = x * 2**e beyond
+#: the float range, each part within 2 ulp.  ``_digit_count`` allows 16 times
+#: that, (b + 1) * 2**-48, which stays below 1/2 for b < 2**46.
+_LOG10_SLACK = 2.0**-48
 
 #: CPython's int<->str digit limit in force; 0 means none, as before 3.10.7.
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -110,19 +122,17 @@ def _text_to_int(text: str) -> int:
 
 
 def _digit_count(n: int) -> int:
-    """Decimal digits of ``|n|`` (1 for 0), from its bit length and at most
-    one comparison with a power of ten."""
+    """Decimal digits of ``|n|`` (1 for 0): floor(log10 |n|) + 1, read off
+    ``math.log10``, and compared with the power of ten 10**m only when the
+    float lies within its error bound of the integer m."""
     n = abs(n)
-    bits = n.bit_length()
-    if bits <= 1:
+    if n < 10:
         return 1
-    # 2**(bits-1) <= n < 2**bits.  Every power of ten below (bits-1)*log10(2)
-    # is <= n and every one above bits*log10(2) is > n; m is the only
-    # exponent that can lie between, if any does.
-    m = -((-(bits - 1) * _LOG10_2) >> 64)
-    if m << 64 < bits * (_LOG10_2 + 1):
-        return m + 1 if n >= 10**m else m
-    return m
+    t = math.log10(n)
+    m = round(t)
+    if abs(t - m) > (n.bit_length() + 1) * _LOG10_SLACK:
+        return int(t) + 1
+    return m + 1 if n >= 10**m else m
 
 
 # A Fraction from a coprime pair with a positive denominator, without the
@@ -153,6 +163,28 @@ def add_pair(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
         return num * td + tn, td
     g = math.gcd(den, td)
     return num * (td // g) + tn * (den // g), den // g * td
+
+
+def mul_reduced(num: int, den: int, tn: int, td: int) -> tuple[int, int]:
+    """``num/den * tn/td`` for two reduced pairs, as a reduced pair: each
+    numerator is cancelled against the other's denominator, the crosswise
+    gcds of ``Fraction`` multiplication, which are cheap when one pair is small."""
+    g, h = math.gcd(num, td), math.gcd(tn, den)
+    return (num // g) * (tn // h), (den // h) * (td // g)
+
+
+def add_reduced(num: int, den: int, tn: int, td: int) -> int | Fraction:
+    """``num/den + tn/td`` for two reduced pairs, in the form ``reduce_pair``
+    returns, by Henrici's rule (Knuth, TAOCP vol. 2, 4.5.1).  With ``g =
+    gcd(den, td)`` the sum is ``t / (den/g * td)`` for ``t = num * td/g + tn *
+    den/g``, and a prime of ``den/g * td`` that divides ``t`` divides ``g``, so
+    the one gcd of ``t`` is with ``g``, not with the whole denominator."""
+    g = math.gcd(den, td)
+    den //= g
+    num = num * (td // g) + tn * den
+    h = math.gcd(num, g)
+    num, den = num // h, den * (td // h)
+    return num if den == 1 else _coprime(num, den)
 
 
 def reduce_pair(num: int, den: int) -> int | Fraction:
@@ -216,7 +248,9 @@ def format_rational(q: Fraction) -> str:
 
 
 def format_length(q: Fraction) -> int:
-    """``len(format_rational(q))``, counted without rendering a digit."""
+    """``len(format_rational(q))``, counted without rendering a digit: the
+    numerator's and denominator's digit counts come from ``math.log10`` and,
+    near a power of ten, one comparison with it."""
     n, d = q.numerator, q.denominator
     size = (n < 0) + _digit_count(n)
     return size if d == 1 else size + 1 + _digit_count(d)

@@ -36,7 +36,7 @@ from bitnets.network import (
     loss_total,
 )
 from bitnets.product_identity import RationalPoly, monomial
-from bitnets.pwl import BitBoundedActivation, gd_step, leaky_relu, relu
+from bitnets.pwl import BitBoundedActivation, PwlActivation, gd_step, leaky_relu, relu
 from plain_reference import bits, outcome, ref_forward, ref_gd_step, ref_gradients, ref_loss
 
 PLAIN = {"EvalTrace", "GradientReport", "NetworkError", "PolyActivation", "Sample", "RationalPoly",
@@ -429,6 +429,49 @@ def test_an_adjoint_that_cancels_to_zero_skips_its_vertex():
     assert report.ops == 19 + 1 + 14 + 8 + 8
     assert report.weight_grad["su"] == 0 and report.bias_grad["su"] == 0
     assert_engine_matches(*case, caps=(1, 2, 3, 4, 5, 6, 1 << 20))
+
+
+def wide_relu_case(rng, kink_slope):
+    """Eight sources into three ReLU vertices into an identity target.  The
+    ReLUs sit at a negative, a zero and a positive preactivation on every
+    sample: each source term is x_i * w, and the biases set the sums."""
+    sources = [f"s{i}" for i in range(8)]
+    act = PwlActivation(relu().breakpoints, relu().pieces, kink_slope)
+    hidden = ["neg", "zero", "pos"]
+    net = Network([*(Vertex(v, "source") for v in sources),
+                   *(Vertex(v, "hidden", act) for v in hidden),
+                   Vertex("t", "target", IdentityActivation())],
+                  [*(Edge(f"{u}->{v}", u, v) for v in hidden for u in sources),
+                   *(Edge(f"{v}->t", v, "t") for v in hidden)])
+    w = Fraction(rng.randint(1, 1 << 40), rng.choice((1, 3, 1 << 20)))
+    xs = [Fraction(rng.randint(-(1 << 60), 1 << 60), rng.choice((1, 7, 1 << 20))) for _ in sources]
+    total = w * sum(xs)
+    params = {}
+    for v, offset in zip(hidden, (-5, 0, Fraction(3, 2))):
+        for i, u in enumerate(sources):  # the first in-edge carries the bias
+            params[f"{u}->{v}"] = (w, offset - total if i == 0 else Fraction(0))
+        params[f"{v}->t"] = (Fraction(rng.randint(1, 99), 7), Fraction(rng.randint(-9, 9), 5))
+    dataset = (Sample(dict(zip(sources, xs)), Fraction(-1)),
+               Sample(dict(zip(sources, xs)), Fraction(1, 3), count=3))
+    return net, Theta(params), dataset, LossSpec("square", target="t")
+
+
+@pytest.mark.parametrize("kink_slope", ["right", "left"])
+def test_relus_at_each_sign_match_reference_at_every_check(kink_slope):
+    """A ReLU whose slope is 0 still counts its ops; sources keep no adjoint.
+    ``gradients`` against the reference at each recorded check's bits and
+    one less, and ``gd_step`` with an eta whose numerator is not 1."""
+    net, theta, dataset, spec = case = wide_relu_case(random.Random(kink_slope), kink_slope)
+    pre = ref_forward(net, theta, dataset[0].x).value.preactivations
+    assert (pre["neg"], pre["zero"], pre["pos"]) == (-5, 0, Fraction(3, 2))
+    grads = ref_gradients(*case)
+    assert grads.value.weight_grad["s0->neg"] == 0 and grads.value.weight_grad["s0->pos"] != 0
+    for cap in around(*(b for b, _ in grads.checks)):
+        assert outcome(gradients, *case, cap) == grads.at(cap)
+    eta = Fraction(3, 64)
+    want, ref_ops = ref_gd_step(*case, eta)
+    report = gd_step(*case, eta)
+    assert dict(report.theta.params) == want and report.ops == ref_ops + 4 * len(net.edges)
 
 
 def test_gradient_accumulators_are_checked_once_after_cancelling_across_samples():

@@ -17,6 +17,7 @@ from bitnets.network import (
     Vertex,
     forward,
     gradients,
+    int_first,
 )
 from bitnets.product_identity import monomial
 from bitnets.pwl import (
@@ -83,6 +84,56 @@ class TestPwlEval:
         assert act.eval(Fraction(-2)) == -1
         assert act.eval(Fraction(1, 2)) == Fraction(1, 2)
         assert act.eval(Fraction(3)) == 1
+
+
+F = Fraction
+LOWERED = {
+    "relu": relu(),
+    "relu, left slope": PwlActivation((F(0),), ((F(0), F(0)), (F(1), F(0))), kink_slope="left"),
+    "leaky": leaky_relu(F(1, 10)),
+    # breakpoints below, at and above 0; slope 0, slope 1 with intercept 0 and
+    # with another, and slopes and intercepts that are not integers
+    "five breakpoints": PwlActivation(
+        (F(-3), F(-1, 2), F(0), F(2), F(7, 3)),
+        ((F(0), F(5)), (F(1), F(0)), (F(3, 7), F(-5, 2)), (F(-2), F(0)), (F(1), F(4)),
+         (F(0), F(-1, 9)))),
+    "no zero breakpoint": PwlActivation((F(-5, 4), F(1, 3)), ((F(2), F(1)), (F(1), F(0)), (F(0), F(0)))),
+}
+
+
+class TestLowered:
+    """``PwlActivation.lower()`` gives the int-first values and slopes of
+    ``eval`` and ``derivative``, of the same type, with both ``kink_slope``
+    rules: at, just off and around every breakpoint, at ints and at large
+    fractions.  Like every lowered pair, it takes a z in engine form: an
+    ``int`` while integral."""
+
+    @staticmethod
+    def points(act, rng):
+        tiny = F(1, 1 << 200)
+        for b in (*act.breakpoints, F(0)):
+            yield from (b, b - tiny, b + tiny, b - 1, b + 1, b.numerator, F(b.numerator + 1))
+        for _ in range(40):
+            yield F(rng.randint(-(1 << 300), 1 << 300), rng.choice((1, 3, 1 << 64, (1 << 89) - 1)))
+            yield rng.randint(-(1 << 70), 1 << 70)
+
+    @pytest.mark.parametrize("name", LOWERED)
+    @pytest.mark.parametrize("kink_slope", ["right", "left"])
+    def test_matches_eval_and_derivative(self, name, kink_slope):
+        base = LOWERED[name]
+        act = PwlActivation(base.breakpoints, base.pieces, kink_slope)
+        value, slope = act.lower()
+        for z in map(int_first, self.points(act, random.Random(name))):
+            for got, want in ((value(z), act.eval(z)), (slope(z), act.derivative(z))):
+                want = int_first(want)
+                assert got == want and type(got) is type(want), (name, z)
+
+    def test_the_left_rule_takes_the_left_slope_at_each_breakpoint(self):
+        act = PwlActivation(LOWERED["five breakpoints"].breakpoints,
+                            LOWERED["five breakpoints"].pieces, "left")
+        slope = act.lower()[1]
+        assert [slope(b) for b in act.breakpoints] == [0, 1, F(3, 7), -2, 1]
+        assert [slope(b) for b in (-3, 2)] == [0, -2]
 
 
 class TestBitBounded:

@@ -12,11 +12,15 @@ from hypothesis import strategies as st
 
 from bitnets.rationals import (
     BitBudgetError,
+    _digit_count,
+    _int_to_text,
+    add_reduced,
     bit_extract,
     bit_length,
     check_bits,
     format_length,
     format_rational,
+    mul_reduced,
     parse_rational,
     reduce_pair,
     round_to_dyadic,
@@ -79,6 +83,94 @@ class TestTextLength:
             for n in (10**k - 1, 10**k, 10**k + 1, (1 << k) - 1, 1 << k, (1 << k) + 1):
                 assert format_length(Fraction(n)) == len(format_rational(Fraction(n)))
                 assert format_length(Fraction(-n, 7)) == len(format_rational(Fraction(-n, 7)))
+
+
+class TestDigitCount:
+    """``_digit_count`` reads floor(log10 n) + 1 off ``math.log10`` and compares
+    with a power of ten only inside the float's error bound: seeded integers
+    against their rendered length, on both sides of every power of ten up to
+    3000 digits, and past 2**22 bits against the powers of ten around them."""
+
+    def test_random_integers_up_to_a_hundred_thousand_bits(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            n = rng.getrandbits(rng.randint(1, 100_000)) * rng.choice((1, -1))
+            text = _int_to_text(n)
+            assert _digit_count(n) == len(text.lstrip("-"))
+            q = Fraction(n, rng.randint(1, 1 << rng.randint(1, 3000)))
+            assert format_length(q) == len(format_rational(q))
+
+    def test_next_to_every_power_of_ten_up_to_3000_digits(self):
+        for k in range(1, 3001):
+            for n in (10**k - 1, 10**k, 10**k + 1):
+                assert _digit_count(n) == _digit_count(-n) == len(str(n)), n
+        for k in range(1, 3001, 7):
+            q = Fraction(-(10**k - 1), 10**k + 1)
+            assert format_length(q) == len(format_rational(q))
+
+    def test_past_two_to_the_22_bits(self):
+        rng = random.Random(22)
+        k = 1_300_000  # 10**k has 4318507 bits
+        power = 10**k
+        assert (_digit_count(power - 1), _digit_count(power), _digit_count(power + 1)) == (
+            k, k + 1, k + 1)
+        for bits in (1 << 22, 1 << 23, 1 << 24):
+            n = rng.getrandbits(bits) | 1 << (bits - 1)
+            d = _digit_count(n)
+            low = 10 ** (d - 1)
+            assert low <= n < 10 * low
+
+
+class TestReducedArithmetic:
+    """``add_reduced`` (Henrici's rule) and ``mul_reduced`` (crosswise
+    cancelling) against the stdlib on reduced pairs that share factors, are
+    zero or negative, and sum to integers."""
+
+    @staticmethod
+    def reduced(rng):
+        shared = rng.choice((1, 2, 3, 6, 1 << 20, 3 * 7 << 40, (1 << 61) - 1))
+        num = rng.choice((0, rng.randint(-50, 50), rng.randint(-(1 << 200), 1 << 200)))
+        den = shared * rng.choice((1, rng.randint(1, 60), rng.randint(1, 1 << 100)))
+        return Fraction(num * rng.choice((1, shared)), den)
+
+    def test_sums_equal_the_stdlib(self):
+        rng = random.Random(1)
+        integral = 0
+        for _ in range(3000):
+            a, b = self.reduced(rng), self.reduced(rng)
+            if rng.random() < 0.2:  # the sum is an integer
+                b = Fraction(rng.randint(-9, 9)) - a
+            want = a + b
+            got = add_reduced(a.numerator, a.denominator, b.numerator, b.denominator)
+            if want.denominator == 1:
+                integral += 1
+                assert type(got) is int and got == want
+            else:
+                assert type(got) is Fraction
+                assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert integral > 600
+
+    @pytest.mark.parametrize("a, b, want", [
+        (Fraction(1, 6), Fraction(1, 6), Fraction(1, 3)),  # the shared factor divides the sum
+        (Fraction(1, 6), Fraction(-1, 6), 0),
+        (Fraction(5, 12), Fraction(1, 12), Fraction(1, 2)),
+        (Fraction(1, 4), Fraction(3, 4), 1),
+        (Fraction(-7, 3), Fraction(0), Fraction(-7, 3)),
+        (Fraction(3, 1 << 80), Fraction(-1, 3 << 78), Fraction(5, 3 << 80)),
+    ])
+    def test_examples(self, a, b, want):
+        got = add_reduced(a.numerator, a.denominator, b.numerator, b.denominator)
+        assert got == want and type(got) is type(want)
+        assert str(got) == str(want)
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 64), Fraction(3, 64), Fraction(-5, 12), 2])
+    def test_steps_are_reduced_products(self, eta):
+        rng = random.Random(str(eta))
+        for _ in range(500):
+            g = self.reduced(rng)
+            want = -eta * g
+            got = mul_reduced(-eta.numerator, eta.denominator, g.numerator, g.denominator)
+            assert got == (want.numerator, want.denominator)
 
 
 @pytest.fixture
