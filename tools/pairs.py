@@ -1,9 +1,10 @@
 """Compare two trees on one benchmark workload by alternating pairs of runs.
 
 Each pair runs ``pipebench/run.py`` once from the parent tree and once from
-the change tree, with the same workload, seed and run length and tracing
-off; even pairs run the parent first, odd pairs the change, so that a
-drift of the host's speed favours neither side.  Every run is printed.
+the change tree, with the same workload and seed, tracing off and the run
+length (``run_seconds``) that the change tree's ``BENCHMARK.json`` fixes;
+even pairs run the parent first, odd pairs the change, so that a drift of
+the host's speed favours neither side.  Every run is printed.
 When the two sides' model-cost digests differ, the runs did different work
 and nothing is reported (exit 1).  Otherwise, for each end-to-end metric of
 the change tree's ``BENCHMARK.json``, it prints each side's median and
@@ -77,13 +78,12 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, help="default: run_seconds in BENCHMARK.json")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
+    seconds = spec["run_seconds"]
     trees = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {side: [] for side in SIDES}
     print(f"workload {args.workload} seed {args.seed} seconds {seconds:g} pairs {args.pairs}")
